@@ -47,13 +47,13 @@ from .iterint import (IterIntResult, PathSpec, homotopy_test,
                       iterate_element, iterate_word, iterate_words,
                       monodromy_probe, normalize_word, shuffle_test,
                       shuffles)
-from .polylogs import (BranchedValue, bloch_wigner, bloch_wigner_five_term,
-                       grassmannian_tate, l2g, l2g_family_values,
-                       l2g_five_term, li2, li_n, li_series,
-                       omit_cross_ratios, rogers_five_term, rogers_l2,
-                       rogers_l2_slope)
-from .tensors import (MultTensor, WedgeTensor, alt, bracket_symbol,
-                      wedge_project)
+from .polylogs import (BranchedValue, aomoto_a1, bloch_wigner,
+                       bloch_wigner_five_term, grassmannian_tate, l2g,
+                       l2g_family_values, l2g_five_term, li2, li_n,
+                       li_series, omit_cross_ratios, rogers_five_term,
+                       rogers_l2, rogers_l2_closed_form, rogers_l2_slope)
+from .tensors import (MultTensor, WedgeTensor, alt, bracket_symbol, equal,
+                      tensor_of_slots, wedge_project)
 
 __all__ = [
     "AomotoExpr", "AomotoGen", "additivity_residue", "coproduct",
@@ -73,9 +73,10 @@ __all__ = [
     "IterIntResult", "PathSpec", "homotopy_test", "iterate_element",
     "iterate_word", "iterate_words", "monodromy_probe", "normalize_word",
     "shuffle_test", "shuffles",
-    "BranchedValue", "bloch_wigner", "bloch_wigner_five_term",
+    "BranchedValue", "aomoto_a1", "bloch_wigner", "bloch_wigner_five_term",
     "grassmannian_tate", "l2g", "l2g_family_values", "l2g_five_term",
     "li2", "li_n", "li_series", "omit_cross_ratios", "rogers_five_term",
-    "rogers_l2", "rogers_l2_slope",
-    "MultTensor", "WedgeTensor", "alt", "bracket_symbol", "wedge_project",
+    "rogers_l2", "rogers_l2_closed_form", "rogers_l2_slope",
+    "MultTensor", "WedgeTensor", "alt", "bracket_symbol", "equal",
+    "tensor_of_slots", "wedge_project",
 ]

@@ -38,11 +38,13 @@ the (w-1,1) components.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (MultTensor, bracket_symbol, parse_symbol,
-                      perms_with_signs, symbol_to_str, tensor_of_slots,
-                      _coeff_from_json, _coeff_to_json, _norm_coeff)
+                      perms_with_signs, symbol_to_str, _coeff_from_json,
+                      _coeff_to_json, _combine, _expand_slots,
+                      _sort_with_sign)
 
 GEN = "g"
 MONO = "m"
@@ -65,16 +67,6 @@ class AomotoGen:
         l = ",".join(str(i) for i in self.left)
         r = ",".join(str(i) for i in self.right)
         return f"A_{self.weight}[{pre}|{l};{r}]"
-
-
-def _sort_with_sign(seq):
-    lst = list(seq)
-    inv = 0
-    for a in range(len(lst)):
-        for b in range(a + 1, len(lst)):
-            if lst[a] > lst[b]:
-                inv += 1
-    return tuple(sorted(lst)), (-1 if inv % 2 else 1)
 
 
 def make_gen(prefix, left, right):
@@ -102,10 +94,6 @@ def make_gen(prefix, left, right):
     ls, s1 = _sort_with_sign(left)
     rs, s2 = _sort_with_sign(right)
     return AomotoGen(tuple(sorted(prefix)), ls, rs), s1 * s2
-
-
-def gen_to_str(gen):
-    return str(gen)
 
 
 _GEN_HEAD = "A_"
@@ -153,14 +141,15 @@ class AomotoExpr:
 
     @classmethod
     def from_terms(cls, pairs):
-        acc = {}
-        for factors, coeff in pairs:
-            key = tuple(factors)
-            for f in key:
-                if f[0] not in (GEN, MONO):
-                    raise ContractViolation(f"bad factor tag {f[0]!r}")
-            acc[key] = acc.get(key, 0) + coeff
-        return cls({k: _norm_coeff(v) for k, v in acc.items() if v != 0})
+        def checked():
+            for factors, coeff in pairs:
+                key = tuple(factors)
+                for f in key:
+                    if f[0] not in (GEN, MONO):
+                        raise ContractViolation(f"bad factor tag {f[0]!r}")
+                yield key, coeff
+
+        return cls(_combine(checked()))
 
     @classmethod
     def of_gen(cls, gen, coeff=1):
@@ -176,14 +165,8 @@ class AomotoExpr:
     def __add__(self, other):
         if not isinstance(other, AomotoExpr):
             return NotImplemented
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            new = acc.get(k, 0) + v
-            if new == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = _norm_coeff(new)
-        return AomotoExpr(acc)
+        return AomotoExpr(_combine(
+            chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return AomotoExpr({k: -v for k, v in self.terms.items()})
@@ -196,10 +179,8 @@ class AomotoExpr:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        if scalar == 0:
-            return AomotoExpr.zero()
-        return AomotoExpr({k: _norm_coeff(v * scalar)
-                           for k, v in self.terms.items()})
+        return AomotoExpr(_combine(
+            (k, v * scalar) for k, v in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -216,7 +197,7 @@ class AomotoExpr:
         out = []
         for tag, payload in factors:
             if tag == GEN:
-                out.append(gen_to_str(payload))
+                out.append(str(payload))
             else:
                 for sym, e in payload:
                     out.append(symbol_to_str(sym)
@@ -235,19 +216,11 @@ class AomotoExpr:
     # -- serialization (mirrors the tensor wire format) ---------------------
 
     def to_json_dict(self):
-        def slot_strs(factor):
-            tag, payload = factor
-            if tag == GEN:
-                return [gen_to_str(payload)]
-            out = []
-            for sym, e in payload:
-                out.append(symbol_to_str(sym) + (f"^{e}" if e != 1 else ""))
-            return out
-
         terms = []
         for factors, coeff in sorted(self.terms.items(), key=repr):
             terms.append({"coeff": _coeff_to_json(coeff),
-                          "slots": [slot_strs(f) for f in factors]})
+                          "slots": [self._factor_strs((f,))
+                                    for f in factors]})
         return {"arity": None if not self.terms else
                 len(next(iter(self.terms))), "terms": terms}
 
@@ -392,47 +365,34 @@ def expand_to_tensor(expr, arity):
     if not isinstance(expr, AomotoExpr):
         raise ContractViolation("expand_to_tensor expects an expression")
     arity = int(arity)
-    acc = {}
-    stack = list(expr.terms.items())
-    while stack:
-        factors, coeff = stack.pop()
-        idx = None
-        for i, f in enumerate(factors):
-            if f[0] == GEN and f[1].weight >= 2:
-                idx = i
-                break
-        if idx is not None:
-            cp = coproduct(factors[idx][1])
-            head, tail = factors[:idx], factors[idx + 1:]
-            for cf, cc in cp.terms.items():
-                stack.append((head + cf + tail, coeff * cc))
-            continue
-        slots = []
-        for tag, payload in factors:
-            if tag == GEN:
-                slots.append(cross_ratio_monomial(payload))
-            else:
-                slots.append(payload)
-        if len(slots) != arity:
-            raise ContractViolation(
-                f"term reduced to {len(slots)} slots, expected {arity}")
-        for combo_key, combo_coeff in _expand_slots(slots):
-            c = coeff * combo_coeff
-            acc[combo_key] = acc.get(combo_key, 0) + c
-    return MultTensor(arity,
-                      {k: _norm_coeff(v) for k, v in acc.items() if v != 0})
 
+    def leaves():
+        stack = list(expr.terms.items())
+        while stack:
+            factors, coeff = stack.pop()
+            idx = None
+            for i, f in enumerate(factors):
+                if f[0] == GEN and f[1].weight >= 2:
+                    idx = i
+                    break
+            if idx is not None:
+                cp = coproduct(factors[idx][1])
+                head, tail = factors[:idx], factors[idx + 1:]
+                for cf, cc in cp.terms.items():
+                    stack.append((head + cf + tail, coeff * cc))
+                continue
+            slots = []
+            for tag, payload in factors:
+                if tag == GEN:
+                    slots.append(cross_ratio_monomial(payload))
+                else:
+                    slots.append(payload)
+            if len(slots) != arity:
+                raise ContractViolation(
+                    f"term reduced to {len(slots)} slots, expected {arity}")
+            yield from _expand_slots(slots, coeff)
 
-def _expand_slots(slots):
-    """Cartesian multi-additive expansion of slot monomials."""
-    keys = [((), 1)]
-    for mono in slots:
-        nxt = []
-        for prefix_syms, c in keys:
-            for sym, e in mono:
-                nxt.append((prefix_syms + (sym,), c * e))
-        keys = nxt
-    return keys
+    return MultTensor(arity, _combine(leaves()))
 
 
 def additivity_residue(weight, dual=False, side="left"):
@@ -488,16 +448,17 @@ def pairing_element_labels(n, labels=None, prefix=()):
     if len(set(labels)) != len(labels):
         raise ContractViolation("labels must be distinct")
     prefix = tuple(int(i) for i in prefix)
-    acc = {}
-    for perm, sgn in perms_with_signs(2 * n):
-        arr = [labels[p] for p in perm]
-        gen, gs = make_gen(prefix, arr[:n], arr[n:])
-        if gen is None:
-            continue
-        sym, _ = bracket_symbol(prefix + tuple(arr[n:]))
-        key = ((GEN, gen), (MONO, ((sym, 1),)))
-        acc[key] = acc.get(key, 0) + sgn * gs
-    return AomotoExpr({k: v for k, v in acc.items() if v != 0})
+
+    def arrangements():
+        for perm, sgn in perms_with_signs(2 * n):
+            arr = [labels[p] for p in perm]
+            gen, gs = make_gen(prefix, arr[:n], arr[n:])
+            if gen is None:
+                continue
+            sym, _ = bracket_symbol(prefix + tuple(arr[n:]))
+            yield ((GEN, gen), (MONO, ((sym, 1),))), sgn * gs
+
+    return AomotoExpr(_combine(arrangements()))
 
 
 def pairing_element(config):

@@ -7,9 +7,8 @@ budget exhausted.
 
 All output is deterministic for a fixed command line: reports omit wall
 times unless --timings is given, JSON keys are sorted, and every random
-draw flows from --seed.  The GRASSPOLY_THREADS environment variable sets
-the worker count; results never depend on it because all parallel drivers
-merge in input order.
+draw flows from --seed.  Evaluation is single-threaded; the
+GRASSPOLY_THREADS environment variable is accepted and ignored.
 """
 
 import argparse
@@ -288,9 +287,6 @@ def build_parser():
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--points", type=int, default=None,
                     help="evaluation points for the numeric certificates")
-    pv.add_argument("--tol", type=float, default=1e-12,
-                    help="accepted for symmetry with integrate; the "
-                         "verification suites are exact")
     pv.add_argument("--mode", default="mod2", choices=("mod2", "strict"),
                     help="strict keeps bracket sorting signs in the "
                          "relations and scale suites")

@@ -55,8 +55,7 @@ from .errors import ContractViolation
 from .forms import TangentAssignment, random_tangent, wedge_eval_graded
 from .tensors import (MultTensor, WedgeTensor, bracket_symbol,
                       perms_with_signs, scalar_symbol, symbol_to_str,
-                      wedge_project)
-from .util import parallel_map
+                      wedge_project, _combine, _expand_slots)
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,20 @@ def build_element(n, labels=None, prefix=(), signed=False):
     if set(prefix) & set(labels):
         raise ContractViolation("prefix labels must not occur among labels")
 
-    acc = {}
-    for perm, sgn in perms_with_signs(2 * n):
-        arr = [labels[p] for p in perm]
-        slots = []
-        coeff = sgn
-        for k in range(n):
-            sym, s = bracket_symbol(prefix + tuple(arr[k:k + n]),
-                                    signed=signed)
-            slots.append(sym)
-            coeff *= s
-        key = tuple(slots)
-        new = acc.get(key, 0) + coeff
-        if new == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = new
-    return GrassElement(n, labels, prefix, MultTensor(n, acc))
+    def arrangements():
+        for perm, sgn in perms_with_signs(2 * n):
+            arr = [labels[p] for p in perm]
+            slots = []
+            coeff = sgn
+            for k in range(n):
+                sym, s = bracket_symbol(prefix + tuple(arr[k:k + n]),
+                                        signed=signed)
+                slots.append(sym)
+                coeff *= s
+            yield tuple(slots), coeff
+
+    return GrassElement(n, labels, prefix,
+                        MultTensor(n, _combine(arrangements())))
 
 
 def scale_label(tensor, label, name):
@@ -120,20 +116,18 @@ def scale_label(tensor, label, name):
         raise ContractViolation("scale_label expects a MultTensor")
     label = int(label)
     a = scalar_symbol(name)
-    pairs = []
-    for slots, coeff in tensor.terms.items():
-        monos = []
-        for sym in slots:
-            if sym[0] == "D" and label in sym[1]:
-                monos.append(((a, 1), (sym, 1)))
-            else:
-                monos.append(((sym, 1),))
-        stack = [((), coeff)]
-        for mono in monos:
-            stack = [(key + (sym,), c * e)
-                     for key, c in stack for sym, e in mono]
-        pairs.extend(stack)
-    return MultTensor.from_terms(tensor.arity, pairs)
+
+    def expanded():
+        for slots, coeff in tensor.terms.items():
+            monos = []
+            for sym in slots:
+                if sym[0] == "D" and label in sym[1]:
+                    monos.append(((a, 1), (sym, 1)))
+                else:
+                    monos.append(((sym, 1),))
+            yield from _expand_slots(monos, coeff)
+
+    return MultTensor(tensor.arity, _combine(expanded()))
 
 
 def flip_first_term(tensor):
@@ -210,9 +204,10 @@ def check_comparison(n, mode="expect", element=None):
     expected one, or the doubled constant 2 (n!)^2 that the alternative
     coproduct normalization would give.  Any other ratio fails, unless
     mode="report-constant", which accepts any exact scalar proportionality
-    and reports the ratio.  n in {2, 3} is the supported range (n = 4 is
-    possible but costs minutes and a few GB; call the underlying functions
-    directly if you really want it).
+    and reports the ratio.  n in {2, 3} is the supported range.  n = 4
+    works through the underlying functions: build_element(4),
+    pairing_element_labels(4) and expand_to_tensor(..., 4) take seconds
+    and about 100 MB.
     """
     t0 = time.perf_counter()
     n = int(n)
@@ -271,15 +266,20 @@ def omission_residues(n, element_builder=build_element):
     """
     n = int(n)
     labels = tuple(range(1, 2 * n + 2))
-    plain = MultTensor.zero(n)
-    projected = MultTensor.zero(n)
-    for i, omitted in enumerate(labels, start=1):
-        rest = labels[:i - 1] + labels[i:]
-        sign = -1 if i % 2 else 1
-        plain = plain + sign * element_builder(n, labels=rest).tensor
-        projected = projected + sign * element_builder(
-            n, labels=rest, prefix=(omitted,)).tensor
-    return plain, projected
+
+    def signed_terms(projected):
+        for i, omitted in enumerate(labels, start=1):
+            rest = labels[:i - 1] + labels[i:]
+            sign = -1 if i % 2 else 1
+            if projected:
+                el = element_builder(n, labels=rest, prefix=(omitted,))
+            else:
+                el = element_builder(n, labels=rest)
+            for slots, c in el.tensor.terms.items():
+                yield slots, sign * c
+
+    return (MultTensor(n, _combine(signed_terms(False))),
+            MultTensor(n, _combine(signed_terms(True))))
 
 
 def check_omission_relations(n, element_builder=build_element):
@@ -334,14 +334,6 @@ def check_scale_invariance(n, which=None, tensor=None):
     return rep
 
 
-def two_vector_scale_residue(n, label_a, label_b):
-    """Residue of rescaling two distinct vectors by independent scalars;
-    zero because single-vector rescalings compose."""
-    base = build_element(n).tensor
-    scaled = scale_label(scale_label(base, label_a, "a"), label_b, "b")
-    return scaled - base
-
-
 # ---------------------------------------------------------------------------
 # integrability
 
@@ -363,8 +355,8 @@ def integrability_residues(n, k, tensor=None, num_points=20, seed=0,
     if tensor is None:
         tensor = build_element(n).tensor
     w = wedge_project(tensor, k)
-
-    def one_point(p):
+    out = []
+    for p in range(int(num_points)):
         cfg = random_generic(n, 2 * n, seed=repr(("integrability", seed, p)),
                              bound=bound, gaussian=gaussian)
         rng = random.Random(repr(("integrability-tangent", seed, p)))
@@ -372,9 +364,8 @@ def integrability_residues(n, k, tensor=None, num_points=20, seed=0,
         v = random_tangent(len(cfg), cfg.dim, rng, bound)
         at_u = TangentAssignment.make(cfg, u)
         at_v = TangentAssignment.make(cfg, v)
-        return p, cfg, wedge_eval_graded(w, at_u, at_v)
-
-    return parallel_map(one_point, list(range(int(num_points))))
+        out.append((p, cfg, wedge_eval_graded(w, at_u, at_v)))
+    return out
 
 
 def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,

@@ -18,7 +18,6 @@ d(1-f) is parallel to df, which is what makes exact wedge evaluation a
 sound certificate for vanishing in the second K-group at the d log level.
 """
 
-import random
 from dataclasses import dataclass
 
 from .configurations import Configuration, as_scalar, exact_det
@@ -102,15 +101,6 @@ def _is_exact(at):
     return not isinstance(probe, (float, complex))
 
 
-def letter_eval(letter, at):
-    """Evaluate an integer combination of d log brackets: letter is a
-    sequence of (coefficient, symbol) pairs."""
-    total = 0
-    for coeff, sym in letter:
-        total = total + coeff * dlog_eval(sym, at)
-    return total
-
-
 def tensor_slot_eval(t, k, at):
     """Evaluate d log of slot k of every term of a tensor.
 
@@ -176,12 +166,3 @@ def _group_wedge(entries, at_u, at_v, cache):
         total = total + coeff * (cache[(a, "u")] * cache[(b, "v")]
                                  - cache[(a, "v")] * cache[(b, "u")])
     return total
-
-
-def random_assignment_pair(config, seed, bound=13):
-    """Deterministic tangent pair at a configuration's base point."""
-    rng = random.Random(repr(("tangents", seed, config.dim, len(config))))
-    u = random_tangent(len(config), config.dim, rng, bound)
-    v = random_tangent(len(config), config.dim, rng, bound)
-    return (TangentAssignment.make(config, u),
-            TangentAssignment.make(config, v))

@@ -19,9 +19,9 @@ tolerance.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
-malformed or discontinuous paths raise PathError.  Results are
-deterministic for fixed inputs; the worker count never changes values
-because all parallel drivers merge in input order.
+malformed or discontinuous paths raise PathError.  Evaluation is
+single-threaded and results are deterministic for fixed inputs; the
+GRASSPOLY_THREADS environment variable is accepted and ignored.
 """
 
 import random
@@ -35,7 +35,6 @@ import numpy as np
 from .configurations import Configuration
 from .errors import BudgetError, ContractViolation, PathError, PoleError
 from .tensors import BRACKET, SCALAR, MultTensor, symbol_to_str
-from .util import parallel_map
 
 GAUSS_ORDER = 16
 POLE_THRESHOLD = 1e-8
@@ -592,7 +591,7 @@ def homotopy_test(obj, path, deformations=5, amplitude=0.1, seed=0,
             f"no pole-free deformation found in {resample} attempts "
             f"(trial {i}, amplitude {amplitude})")
 
-    trials = parallel_map(trial, list(range(int(deformations))))
+    trials = [trial(i) for i in range(int(deformations))]
     values = [base.value] + [r.value for r in trials]
     spread = max(abs(v - base.value) for v in values)
     return {

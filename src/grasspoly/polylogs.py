@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .configurations import (GaussianRational, as_scalar, cross_ratio,
-                             scalar_to_complex)
+from .configurations import (GaussianRational, _as_point, as_scalar,
+                             cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
 from .iterint import (DEFAULT_BUDGET, PathSpec, dlog_letter, iterate_element,
                       iterate_word)
@@ -185,21 +185,12 @@ def bloch_wigner(z):
 # five-term machinery
 
 
-def _as_point2(p):
-    """A point of the projective line as an exact coordinate pair."""
-    if isinstance(p, (tuple, list)):
-        if len(p) != 2:
-            raise ContractViolation("projective points have 2 coordinates")
-        return (as_scalar(p[0]), as_scalar(p[1]))
-    return (as_scalar(p), Fraction(1))
-
-
 def omit_cross_ratios(points):
     """The five cross-ratios r(omit k) of a 5-tuple, exact arithmetic.
 
     Each quadruple keeps the surviving points in their original order.
     """
-    pts = [_as_point2(p) for p in points]
+    pts = [_as_point(p) for p in points]
     if len(pts) != 5:
         raise ContractViolation("need exactly 5 points")
     out = []
@@ -212,7 +203,7 @@ def omit_cross_ratios(points):
 def epsilon_sign(points):
     """The orientation sign (1/2) prod_{i<j} sgn Delta(p_i, p_j) of a real
     5-tuple, as an exact rational +-1/2."""
-    pts = [_as_point2(p) for p in points]
+    pts = [_as_point(p) for p in points]
     if len(pts) != 5:
         raise ContractViolation("need exactly 5 points")
     eps = Fraction(1, 2)
@@ -275,8 +266,8 @@ def bloch_wigner_five_term(points):
 def l2g(x1, x2, x3, x4):
     """Dilogarithm of a 4-point configuration of the projective line: the
     rogers_l2 value of its exact cross-ratio."""
-    r = cross_ratio(_as_point2(x1), _as_point2(x2), _as_point2(x3),
-                    _as_point2(x4))
+    r = cross_ratio(_as_point(x1), _as_point(x2), _as_point(x3),
+                    _as_point(x4))
     if isinstance(r, GaussianRational):
         raise ContractViolation("l2g needs a real configuration")
     r = Fraction(r)
@@ -287,7 +278,7 @@ def l2g(x1, x2, x3, x4):
 
 def l2g_five_term(points):
     """Alternating sum of l2g over the five omit-one quadruples."""
-    pts = [_as_point2(p) for p in points]
+    pts = [_as_point(p) for p in points]
     if len(pts) != 5:
         raise ContractViolation("need exactly 5 points")
     total = 0.0
@@ -371,8 +362,3 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
     res = iterate_element(tensor, path, tol=tol, budget=budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)
-
-
-def scalar_to_float_point(x):
-    """Exact scalar to complex, re-exported convenience for table drivers."""
-    return scalar_to_complex(as_scalar(x))

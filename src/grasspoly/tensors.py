@@ -25,7 +25,9 @@ result.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import prod
+from operator import itemgetter
 
 from .errors import ContractViolation
 
@@ -46,16 +48,10 @@ def bracket_symbol(indices, signed=False):
     ix = tuple(int(i) for i in indices)
     if not ix:
         raise ContractViolation("empty bracket")
-    sign = 1
     if signed:
-        lst = list(ix)
-        inv = 0
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                if lst[a] > lst[b]:
-                    inv += 1
-        sign = -1 if inv % 2 else 1
-    return (BRACKET, tuple(sorted(ix))), sign
+        ordered, sign = _sort_with_sign(ix)
+        return (BRACKET, ordered), sign
+    return (BRACKET, tuple(sorted(ix))), 1
 
 
 def scalar_symbol(label):
@@ -91,25 +87,59 @@ def parse_symbol(s):
     return scalar_symbol(s)
 
 
+def _sort_with_sign(seq):
+    """(sorted tuple, sign of the sorting permutation); the sign is
+    (-1)^(number of inversions)."""
+    lst = tuple(seq)
+    inv = 0
+    for a in range(len(lst)):
+        la = lst[a]
+        for b in range(a + 1, len(lst)):
+            if la > lst[b]:
+                inv += 1
+    return tuple(sorted(lst)), (-1 if inv % 2 else 1)
+
+
 @lru_cache(maxsize=None)
 def perms_with_signs(k):
     """All permutations of range(k) with their parities, lexicographic."""
-    out = []
-    for perm in permutations(range(k)):
-        inv = 0
-        for a in range(k):
-            pa = perm[a]
-            for b in range(a + 1, k):
-                if pa > perm[b]:
-                    inv += 1
-        out.append((perm, -1 if inv % 2 else 1))
-    return tuple(out)
+    return tuple((perm, _sort_with_sign(perm)[1])
+                 for perm in permutations(range(k)))
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+def _combine(pairs):
+    """Canonical coefficient store of (key, coeff) pairs: coefficients of
+    equal keys summed, zero entries dropped, integral Fractions made int."""
+    acc = {}
+    get = acc.get
+    for key, coeff in pairs:
+        old = get(key)
+        acc[key] = coeff if old is None else old + coeff
+    return {k: _norm_coeff(v) for k, v in acc.items() if v}
+
+
+_symbol, _exponent = itemgetter(0), itemgetter(1)
+
+
+def _expand_slots(slots, coeff=1):
+    """Multi-additive expansion of slot monomials.
+
+    Each slot is a sequence of (symbol, exponent) pairs.  Yields one
+    (symbols, coeff * exponents) pair per choice of one atom from every
+    slot, so the slots a^2 b^-1 and c give (a, c) with 2 and (b, c) with -1.
+    """
+    for combo in product(*slots):
+        yield tuple(map(_symbol, combo)), coeff * prod(map(_exponent, combo))
+
+
+def _term_sort_key(kv):
+    return tuple(symbol_sort_key(s) for s in kv[0])
 
 
 def _coeff_to_json(c):
@@ -149,14 +179,15 @@ class MultTensor:
     @classmethod
     def from_terms(cls, arity, pairs):
         """Build from (slots, coeff) pairs, merging and pruning zeros."""
-        acc = {}
-        for slots, coeff in pairs:
-            key = tuple(slots)
-            if len(key) != arity:
-                raise ContractViolation(
-                    f"term has {len(key)} slots, expected {arity}")
-            acc[key] = acc.get(key, 0) + coeff
-        return cls(arity, {k: _norm_coeff(v) for k, v in acc.items() if v != 0})
+        def keyed():
+            for slots, coeff in pairs:
+                key = tuple(slots)
+                if len(key) != arity:
+                    raise ContractViolation(
+                        f"term has {len(key)} slots, expected {arity}")
+                yield key, coeff
+
+        return cls(arity, _combine(keyed()))
 
     # -- queries -----------------------------------------------------------
 
@@ -168,8 +199,7 @@ class MultTensor:
         return not self.terms
 
     def items_sorted(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: tuple(symbol_sort_key(s) for s in kv[0]))
+        return sorted(self.terms.items(), key=_term_sort_key)
 
     def coefficient(self, slots):
         return self.terms.get(tuple(slots), 0)
@@ -181,14 +211,8 @@ class MultTensor:
             return NotImplemented
         if other.arity != self.arity:
             raise ContractViolation("arity mismatch in tensor sum")
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            new = acc.get(k, 0) + v
-            if new == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = _norm_coeff(new)
-        return MultTensor(self.arity, acc)
+        return MultTensor(self.arity, _combine(
+            chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return MultTensor(self.arity, {k: -v for k, v in self.terms.items()})
@@ -201,11 +225,8 @@ class MultTensor:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        if scalar == 0:
-            return MultTensor.zero(self.arity)
-        return MultTensor(self.arity,
-                          {k: _norm_coeff(v * scalar)
-                           for k, v in self.terms.items()})
+        return MultTensor(self.arity, _combine(
+            (k, v * scalar) for k, v in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -278,23 +299,13 @@ def tensor_of_slots(slots, coeff=1):
     a^2 b^-1 contributes 2a - b.  The result is the fully expanded
     canonical combination of single-symbol tensors.
     """
-    from fractions import Fraction as _F
-
     norm = []
     for slot in slots:
         mono = [(sym, int(e)) for sym, e in slot]
         if not mono:
             raise ContractViolation("empty slot monomial")
         norm.append(mono)
-    pairs = []
-    for combo in product(*norm):
-        c = coeff
-        key = []
-        for sym, e in combo:
-            c = c * e
-            key.append(sym)
-        pairs.append((tuple(key), c))
-    return MultTensor.from_terms(len(norm), pairs)
+    return MultTensor(len(norm), _combine(_expand_slots(norm, coeff)))
 
 
 def alt(template, k):
@@ -303,40 +314,23 @@ def alt(template, k):
     template maps a position permutation to a MultTensor; the result is
     sum sgn(perm) * template(perm), merged canonically.  No 1/k! factor.
     """
-    acc = {}
     arity = None
-    for perm, sgn in perms_with_signs(k):
-        t = template(perm)
-        if arity is None:
-            arity = t.arity
-        elif t.arity != arity:
-            raise ContractViolation("template changed arity during alt")
-        for slots, c in t.terms.items():
-            acc[slots] = acc.get(slots, 0) + sgn * c
-    if arity is None:
-        raise ContractViolation("alt over an empty group")
-    return MultTensor(arity,
-                      {s: _norm_coeff(c) for s, c in acc.items() if c != 0})
 
-
-def alt_pairs(template, p, q):
-    """Independent alternation over two groups: sum over (sigma, tau) of
-    sgn(sigma) sgn(tau) template(sigma, tau)."""
-    acc = {}
-    arity = None
-    for ps, s1 in perms_with_signs(p):
-        for qs, s2 in perms_with_signs(q):
-            t = template(ps, qs)
+    def signed_terms():
+        nonlocal arity
+        for perm, sgn in perms_with_signs(k):
+            t = template(perm)
             if arity is None:
                 arity = t.arity
             elif t.arity != arity:
                 raise ContractViolation("template changed arity during alt")
             for slots, c in t.terms.items():
-                acc[slots] = acc.get(slots, 0) + s1 * s2 * c
+                yield slots, sgn * c
+
+    terms = _combine(signed_terms())
     if arity is None:
         raise ContractViolation("alt over an empty group")
-    return MultTensor(arity,
-                      {s: _norm_coeff(c) for s, c in acc.items() if c != 0})
+    return MultTensor(arity, terms)
 
 
 class WedgeTensor:
@@ -369,22 +363,22 @@ class WedgeTensor:
     @classmethod
     def from_terms(cls, width, pair_index, pairs):
         k = pair_index - 1
-        acc = {}
-        for slots, coeff in pairs:
-            slots = tuple(slots)
-            if len(slots) != width:
-                raise ContractViolation(
-                    f"term has {len(slots)} slots, expected {width}")
-            a, b = slots[k], slots[k + 1]
-            if a == b:
-                continue
-            if symbol_sort_key(a) > symbol_sort_key(b):
-                a, b = b, a
-                coeff = -coeff
-            key = slots[:k] + (a, b) + slots[k + 2:]
-            acc[key] = acc.get(key, 0) + coeff
-        return cls(width, pair_index,
-                   {s: _norm_coeff(c) for s, c in acc.items() if c != 0})
+
+        def canonical():
+            for slots, coeff in pairs:
+                slots = tuple(slots)
+                if len(slots) != width:
+                    raise ContractViolation(
+                        f"term has {len(slots)} slots, expected {width}")
+                a, b = slots[k], slots[k + 1]
+                if a == b:
+                    continue
+                if symbol_sort_key(a) > symbol_sort_key(b):
+                    a, b = b, a
+                    coeff = -coeff
+                yield slots[:k] + (a, b) + slots[k + 2:], coeff
+
+        return cls(width, pair_index, _combine(canonical()))
 
     @property
     def arity(self):
@@ -394,8 +388,7 @@ class WedgeTensor:
         return not self.terms
 
     def items_sorted(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: tuple(symbol_sort_key(s) for s in kv[0]))
+        return sorted(self.terms.items(), key=_term_sort_key)
 
     def outer_groups(self):
         """Terms grouped by the symbols outside the wedge pair.

@@ -5,6 +5,7 @@ parsing, JSON serialization, exit codes, and stream separation are all
 exercised exactly as a user would hit them.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -332,8 +333,39 @@ def test_table_rejects_bad_grid():
 
 
 # ---------------------------------------------------------------------------
+# pinned output bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of stdout; these bytes do not depend on PYTHONHASHSEED.
+PINNED = [
+    (("element", "--n", "2"), 0,
+     "eaa3fad164c5e4daa2dcde6f16a3c6fc37fc38b046b48b971baaf8985d8caed3"),
+    (("element", "--n", "3"), 0,
+     "cf8ed21672522e6076b032608324f5ecc05e5cc202fefa514a61239671ea40f7"),
+    (("verify", "--suite", "all", "--n", "2", "--n", "3", "--seed", "0"), 0,
+     "f808f02e2d40a94f41b6685b75973cc69c308fcc01643e0eabcb96797a4f4faa"),
+    (("verify", "--suite", "all", "--n", "2", "--mutate"), 1,
+     "35ee6047d94527e8be2d7c559ae8f5b34fb8707827dd17f9f55996b30044bef0"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", PINNED,
+                         ids=[" ".join(p[0]) for p in PINNED])
+def test_output_bytes_are_pinned(args, code, digest):
+    proc = run_cli(*args)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+def test_verify_has_no_tol_flag():
+    proc = run_cli("verify", "--suite", "deltar", "--tol", "1e-9")
+    assert proc.returncode == 2
+    assert "--tol" in proc.stderr
+
 
 def test_unknown_subcommand_is_a_usage_error():
     proc = run_cli("bogus")

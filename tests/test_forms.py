@@ -8,15 +8,13 @@ and d log is its linear coefficient over its constant one.
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from grasspoly.configurations import (Configuration, GaussianRational,
                                       random_generic)
 from grasspoly.errors import ContractViolation, PoleError
-from grasspoly.forms import (TangentAssignment, dlog_eval, letter_eval,
-                             random_assignment_pair, random_tangent,
+from grasspoly.forms import (TangentAssignment, dlog_eval, random_tangent,
                              tensor_slot_eval, wedge_eval, wedge_eval_graded)
 from grasspoly.tensors import (MultTensor, WedgeTensor, bracket_symbol,
                                scalar_symbol, wedge_project)
@@ -84,16 +82,6 @@ def test_random_tangent_shape_and_determinism():
     assert t1 == t2
     assert len(t1) == 5 and all(len(r) == 3 for r in t1)
     assert all(abs(x) <= 4 for r in t1 for x in r)
-
-
-def test_random_assignment_pair_is_deterministic():
-    cfg = random_generic(3, 6, seed=2)
-    u1, v1 = random_assignment_pair(cfg, seed=5)
-    u2, v2 = random_assignment_pair(cfg, seed=5)
-    assert (u1, v1) == (u2, v2)
-    assert u1.base == v1.base == cfg.vectors
-    u3, _ = random_assignment_pair(cfg, seed=6)
-    assert u3 != u1
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +171,6 @@ def test_dlog_contracts_and_poles():
         dlog_eval(bracket_symbol((1, 2))[0], degenerate)
 
 
-def test_letter_eval_is_the_stated_combination():
-    cfg = random_generic(2, 4, seed=6)
-    at = TangentAssignment.make(cfg, random_tangent(4, 2, random.Random(4)))
-    a = bracket_symbol((1, 2))[0]
-    b = bracket_symbol((3, 4))[0]
-    letter = ((2, a), (Fraction(-1, 3), b))
-    expected = 2 * dlog_eval(a, at) - Fraction(1, 3) * dlog_eval(b, at)
-    assert letter_eval(letter, at) == expected
-    assert letter_eval((), at) == 0
-
-
 # ---------------------------------------------------------------------------
 # slot evaluation over tensors
 
@@ -219,6 +196,15 @@ def test_tensor_slot_eval_order_and_values():
 # the wedge pairing
 
 
+def tangent_pair(config, seed, bound=13):
+    """Seeded tangent pair at a configuration's base point."""
+    rng = random.Random(repr(("tangents", seed, config.dim, len(config))))
+    u = random_tangent(len(config), config.dim, rng, bound)
+    v = random_tangent(len(config), config.dim, rng, bound)
+    return (TangentAssignment.make(config, u),
+            TangentAssignment.make(config, v))
+
+
 def wedge_oracle(w, at_u, at_v):
     total = 0
     for outer, entries in w.outer_groups():
@@ -232,7 +218,7 @@ def wedge_oracle(w, at_u, at_v):
 def test_wedge_eval_matches_term_by_term_pairing():
     rng = random.Random(504)
     cfg = random_generic(2, 4, seed=8)
-    at_u, at_v = random_assignment_pair(cfg, seed=31)
+    at_u, at_v = tangent_pair(cfg, seed=31)
     syms = [bracket_symbol(p)[0]
             for p in itertools.combinations(range(1, 5), 2)]
     pairs = [((rng.choice(syms), rng.choice(syms)), rng.randint(-3, 3))
@@ -243,7 +229,7 @@ def test_wedge_eval_matches_term_by_term_pairing():
 
 def test_wedge_eval_is_antisymmetric_in_the_tangents():
     cfg = random_generic(2, 4, seed=9)
-    at_u, at_v = random_assignment_pair(cfg, seed=32)
+    at_u, at_v = tangent_pair(cfg, seed=32)
     w = wedge_project(build_tensor_for_wedge(), 1)
     val = wedge_eval(w, at_u, at_v)
     assert wedge_eval(w, at_v, at_u) == -val
@@ -259,7 +245,7 @@ def build_tensor_for_wedge():
 
 def test_wedge_eval_graded_sums_to_total():
     cfg = random_generic(3, 6, seed=10)
-    at_u, at_v = random_assignment_pair(cfg, seed=33)
+    at_u, at_v = tangent_pair(cfg, seed=33)
     from grasspoly.elements import build_element
     w = wedge_project(build_element(3).tensor, 2)
     graded = wedge_eval_graded(w, at_u, at_v)
@@ -273,8 +259,8 @@ def test_wedge_eval_graded_sums_to_total():
 def test_wedge_eval_base_mismatch():
     cfg_a = random_generic(2, 4, seed=11)
     cfg_b = random_generic(2, 4, seed=12)
-    at_u, _ = random_assignment_pair(cfg_a, seed=34)
-    _, at_v = random_assignment_pair(cfg_b, seed=34)
+    at_u, _ = tangent_pair(cfg_a, seed=34)
+    _, at_v = tangent_pair(cfg_b, seed=34)
     w = wedge_project(build_tensor_for_wedge(), 1)
     with pytest.raises(ContractViolation):
         wedge_eval(w, at_u, at_v)

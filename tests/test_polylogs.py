@@ -25,7 +25,7 @@ from grasspoly.polylogs import (BranchedValue, aomoto_a1, bloch_wigner,
                                 l2g_five_term, li2, li_n, li_series,
                                 omit_cross_ratios, rogers_five_term,
                                 rogers_l2, rogers_l2_closed_form,
-                                rogers_l2_slope, scalar_to_float_point)
+                                rogers_l2_slope)
 
 mpmath.mp.dps = 30
 
@@ -323,8 +323,3 @@ def test_grassmannian_tate_runs_and_validates():
         grassmannian_tate(2, "path")
     with pytest.raises(ContractViolation):
         grassmannian_tate(2, path, element="tensor")
-
-
-def test_scalar_to_float_point():
-    assert scalar_to_float_point(Fraction(1, 4)) == 0.25 + 0j
-    assert scalar_to_float_point(GaussianRational(1, 2)) == 1 + 2j

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from grasspoly.errors import ContractViolation
-from grasspoly.tensors import (MultTensor, WedgeTensor, alt, alt_pairs,
+from grasspoly.tensors import (MultTensor, WedgeTensor, alt,
                                bracket_symbol, equal, parse_symbol,
                                perms_with_signs, scalar_symbol,
                                symbol_sort_key, symbol_to_str,
@@ -217,24 +217,6 @@ def test_alt_no_normalization_factor():
     s2 = bracket_symbol((2, 9))[0]
     assert t.coefficient((s1, s2)) == 1
     assert t.coefficient((s2, s1)) == -1
-
-
-def test_alt_pairs_matches_nested_alt():
-    left = (1, 2)
-    right = (3, 4)
-
-    def pair_template(ps, qs):
-        syms = tuple(bracket_symbol((left[p], right[q]))[0]
-                     for p, q in zip(ps, qs))
-        return MultTensor.from_terms(2, [(syms, 1)])
-
-    def outer(ps):
-        def inner(qs):
-            return pair_template(ps, qs)
-        return alt(inner, 2)
-
-    nested = alt(outer, 2)
-    assert alt_pairs(pair_template, 2, 2) == nested
 
 
 def test_alt_contract_errors():
