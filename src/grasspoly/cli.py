@@ -70,9 +70,7 @@ def _verify_one(suite, n, args):
     mutate = args.mutate
 
     if suite == "comparison":
-        element = build_element(n)
-        if mutate:
-            element = _mutated(element)
+        element = _mutated(build_element(n)) if mutate else None
         return check_comparison(n, element=element)
 
     if suite == "relations":
@@ -116,8 +114,6 @@ def _cmd_verify(args):
                 half_coefficient=not args.mutate))
             continue
         for n in ns:
-            if suite == "comparison" and n not in (2, 3):
-                continue
             reports.append(_verify_one(suite, n, args))
     status = "pass" if all(r.passed for r in reports) else "fail"
     _emit({

@@ -12,16 +12,33 @@ each panel the letter values at the Gauss nodes are combined with a
 spectral prefix-antiderivative matrix, so one lower-triangular sweep per
 panel yields every F_k at every node.  Many words are integrated in a
 single sweep, sharing panels and letter evaluations; this is how elements
-with hundreds of terms stay cheap.  Panels split adaptively by comparing a
-whole-panel step against two half-panel steps; acceptance is proportional
-to the interval so the accumulated estimate stays near the requested
-tolerance.
+with hundreds of terms stay cheap.  The sweep keeps one state per distinct
+prefix, not per word: the words form a prefix trie (the 720 words of the
+degree-3 element have 20, 180 and 720 distinct prefixes of length 1, 2 and
+3), and words with different initial values never share a node.  The
+letter values of a panel come from one batched determinant and one batched
+solve over all brackets at all nodes.
+
+Panels split adaptively by comparing a whole-panel sweep against two
+half-panel sweeps.  Acceptance is proportional to the interval, so the
+accumulated estimate stays near the requested tolerance, but it never
+asks for a relative difference below _ROUNDING_FLOOR (16 ulp), which deep
+panels could not meet in double precision.  A split reuses what is
+already known: the left half becomes the left child's whole panel, and the
+right half's letter values serve the right child's whole panel.  The
+`panels` count of a result is the number of sweeps evaluated, and the
+budget limits the same count.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
-malformed or discontinuous paths raise PathError.  Evaluation is
-single-threaded and results are deterministic for fixed inputs; the
-GRASSPOLY_THREADS environment variable is accepted and ignored.
+malformed or discontinuous paths raise PathError.  A bracket whose phase
+jumps between adjacent nodes makes the panel split; the first such jump on
+a segment also runs an exact root check of every bracket on the segment
+(each bracket is a polynomial in the segment parameter), which raises
+PoleError at once when the path crosses a zero.  A zero that the path only
+grazes is left to the subdivision.  Evaluation is single-threaded and
+results are deterministic for fixed inputs; the GRASSPOLY_THREADS
+environment variable is accepted and ignored.
 """
 
 import random
@@ -42,6 +59,12 @@ PHASE_JUMP_LIMIT = np.pi / 2
 DEFAULT_BUDGET = 16384
 MAX_DEPTH = 26
 _JOINT_TOL = 1e-9
+# Panel acceptance never asks for less than this relative difference: a
+# tol * width test on deep panels would fall below double rounding.
+_ROUNDING_FLOOR = 16 * np.finfo(float).eps
+# Leading coefficients this small relative to a bracket polynomial's
+# largest are dropped before its roots are taken.
+_ROOT_TRIM = 1e-10
 
 
 class _PhaseJump(Exception):
@@ -287,6 +310,11 @@ def normalize_letter(letter):
     """
     if _is_symbol(letter):
         return ((1, letter),)
+    if type(letter) is tuple and len(letter) == 1:
+        part = letter[0]
+        if (type(part) is tuple and len(part) == 2 and type(part[0]) is int
+                and _is_symbol(part[1])):
+            return letter
     parts = tuple(letter)
     if (len(parts) == 2 and isinstance(parts[0], _NUMBERS)
             and _is_symbol(parts[1])):
@@ -353,124 +381,240 @@ class IterIntResult:
 # the engine
 
 
+def _check_bracket(sym, dim, count):
+    payload = sym[1]
+    if len(payload) != dim:
+        raise ContractViolation(
+            f"bracket {symbol_to_str(sym)} needs {len(payload)} "
+            f"coordinates but the path has dimension {dim}")
+    if max(payload) > count or min(payload) < 1:
+        raise ContractViolation(
+            f"bracket {symbol_to_str(sym)} indexes outside the "
+            f"path's {count} vectors")
+
+
 class _WordBatch:
-    def __init__(self, words):
+    """The words of one sweep, prepared once for all its panels.
+
+    Letters: `symbols` are the distinct symbols in the order the letters
+    first name them, and `coef` is the (symbols, letters) matrix with
+    letter g = sum_j coef[j, g] d log symbols[j].  `brackets` holds the
+    0-based vector indices of the bracket symbols, (brackets, dim), and
+    `bracket_syms` their positions in `symbols`; a scalar symbol has zero
+    d log along a path.
+
+    Prefixes: the sweep keeps one state per node of the prefix trie of
+    the words.  Nodes are numbered level by level, the roots (empty
+    prefixes) first, and `f0` holds their start values.  `levels[k-1]` is
+    (slice of the level-k nodes, index of each one's parent among the
+    level-(k-1) nodes, its letter column).  Words share a node while they
+    agree in their letters and in their initial values, so words whose
+    initial rows differ never merge.  `word_nodes[i, k]` is the node of
+    the first k letters of word i; past the word's length it repeats the
+    word's last node, so the last column holds every word's full node.
+    """
+
+    def __init__(self, words, dim, count, initial=None):
         if not words:
             raise ContractViolation("no words to integrate")
-        self.words = [normalize_word(w) for w in words]
+        words = [normalize_word(w) for w in words]
         letter_cols = {}
-        rows = []
-        for w in self.words:
-            rows.append([letter_cols.setdefault(l, len(letter_cols))
-                         for l in w])
-        self.letters = list(letter_cols)
-        self.lengths = np.array([len(w) for w in self.words], dtype=int)
-        self.max_len = int(self.lengths.max())
-        self.cols = np.zeros((len(rows), self.max_len), dtype=int)
-        for i, row in enumerate(rows):
-            self.cols[i, :len(row)] = row
-        depth = np.arange(self.max_len + 1)
-        self.mask = depth[None, :] <= self.lengths[:, None]
+        rows = [[letter_cols.setdefault(l, len(letter_cols)) for l in w]
+                for w in words]
+        sym_rows = {}
+        parts = [(sym_rows.setdefault(sym, len(sym_rows)), g, complex(c))
+                 for g, letter in enumerate(letter_cols) for c, sym in letter]
+        self.symbols = list(sym_rows)
+        self.coef = np.zeros((len(self.symbols), len(letter_cols)),
+                             dtype=complex)
+        for j, g, c in parts:
+            self.coef[j, g] += c
+        self.bracket_syms = [j for j, sym in enumerate(self.symbols)
+                             if sym[0] == BRACKET]
+        for j in self.bracket_syms:
+            _check_bracket(self.symbols[j], dim, count)
+        self.brackets = np.array(
+            [[i - 1 for i in self.symbols[j][1]] for j in self.bracket_syms],
+            dtype=int).reshape(len(self.bracket_syms), dim)
+
+        start = np.zeros((len(words), max(map(len, words)) + 1),
+                         dtype=complex)
+        start[:, 0] = 1.0
+        if initial is not None:
+            init = np.asarray(initial, dtype=complex)
+            if init.shape != start.shape:
+                raise ContractViolation(
+                    f"initial prefix shape {init.shape} does not match "
+                    f"(words, max_len + 1) = {start.shape}")
+            start = init
+        start = start.tolist()
+        roots = {}
+        nodes = [roots.setdefault(row[0], len(roots)) for row in start]
+        values = list(roots)
+        columns = [list(nodes)]
+        self.levels = []
+        lower = 0
+        for k in range(1, len(start[0])):
+            base = len(values)
+            keys = {}
+            for w, row in enumerate(rows):
+                if k <= len(row):
+                    key = (nodes[w], row[k - 1], start[w][k])
+                    nodes[w] = keys.setdefault(key, base + len(keys))
+            columns.append(list(nodes))
+            parent, col, value = zip(*keys)
+            self.levels.append((slice(base, base + len(keys)),
+                                np.array(parent, dtype=int) - lower,
+                                np.array(col, dtype=int)))
+            values.extend(value)
+            lower = base
+        self.f0 = np.array(values, dtype=complex)
+        self.word_nodes = np.array(columns, dtype=int).T
 
 
-def _letter_values(seg, svals, letters, dim):
-    """Values of every letter at the given s positions: (nodes, letters)."""
+def _configurations(seg, svals):
+    """Segment matrices at the given s positions, (points, count, dim),
+    and the powers of s used to form them."""
+    powers = svals[None, :] ** np.arange(seg.shape[0])[:, None]
+    return np.einsum("dcx,du->ucx", seg, powers), powers
+
+
+def _letter_values(seg, svals, batch):
+    """Values of every letter at the given s positions: (nodes, letters).
+
+    One det and one solve cover every bracket at every node.  A bracket
+    whose modulus drops below POLE_THRESHOLD raises PoleError; one whose
+    value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
+    raises _PhaseJump.  Of several offending brackets the first in
+    `batch.symbols` is reported, and its modulus is checked before its
+    phase.
+    """
     deg = seg.shape[0] - 1
-    powers = svals[None, :] ** np.arange(deg + 1)[:, None]
-    m = np.einsum("dcx,du->ucx", seg, powers)
+    m, powers = _configurations(seg, svals)
     if deg >= 1:
         dcoef = seg[1:] * np.arange(1, deg + 1)[:, None, None]
         mp = np.einsum("dcx,du->ucx", dcoef, powers[:deg])
     else:
         mp = np.zeros_like(m)
-    cache = {}
-
-    def symbol_value(sym):
-        if sym in cache:
-            return cache[sym]
-        kind, payload = sym
-        if kind == SCALAR:
-            val = np.zeros(len(svals), dtype=complex)
-        else:
-            if len(payload) != dim:
-                raise ContractViolation(
-                    f"bracket {symbol_to_str(sym)} needs {len(payload)} "
-                    f"coordinates but the path has dimension {dim}")
-            if max(payload) > seg.shape[1] or min(payload) < 1:
-                raise ContractViolation(
-                    f"bracket {symbol_to_str(sym)} indexes outside the "
-                    f"path's {seg.shape[1]} vectors")
-            idx = [i - 1 for i in payload]
-            a = m[:, idx, :]
-            det = np.linalg.det(a)
-            small = np.abs(det).min()
-            if small < POLE_THRESHOLD:
+    values = np.zeros((len(svals), len(batch.symbols)), dtype=complex)
+    if batch.bracket_syms:
+        a = m[:, batch.brackets, :]
+        det = np.linalg.det(a)
+        small = np.abs(det).min(axis=0)
+        turns = np.abs(np.angle(det[1:] / det[:-1])).max(axis=0)
+        bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+        if bad.any():
+            b = int(bad.argmax())
+            sym = batch.symbols[batch.bracket_syms[b]]
+            if small[b] < POLE_THRESHOLD:
                 raise PoleError(
-                    f"bracket {symbol_to_str(sym)} modulus {small:.3e} "
+                    f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                     f"below {POLE_THRESHOLD:g} on the path")
-            turns = np.abs(np.angle(det[1:] / det[:-1]))
-            if len(turns) and turns.max() > PHASE_JUMP_LIMIT:
-                raise _PhaseJump(sym, float(turns.max()))
-            val = np.trace(np.linalg.solve(a, mp[:, idx, :]),
-                           axis1=1, axis2=2)
-        cache[sym] = val
-        return val
+            raise _PhaseJump(sym, float(turns[b]))
+        values[:, batch.bracket_syms] = np.trace(
+            np.linalg.solve(a, mp[:, batch.brackets, :]), axis1=2, axis2=3)
+    return values @ batch.coef
 
-    out = np.zeros((len(svals), len(letters)), dtype=complex)
-    for g, letter in enumerate(letters):
-        acc = np.zeros(len(svals), dtype=complex)
-        for coeff, sym in letter:
-            acc += complex(coeff) * symbol_value(sym)
-        out[:, g] = acc
-    return out
+
+def _check_segment_roots(seg, batch, index):
+    """Raise PoleError when a bracket of the batch vanishes on the segment.
+
+    A bracket is a polynomial in s of degree at most dim * deg.  Its values
+    at that many plus one Chebyshev points fix its monomial coefficients
+    in x = 2s - 1; negligible leading coefficients are trimmed, and the
+    eigenvalues of the companion matrices are the roots.  The bracket
+    vanishes on the segment when its LU |det| at a root's projection onto
+    [0, 1] is below POLE_THRESHOLD.  A complex zero off the segment leaves
+    |det| there well above it, so a path that only grazes a zero passes.
+    """
+    top = seg.shape[2] * (seg.shape[0] - 1)
+    if not batch.bracket_syms or top == 0:
+        return
+    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
+    m, _ = _configurations(seg, 0.5 * (x + 1.0))
+    dets = np.linalg.det(m[:, batch.brackets, :])
+    coef = np.linalg.solve(np.vander(x, increasing=True), dets).T
+    mag = np.abs(coef)
+    keep = mag > _ROOT_TRIM * mag.max(axis=1, keepdims=True)
+    degree = top - np.argmax(keep[:, ::-1], axis=1)
+    # Padding a polynomial of lower degree with factors x adds roots at
+    # x = 0; like any other candidate they are only checked, never trusted.
+    padded = np.zeros_like(coef)
+    for b, d in enumerate(degree):
+        padded[b, top - d:] = coef[b, :d + 1]
+    live = np.flatnonzero((degree >= 1) & (padded[:, top] != 0))
+    if not len(live):
+        return
+    companion = np.zeros((len(live), top, top), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(top - 1)
+    companion[:, :, -1] = -padded[live, :top] / padded[live, top, None]
+    s = np.clip(0.5 * (np.linalg.eigvals(companion).real + 1.0), 0.0, 1.0)
+    m, _ = _configurations(seg, s.ravel())
+    m = m.reshape(len(live), top, *m.shape[1:])
+    a = m[np.arange(len(live))[:, None, None], np.arange(top)[None, :, None],
+          batch.brackets[live][:, None, :]]
+    mod = np.abs(np.linalg.det(a))
+    hit = (mod < POLE_THRESHOLD).any(axis=1)
+    if hit.any():
+        b = int(hit.argmax())
+        r = int(mod[b].argmin())
+        sym = batch.symbols[batch.bracket_syms[live[b]]]
+        raise PoleError(
+            f"bracket {symbol_to_str(sym)} modulus {mod[b, r]:.3e} below "
+            f"{POLE_THRESHOLD:g} at s = {s[b, r]:.6f} of path segment "
+            f"{index}; the path crosses a zero of the bracket")
 
 
 class _Engine:
-    def __init__(self, batch, path, tol, budget, initial=None):
+    def __init__(self, batch, path, tol, budget):
         self.batch = batch
         self.path = path
         self.tol = float(tol)
         self.budget = int(budget)
         self.panels = 0
         self.depth_exceeded = False
-        w = len(batch.words)
-        f0 = np.zeros((w, batch.max_len + 1), dtype=complex)
-        f0[:, 0] = 1.0
-        if initial is not None:
-            init = np.asarray(initial, dtype=complex)
-            if init.shape != f0.shape:
-                raise ContractViolation(
-                    f"initial prefix shape {init.shape} does not match "
-                    f"(words, max_len + 1) = {f0.shape}")
-            f0 = init.copy()
-        self.f0 = f0
-        self.err = np.zeros(w)
+        self.err = np.zeros(len(batch.word_nodes))
+        self.segment = 0
+        self.roots_checked = False
 
-    def _panel(self, seg, sa, sb, f_a):
+    def _panel(self, seg, sa, sb, f_a, lv=None):
+        """One sweep over [sa, sb] from the node states f_a: returns the
+        node states at sb and the letter values used, which lv supplies
+        when the caller already has them.  Every sweep counts as a panel
+        against the budget."""
         self.panels += 1
         if self.panels > self.budget:
             raise BudgetError(
                 f"panel budget {self.budget} exhausted; the path may pass "
                 "too close to a pole or the tolerance is too tight")
         hh = 0.5 * (sb - sa)
-        svals = 0.5 * (sa + sb) + hh * _NODES
-        lv = _letter_values(seg, svals, self.batch.letters, self.path.dim)
-        cols = self.batch.cols
+        if lv is None:
+            lv = _letter_values(seg, 0.5 * (sa + sb) + hh * _NODES,
+                                self.batch)
+        levels = self.batch.levels
         f_b = f_a.copy()
-        prev = np.broadcast_to(f_a[:, 0][:, None],
-                               (cols.shape[0], GAUSS_ORDER))
-        for k in range(1, self.batch.max_len + 1):
-            g = lv[:, cols[:, k - 1]].T * prev
-            prev = f_a[:, k][:, None] + hh * (g @ _QMAT.T)
-            f_b[:, k] = f_a[:, k] + hh * (g @ _WEIGHTS)
-        return f_b
+        roots = levels[0][0].start
+        prev = np.broadcast_to(f_a[:roots, None], (roots, GAUSS_ORDER))
+        for k, (nodes, parent, col) in enumerate(levels, start=1):
+            g = lv[:, col].T * prev[parent]
+            if k < len(levels):
+                prev = f_a[nodes, None] + hh * (g @ _QMAT.T)
+            f_b[nodes] = f_a[nodes] + hh * (g @ _WEIGHTS)
+        return f_b, lv
 
-    def _advance(self, seg, sa, sb, f_a, depth):
+    def _advance(self, seg, sa, sb, f_a, depth, whole=None, lv=None):
+        """Integrate [sa, sb] from f_a, comparing the whole panel with its
+        two halves and splitting until they agree.  A split hands the left
+        half down as the left child's whole panel (same interval, same
+        start states) and the right half's letter values to the right
+        child, so no panel is evaluated twice."""
         mid = 0.5 * (sa + sb)
+        left = None
         try:
-            whole = self._panel(seg, sa, sb, f_a)
-            left = self._panel(seg, sa, mid, f_a)
-            halves = self._panel(seg, mid, sb, left)
+            if whole is None:
+                whole, _ = self._panel(seg, sa, sb, f_a, lv)
+            left, _ = self._panel(seg, sa, mid, f_a)
+            halves, lv_right = self._panel(seg, mid, sb, left)
         except _PhaseJump as exc:
             if depth >= MAX_DEPTH:
                 raise PoleError(
@@ -478,24 +622,27 @@ class _Engine:
                     f"{exc.jump:.2f} rad between adjacent nodes at full "
                     f"subdivision depth; the path crosses or grazes a "
                     f"zero of the bracket") from None
-            f_mid = self._advance(seg, sa, mid, f_a, depth + 1)
+            if not self.roots_checked:
+                self.roots_checked = True
+                _check_segment_roots(seg, self.batch, self.segment)
+            f_mid = self._advance(seg, sa, mid, f_a, depth + 1, whole=left)
             return self._advance(seg, mid, sb, f_mid, depth + 1)
-        diff = np.where(self.batch.mask, np.abs(whole - halves), 0.0)
-        per_word = diff.max(axis=1)
-        scale = max(1.0, float(np.abs(np.where(self.batch.mask, halves,
-                                               0.0)).max()))
-        converged = bool((per_word <= self.tol * (sb - sa) * scale).all())
+        diff = np.abs(whole - halves)
+        scale = max(1.0, float(np.abs(halves).max()))
+        limit = max(self.tol * (sb - sa), _ROUNDING_FLOOR) * scale
+        converged = bool(diff.max() <= limit)
         if converged or depth >= MAX_DEPTH:
             if not converged:
                 self.depth_exceeded = True
-            self.err += per_word
+            self.err += diff[self.batch.word_nodes].max(axis=1)
             return halves
-        f_mid = self._advance(seg, sa, mid, f_a, depth + 1)
-        return self._advance(seg, mid, sb, f_mid, depth + 1)
+        f_mid = self._advance(seg, sa, mid, f_a, depth + 1, whole=left)
+        return self._advance(seg, mid, sb, f_mid, depth + 1, lv=lv_right)
 
     def run(self):
-        f = self.f0
-        for seg in self.path.segments:
+        f = self.batch.f0
+        for index, seg in enumerate(self.path.segments):
+            self.segment, self.roots_checked = index, False
             f = self._advance(seg, 0.0, 1.0, f, 0)
         return f
 
@@ -505,21 +652,17 @@ def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """Integrate many words along one path in a single shared sweep.
 
     Returns a list of IterIntResult in the order given; all results carry
-    the shared panel count.
+    the shared panel count, the number of panel sweeps evaluated.
     """
     if not isinstance(path, PathSpec):
         raise PathError("iterate_words needs a PathSpec")
-    batch = _WordBatch(words)
-    engine = _Engine(batch, path, tol, budget, initial=initial)
+    batch = _WordBatch(words, path.dim, path.count, initial)
+    engine = _Engine(batch, path, tol, budget)
     f_end = engine.run()
-    out = []
-    for i, length in enumerate(batch.lengths):
-        out.append(IterIntResult(
-            value=complex(f_end[i, length]),
-            error=float(engine.err[i]),
-            panels=engine.panels,
-            depth_exceeded=engine.depth_exceeded))
-    return out
+    return [IterIntResult(value=complex(f_end[node]), error=float(err),
+                          panels=engine.panels,
+                          depth_exceeded=engine.depth_exceeded)
+            for node, err in zip(batch.word_nodes[:, -1], engine.err)]
 
 
 def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -534,22 +677,18 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
 
 
 def _element_words(t):
+    """An element's terms as (coefficients, words), both tuples."""
     if not isinstance(t, MultTensor):
         raise ContractViolation("expected a MultTensor element")
     if t.is_zero():
         raise ContractViolation("cannot integrate the zero element")
-    coeffs = []
-    words = []
-    for slots, coeff in t.items_sorted():
-        words.append(tuple(((1, sym),) for sym in slots))
-        coeffs.append(complex(coeff))
-    return coeffs, words
+    terms = t.items_sorted()
+    return (tuple(complex(coeff) for _, coeff in terms),
+            tuple(tuple(((1, sym),) for sym in slots) for slots, _ in terms))
 
 
-def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
-    """Iterated integral of a tensor element: the coefficient-weighted sum
-    of its term words, all sharing one quadrature sweep."""
-    coeffs, words = _element_words(t)
+def _iterate_terms(coeffs, words, path, tol, budget):
+    """The coefficient-weighted sum of the words' integrals, one sweep."""
     results = iterate_words(words, path, tol=tol, budget=budget)
     value = sum(c * r.value for c, r in zip(coeffs, results))
     error = sum(abs(c) * r.error for c, r in zip(coeffs, results))
@@ -557,6 +696,13 @@ def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
                          panels=results[0].panels,
                          depth_exceeded=any(r.depth_exceeded
                                             for r in results))
+
+
+def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
+    """Iterated integral of a tensor element: the coefficient-weighted sum
+    of its term words, all sharing one quadrature sweep."""
+    coeffs, words = _element_words(t)
+    return _iterate_terms(coeffs, words, path, tol, budget)
 
 
 def _integrate_any(obj, path, tol, budget):

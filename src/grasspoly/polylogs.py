@@ -25,6 +25,7 @@ bloch_wigner values vanishes identically.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +35,8 @@ import mpmath
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
-from .iterint import (DEFAULT_BUDGET, PathSpec, dlog_letter, iterate_element,
-                      iterate_word)
+from .iterint import (DEFAULT_BUDGET, PathSpec, _element_words, _iterate_terms,
+                      dlog_letter, iterate_word)
 from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
@@ -338,15 +339,23 @@ def aomoto_a1(l1, l2, m1, m2, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
                          panels=res.panels)
 
 
+@functools.lru_cache(maxsize=2)
+def _window_terms(n):
+    """The degree-n window element as (coefficients, words), built once."""
+    from .elements import build_element
+
+    return _element_words(build_element(n).tensor)
+
+
 def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
                       element=None):
     """Iterated integral of the degree-n window element along a path of
     2n-vector configurations: the general-n period as a function of the
     path.  Homotopy invariance (within the pole-free region) follows from
-    the integrability of the element.
+    the integrability of the element.  The default element of each degree
+    is built on the first call and kept; an `element` override is used as
+    given.
     """
-    from .elements import build_element
-
     n = int(n)
     if n not in (2, 3):
         raise ContractViolation("supported degrees are 2 and 3")
@@ -356,9 +365,12 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
         raise PathError(
             f"need a path of {2*n} vectors in dimension {n}, got "
             f"count={path.count}, dim={path.dim}")
-    tensor = element if element is not None else build_element(n).tensor
-    if not isinstance(tensor, MultTensor):
+    if element is None:
+        coeffs, words = _window_terms(n)
+    elif isinstance(element, MultTensor):
+        coeffs, words = _element_words(element)
+    else:
         raise ContractViolation("element override must be a MultTensor")
-    res = iterate_element(tensor, path, tol=tol, budget=budget)
+    res = _iterate_terms(coeffs, words, path, tol, budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)

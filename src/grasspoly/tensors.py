@@ -313,7 +313,10 @@ def alt(template, k):
 
     template maps a position permutation to a MultTensor; the result is
     sum sgn(perm) * template(perm), merged canonically.  No 1/k! factor.
+    k must be >= 0; k = 0 gives template(()).
     """
+    if k < 0:
+        raise ContractViolation(f"alt needs k >= 0, got {k}")
     arity = None
 
     def signed_terms():
@@ -328,8 +331,6 @@ def alt(template, k):
                 yield slots, sgn * c
 
     terms = _combine(signed_terms())
-    if arity is None:
-        raise ContractViolation("alt over an empty group")
     return MultTensor(arity, terms)
 
 

@@ -128,6 +128,14 @@ def test_verify_comparison_constants():
     assert details[1]["element_terms"] == 720
 
 
+def test_verify_comparison_refuses_unsupported_degree():
+    # a run that checks nothing must not report a pass
+    proc = run_cli("verify", "--suite", "comparison", "--n", "4")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: comparison check supports n in {2, 3}\n"
+
+
 def test_verify_mutate_fails_every_suite():
     proc = run_cli("verify", "--suite", "all", "--n", "2", "--mutate")
     assert proc.returncode == 1

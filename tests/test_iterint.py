@@ -7,7 +7,9 @@ shuffle and loop-monodromy identities.
 """
 
 import cmath
+import json
 import math
+import os
 import random
 
 import mpmath
@@ -16,7 +18,8 @@ import pytest
 
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
-from grasspoly.iterint import (IterIntResult, PathSpec, dlog_letter,
+from grasspoly.iterint import (IterIntResult, PathSpec, _WordBatch,
+                               dlog_letter,
                                homotopy_test, iterate_element, iterate_word,
                                iterate_words, monodromy_probe,
                                normalize_letter, normalize_word,
@@ -244,6 +247,41 @@ def test_symmetric_crossing_is_detected_despite_cancellation():
         iterate_word([W1], zline(-1, 1))
 
 
+def test_crossing_line_is_a_pole_not_a_budget_error():
+    # the straight line between random_generic(2, 4, seed="a", bound=5) and
+    # seed="b": D[1,2], D[2,3] and D[2,4] change sign on it
+    from grasspoly.elements import build_element
+
+    start = [[-5, -2], [3, -4], [4, 5], [4, -2]]
+    end = [[2, 0], [-5, -4], [-2, -1], [-5, 4]]
+    with pytest.raises(PoleError, match=r"D\[1,2\].* s = 0\.65"):
+        iterate_element(build_element(2).tensor, PathSpec.line(start, end),
+                        budget=64)
+
+
+FAULT_B = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "inputs", "fault_b.json")
+
+
+def test_near_pole_path_converges_at_rounding_level():
+    # a deformation on which D[1,2,6] dips to |D| = 0.057; at tol 1e-12 the
+    # acceptance test must not ask for less than double rounding
+    from grasspoly.polylogs import grassmannian_tate
+
+    with open(FAULT_B, encoding="utf-8") as fh:
+        fault = json.load(fh)
+
+    def path(raw):
+        return PathSpec([[[[complex(re, im) for re, im in row]
+                           for row in level] for level in seg]
+                         for seg in raw])
+
+    base = grassmannian_tate(3, path(fault["path"]), tol=1e-12)
+    deformed = grassmannian_tate(3, path(fault["deformed"]), tol=1e-12,
+                                 budget=1000)
+    assert abs(deformed.value - base.value) < 1e-9
+
+
 def test_budget_exhaustion():
     with pytest.raises(BudgetError):
         iterate_word([W1], zline(1, 3), budget=2)
@@ -273,6 +311,42 @@ def test_result_json_shape():
     assert set(d) == {"value", "error", "panels"}
     assert d["value"] == [r.value.real, r.value.imag]
     assert isinstance(r, IterIntResult)
+
+
+def test_shared_prefixes_match_words_integrated_alone():
+    # (z, z - 5) from z = 0.1 to 3: W1 = d log z, W2 = d log(z - 5)
+    path = PathSpec.from_points([[[0.1], [-4.9]], [[1.5 + 0.5j], [-3.5]],
+                                 [[3.0], [-2.0]]])
+    words = [(W1, W2, W1), (W1, W2, W2), (W1, W1), (W2,), (W1, W2)]
+    batch = _WordBatch(words, path.dim, path.count)
+    # one root, prefixes W1 and W2, then W1W2 and W1W1, then two leaves
+    assert len(batch.f0) == 1 + 2 + 2 + 2
+    shared = iterate_words(words, path)
+    alone = [iterate_word(w, path) for w in words]
+    for s, a in zip(shared, alone):
+        assert abs(s.value - a.value) < 1e-12
+    # with a tolerance every panel pair meets, the panels coincide, so the
+    # per-word error estimates (about 1e-6 here) agree to rounding
+    shared = iterate_words(words, path, tol=1e3)
+    alone = [iterate_word(w, path, tol=1e3) for w in words]
+    for s, a in zip(shared, alone):
+        assert s.panels == a.panels == 3 * len(path.segments)
+        assert abs(s.value - a.value) < 1e-14
+        assert s.error == pytest.approx(a.error, rel=1e-9, abs=1e-15)
+
+
+def test_words_with_different_initial_rows_never_merge():
+    # the same word twice; the rows differ at level 1 and at level 2
+    log2 = math.log(2)
+    word = (W1, W1)
+    initial = np.array([[1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.25]])
+    results = iterate_words([word] * 3, zline(1, 2), initial=initial)
+    expected = [log2 ** 2 / 2, log2 ** 2 / 2 + 0.5 * log2,
+                log2 ** 2 / 2 + 0.25]
+    for r, want, row in zip(results, expected, initial):
+        assert abs(r.value - want) < 1e-12
+        alone = iterate_word(word, zline(1, 2), initial=row)
+        assert abs(r.value - alone.value) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,46 @@ def test_grassmannian_tate_runs_and_validates():
         grassmannian_tate(2, "path")
     with pytest.raises(ContractViolation):
         grassmannian_tate(2, path, element="tensor")
+
+
+def detour(start, end, lift):
+    """Polyline start -> midpoint + i * lift -> end."""
+    a, b, c = (np.array(m, dtype=complex) for m in (start, end, lift))
+    return PathSpec.from_points([a, 0.5 * (a + b) + 1j * c, b])
+
+
+# Values computed by the per-word sweep that the prefix-trie sweep
+# replaced; the two give bit-identical results on these paths.  The panel
+# counts are those of the trie sweep, which evaluates no panel twice.
+TATE_DETOURS = [
+    (2, ([[2, 1], [-1, 3], [1, -2], [3, 2]],
+         [[1, 3], [2, -1], [-3, 1], [1, 4]],
+         [[1, -1], [2, 1], [-1, 1], [1, 2]]),
+     0.0002766022348366093 - 0.1826417774060568j, 50),
+    (3, ([[2, 1, 0], [-1, 3, 1], [1, -2, 2], [3, 2, -1], [0, 1, 4],
+          [1, 1, 4]],
+         [[1, 3, -1], [2, -1, 1], [-3, 1, 2], [1, 4, 0], [2, 0, 1],
+          [-1, 2, 3]],
+         [[1, -1, 0], [0, 1, 1], [-1, 1, 0], [1, 0, -1], [0, 1, 1],
+          [1, 0, 1]]),
+     78.42749650995977 + 68.43828293749301j, 142),
+]
+
+
+@pytest.mark.parametrize("n, points, recorded, panels", TATE_DETOURS,
+                         ids=["n2", "n3"])
+def test_grassmannian_tate_matches_recorded_values(n, points, recorded,
+                                                   panels):
+    path = detour(*points)
+    first = grassmannian_tate(n, path)
+    assert abs(first.value - recorded) < 1e-12
+    assert first.panels == panels
+    # the second call reuses the cached element and gives the same result
+    again = grassmannian_tate(n, path)
+    assert (again.value, again.error, again.panels) == (
+        first.value, first.error, first.panels)
+    # an explicit element override is integrated as given
+    from grasspoly.elements import build_element
+
+    override = grassmannian_tate(n, path, element=2 * build_element(n).tensor)
+    assert override.value == 2 * first.value

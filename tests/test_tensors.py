@@ -228,6 +228,8 @@ def test_alt_contract_errors():
 
     with pytest.raises(ContractViolation):
         alt(flaky, 2)
+    with pytest.raises(ContractViolation):
+        alt(lambda p: MultTensor.zero(1), -3)
 
 
 # ---------------------------------------------------------------------------
