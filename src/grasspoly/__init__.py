@@ -32,7 +32,8 @@ from .aomoto import (AomotoExpr, AomotoGen, additivity_residue, coproduct,
                      coproduct_higher, coproduct_weight2, expand_to_tensor,
                      make_gen, pairing_element, pairing_element_labels)
 from .configurations import (Configuration, GaussianRational, as_scalar,
-                             cross_ratio, random_generic, scalar_to_complex)
+                             cross_ratio, exact_det, exact_rank,
+                             random_generic, scalar_to_complex)
 from .elements import (GrassElement, Report, build_element,
                        check_comparison, check_integrability,
                        check_omission_relations, check_scale_invariance,
@@ -60,7 +61,7 @@ __all__ = [
     "coproduct_higher", "coproduct_weight2", "expand_to_tensor",
     "make_gen", "pairing_element", "pairing_element_labels",
     "Configuration", "GaussianRational", "as_scalar", "cross_ratio",
-    "random_generic", "scalar_to_complex",
+    "exact_det", "exact_rank", "random_generic", "scalar_to_complex",
     "GrassElement", "Report", "build_element", "check_comparison",
     "check_integrability", "check_omission_relations",
     "check_scale_invariance", "check_steinberg_wedge", "flip_first_term",

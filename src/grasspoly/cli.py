@@ -16,10 +16,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .elements import (GrassElement, build_element, check_comparison,
-                       check_integrability, check_omission_relations,
-                       check_scale_invariance, check_steinberg_wedge,
-                       flip_first_term)
+from .elements import (COMPARISON_DEGREES, GrassElement, build_element,
+                       check_comparison, check_integrability,
+                       check_omission_relations, check_scale_invariance,
+                       check_steinberg_wedge, flip_first_term)
 from .errors import (BudgetError, ContractViolation, DegeneracyError,
                      PathError, PoleError)
 from .iterint import (DEFAULT_BUDGET, PathSpec, iterate_element,
@@ -70,7 +70,11 @@ def _verify_one(suite, n, args):
     mutate = args.mutate
 
     if suite == "comparison":
-        element = _mutated(build_element(n)) if mutate else None
+        # an unsupported degree is refused by check_comparison; build
+        # nothing for it
+        element = None
+        if mutate and n in COMPARISON_DEGREES:
+            element = _mutated(build_element(n))
         return check_comparison(n, element=element)
 
     if suite == "relations":

@@ -18,12 +18,16 @@ Conventions used throughout the package:
   the corresponding center-prepended bracket of the original, exactly and
   including sign.
 
-All arithmetic is exact; nothing in this module touches floating point.
+All arithmetic is exact.  Determinants and ranks scale each row to
+integers (Gaussian integers for complex entries) and run fraction-free
+Bareiss elimination, so no Fraction arithmetic happens inside the
+elimination; float entries are taken at their exact binary values.
 """
 
 import random
 import re
 from fractions import Fraction
+from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import BudgetError, ContractViolation, DegeneracyError
@@ -198,71 +202,158 @@ def scalar_to_complex(x):
     return complex(x)
 
 
+class _GaussInt:
+    """Gaussian integer re + im*i: the entry type of the fraction-free
+    kernel when a matrix has complex entries.  + and * also take a plain
+    int on either side and // takes one on the right (the kernel's zero
+    sums and its first Bareiss divisor are ints); // is exact division."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, o):
+        if type(o) is int:
+            return _GaussInt(self.re + o, self.im)
+        return _GaussInt(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return _GaussInt(self.re * o, self.im * o)
+        return _GaussInt(self.re * o.re - self.im * o.im,
+                         self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        if type(o) is int:
+            return _GaussInt(self.re // o, self.im // o)
+        n = o.re * o.re + o.im * o.im
+        return _GaussInt((self.re * o.re + self.im * o.im) // n,
+                         (self.im * o.re - self.re * o.im) // n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _reciprocal(d):
+    """(u, N) with 1/d = u/N and N a positive int: u = sign(d), N = |d| for
+    an int, u = conj(d), N = |d|^2 for a Gaussian integer."""
+    if type(d) is int:
+        return (1, d) if d > 0 else (-1, -d)
+    return _GaussInt(d.re, -d.im), d.re * d.re + d.im * d.im
+
+
+def _quotient(x, den):
+    """x / den for an exact integer x and a positive int den: a Fraction,
+    or a GaussianRational when x has a nonzero imaginary part."""
+    if type(x) is int:
+        return Fraction(x, den)
+    if not x.im:
+        return Fraction(x.re, den)
+    return GaussianRational(Fraction(x.re, den), Fraction(x.im, den))
+
+
+def _parts(x):
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    if isinstance(x, float):
+        return Fraction(x), 0
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    raise ContractViolation(f"not a matrix entry: {x!r}")
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its entries' denominators.
+
+    Returns (int_rows, scales).  The entries are ints, or _GaussInt for
+    every entry when any entry has a nonzero imaginary part.  Float and
+    complex entries are taken at their exact binary values.
+    """
+    parts = [[_parts(x) for x in row] for row in rows]
+    gaussian = any(im for row in parts for _, im in row)
+    int_rows, scales = [], []
+    for row in parts:
+        scale = lcm(*[p.denominator for pair in row for p in pair])
+        if gaussian:
+            int_rows.append([
+                _GaussInt(re.numerator * (scale // re.denominator),
+                          im.numerator * (scale // im.denominator))
+                for re, im in row])
+        else:
+            int_rows.append([re.numerator * (scale // re.denominator)
+                             for re, _ in row])
+        scales.append(scale)
+    return int_rows, scales
+
+
+def _bareiss(m):
+    """Fraction-free (Bareiss) elimination of an integer or Gaussian
+    integer matrix, in place.
+
+    Returns (rank, det); det is the determinant when m is square and 0
+    when its rank is short.  Every division is exact because each entry
+    after step k is a (k+1)-minor of the input (Bareiss 1968), so the
+    entries never leave the integers.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    sign, prev, row = 1, 1, 0
+    for col in range(nc):
+        if row == nr:
+            break
+        piv = row
+        while piv < nr and not m[piv][col]:
+            piv += 1
+        if piv == nr:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
+        prow = m[row]
+        p = prow[col]
+        for r in range(row + 1, nr):
+            cur = m[r]
+            f = cur[col]
+            for j in range(col + 1, nc):
+                cur[j] = (cur[j] * p - f * prow[j]) // prev
+        prev = p
+        row += 1
+    return row, (sign * prev if row == nr == nc else 0)
+
+
 def exact_det(rows):
-    """Determinant of a square matrix of exact scalars, by fraction-based
-    Gaussian elimination.  Also works on floats/complex in duck-typed code
-    paths, but its pivoting is chosen for exact arithmetic."""
+    """Determinant of a square matrix of exact scalars.
+
+    Each row is scaled to integers (Gaussian integers for complex
+    entries), the integer determinant comes from fraction-free Bareiss
+    elimination, and the result is divided by the product of the row
+    scales: a Fraction, or a GaussianRational when it has an imaginary
+    part.  Float entries are taken at their exact binary values.
+    """
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ContractViolation("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pval = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / pval
-            if f != 0:
-                row = m[r]
-                prow = m[col]
-                for c in range(col, n):
-                    row[c] = row[c] - f * prow[c]
-    det = Fraction(sign)
-    for i in range(n):
-        det = det * m[i][i]
-    return det
+    int_rows, scales = _integer_rows(rows)
+    return _quotient(_bareiss(int_rows)[1], prod(scales))
 
 
 def exact_rank(rows):
     """Rank of a rectangular matrix of exact scalars."""
     if not rows:
         return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for r in range(row + 1, nr):
-            f = m[r][col] / pval
-            if f != 0:
-                for c in range(col, nc):
-                    m[r][c] = m[r][c] - f * m[row][c]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def validate_subset(subset, count=None):
@@ -363,10 +454,11 @@ class Configuration:
 
         m = len(self.vectors)
         top = min(m, self.dim)
+        # scaling a vector does not change any rank: scale once, to integers
+        ints = _integer_rows(self.vectors)[0]
         for k in range(1, top + 1):
             for sub in combinations(range(1, m + 1), k):
-                rows = [self.vectors[i - 1] for i in sub]
-                if exact_rank(rows) < k:
+                if _bareiss([list(ints[i - 1]) for i in sub])[0] < k:
                     return GenericityCertificate(False, sub)
         return GenericityCertificate(True, None)
 

@@ -52,7 +52,7 @@ from math import factorial
 from .aomoto import expand_to_tensor, pairing_element_labels
 from .configurations import random_generic
 from .errors import ContractViolation
-from .forms import TangentAssignment, random_tangent, wedge_eval_graded
+from .forms import _DlogTable, _WedgeGroups, random_tangent
 from .tensors import (MultTensor, WedgeTensor, bracket_symbol,
                       perms_with_signs, scalar_symbol, symbol_to_str,
                       wedge_project, _combine, _expand_slots)
@@ -195,6 +195,8 @@ def _wedge_residue_sample(groups, limit=10):
 # ---------------------------------------------------------------------------
 # comparison of the coalgebra expansion with the element
 
+COMPARISON_DEGREES = (2, 3)
+
 
 def check_comparison(n, mode="expect", element=None):
     """Expand the alternated simplex-pair element through the coproduct
@@ -211,7 +213,7 @@ def check_comparison(n, mode="expect", element=None):
     """
     t0 = time.perf_counter()
     n = int(n)
-    if n not in (2, 3):
+    if n not in COMPARISON_DEGREES:
         raise ContractViolation("comparison check supports n in {2, 3}")
     if mode not in ("expect", "report-constant"):
         raise ContractViolation(f"unknown comparison mode {mode!r}")
@@ -338,6 +340,33 @@ def check_scale_invariance(n, which=None, tensor=None):
 # integrability
 
 
+def _tangent_pair(tag, seed, p, cfg, bound):
+    rng = random.Random(repr((tag, seed, p)))
+    return (random_tangent(len(cfg), cfg.dim, rng, bound),
+            random_tangent(len(cfg), cfg.dim, rng, bound))
+
+
+def _integrability_points(n, ks, tensor, num_points, seed, bound, gaussian):
+    """Yield (point_index, config, graded values per k) for each seeded
+    point: the point is drawn once, its d log table is built once and
+    shared by every wedge position, and each projection's groups are
+    prepared once for all points."""
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise ContractViolation(
+                f"wedge position {k} out of range for n={n}")
+    if tensor is None:
+        tensor = build_element(n).tensor
+    projections = [_WedgeGroups(wedge_project(tensor, k)) for k in ks]
+    symbols = list(dict.fromkeys(s for g in projections for s in g.symbols))
+    for p in range(int(num_points)):
+        cfg = random_generic(n, 2 * n, seed=repr(("integrability", seed, p)),
+                             bound=bound, gaussian=gaussian)
+        u, v = _tangent_pair("integrability-tangent", seed, p, cfg, bound)
+        table = _DlogTable(cfg.vectors, (u, v), symbols)
+        yield p, cfg, [g.graded(table) for g in projections]
+
+
 def integrability_residues(n, k, tensor=None, num_points=20, seed=0,
                            bound=13, gaussian=False):
     """Exact wedge values of the degree-k projection at random points.
@@ -345,31 +374,27 @@ def integrability_residues(n, k, tensor=None, num_points=20, seed=0,
     For each of num_points seeded generic rational configurations of 2n
     vectors in dimension n (Gaussian-rational entries if requested), with
     one random integer tangent pair, evaluates every outer-graded piece of
-    the wedge projection at slots (k, k+1).  Yields
+    the wedge projection at slots (k, k+1).  Returns a list of
     (point_index, config, graded_values).
     """
-    n = int(n)
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise ContractViolation(f"wedge position {k} out of range for n={n}")
-    if tensor is None:
-        tensor = build_element(n).tensor
-    w = wedge_project(tensor, k)
-    out = []
-    for p in range(int(num_points)):
-        cfg = random_generic(n, 2 * n, seed=repr(("integrability", seed, p)),
-                             bound=bound, gaussian=gaussian)
-        rng = random.Random(repr(("integrability-tangent", seed, p)))
-        u = random_tangent(len(cfg), cfg.dim, rng, bound)
-        v = random_tangent(len(cfg), cfg.dim, rng, bound)
-        at_u = TangentAssignment.make(cfg, u)
-        at_v = TangentAssignment.make(cfg, v)
-        out.append((p, cfg, wedge_eval_graded(w, at_u, at_v)))
-    return out
+    return [(p, cfg, graded[0]) for p, cfg, graded in _integrability_points(
+        int(n), [int(k)], tensor, num_points, seed, bound, gaussian)]
 
 
 def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
                         bound=13, gaussian=False):
+    """Certify that the wedge projections of the element vanish.
+
+    For each position k in ks (default 1..n-1), the projection of the
+    tensor (default: the degree-n element) onto a wedge at slots
+    (k, k+1) is evaluated exactly, one outer-graded piece at a time, at
+    num_points seeded generic configurations of 2n vectors in dimension
+    n (entries in [-bound, bound], Gaussian integers if gaussian) with a
+    seeded integer tangent pair each.  The report passes when every value
+    is zero; otherwise the witness names the first nonzero piece, taking
+    positions in the order of ks and points in index order, and
+    residue_terms samples that point's nonzero pieces.
+    """
     t0 = time.perf_counter()
     n = int(n)
     if n < 2:
@@ -378,23 +403,28 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
         ks = list(range(1, n))
     elif isinstance(ks, int):
         ks = [ks]
+    ks = [int(k) for k in ks]
+    first_bad = [None] * len(ks)
+    for p, cfg, per_k in _integrability_points(
+            n, ks, tensor, num_points, seed, bound, gaussian):
+        for i, graded in enumerate(per_k):
+            if first_bad[i] is None and any(val != 0 for _, val in graded):
+                first_bad[i] = (p, cfg, graded)
     witness = None
     residue = []
-    for k in ks:
-        for p, cfg, graded in integrability_residues(
-                n, k, tensor=tensor, num_points=num_points, seed=seed,
-                bound=bound, gaussian=gaussian):
-            bad = [(outer, val) for outer, val in graded if val != 0]
-            if bad and witness is None:
-                outer, val = bad[0]
-                witness = {
-                    "k": k,
-                    "point_index": p,
-                    "config": cfg.to_json_dict(),
-                    "outer": [symbol_to_str(s) for s in outer],
-                    "value": str(val),
-                }
-                residue = _wedge_residue_sample(graded)
+    for k, bad in zip(ks, first_bad):
+        if bad is not None:
+            p, cfg, graded = bad
+            outer, val = next((o, v) for o, v in graded if v != 0)
+            witness = {
+                "k": k,
+                "point_index": p,
+                "config": cfg.to_json_dict(),
+                "outer": [symbol_to_str(s) for s in outer],
+                "value": str(val),
+            }
+            residue = _wedge_residue_sample(graded)
+            break
     rep = Report(
         check="integrability",
         n=n,
@@ -457,22 +487,21 @@ def check_steinberg_wedge(num_points=10, seed=0, bound=13,
     t0 = time.perf_counter()
     lhs, rhs = steinberg_wedge_sides(half_coefficient=half_coefficient)
     symbolic_ok = lhs == rhs
+    lg, rg = _WedgeGroups(lhs), _WedgeGroups(rhs)
+    symbols = list(dict.fromkeys(lg.symbols + rg.symbols))
     witness = None
     for p in range(int(num_points)):
         cfg = random_generic(2, 4, seed=repr(("steinberg", seed, p)),
                              bound=bound)
-        rng = random.Random(repr(("steinberg-tangent", seed, p)))
-        u = random_tangent(4, 2, rng, bound)
-        v = random_tangent(4, 2, rng, bound)
-        at_u = TangentAssignment.make(cfg, u)
-        at_v = TangentAssignment.make(cfg, v)
-        lv = sum((val for _, val in wedge_eval_graded(lhs, at_u, at_v)),
-                 start=Fraction(0))
-        rv = sum((val for _, val in wedge_eval_graded(rhs, at_u, at_v)),
-                 start=Fraction(0))
-        if lv != rv:
+        u, v = _tangent_pair("steinberg-tangent", seed, p, cfg, bound)
+        table = _DlogTable(cfg.vectors, (u, v), symbols)
+        # both sides share the denominator L**2: cross-multiply the scales
+        lt, rt = sum(lg.totals(table)), sum(rg.totals(table))
+        if lt * rg.scale != rt * lg.scale:
+            den = table.denominator ** 2
             witness = {"point_index": p, "config": cfg.to_json_dict(),
-                       "lhs": str(lv), "rhs": str(rv)}
+                       "lhs": str(table.value(lt, lg.scale * den)),
+                       "rhs": str(table.value(rt, rg.scale * den))}
             break
     ok = symbolic_ok and witness is None
     diff = lhs.terms if not symbolic_ok else {}

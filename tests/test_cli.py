@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from grasspoly import cli
 from grasspoly.elements import build_element
 from grasspoly.iterint import PathSpec, iterate_element
 
@@ -134,6 +135,20 @@ def test_verify_comparison_refuses_unsupported_degree():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: comparison check supports n in {2, 3}\n"
+
+
+def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
+    # --mutate must not build (and mutate) an element the check refuses
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_element called for a refused degree")
+
+    monkeypatch.setattr(cli, "build_element", no_build)
+    code = cli.main(["verify", "--suite", "comparison", "--n", "4",
+                     "--mutate"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: comparison check supports n in {2, 3}\n"
 
 
 def test_verify_mutate_fails_every_suite():
@@ -354,6 +369,9 @@ PINNED = [
      "f808f02e2d40a94f41b6685b75973cc69c308fcc01643e0eabcb96797a4f4faa"),
     (("verify", "--suite", "all", "--n", "2", "--mutate"), 1,
      "35ee6047d94527e8be2d7c559ae8f5b34fb8707827dd17f9f55996b30044bef0"),
+    (("verify", "--suite", "integrability", "--n", "3", "--mutate",
+      "--seed", "0"), 1,
+     "c81d40782a3193df672a24beabfdd27c4b1e5d6f7b978c01135b0f1ec3706528"),
 ]
 
 

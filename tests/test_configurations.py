@@ -137,6 +137,23 @@ def test_exact_det_contracts_and_edge_cases():
         exact_det([[1, 2], [3]])
 
 
+def test_exact_det_singular_matrices():
+    rng = random.Random(108)
+    for entry in (rand_scalar, rand_gauss):
+        for n in (2, 3, 4):
+            for _ in range(10):
+                rows = [[entry(rng) for _ in range(n)] for _ in range(n - 1)]
+                a, b = entry(rng), entry(rng)
+                rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+                rng.shuffle(rows)
+                assert leibniz_det(rows) == 0
+                assert exact_det(rows) == 0
+        # a zero first column offers no pivot at all
+        rows = [[Fraction(0)] + [entry(rng) for _ in range(2)]
+                for _ in range(3)]
+        assert exact_det(rows) == leibniz_det(rows) == 0
+
+
 def test_exact_det_row_swap_sign():
     rng = random.Random(105)
     for _ in range(20):

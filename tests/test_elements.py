@@ -280,6 +280,21 @@ def test_integrability_detects_mutation():
     assert rep.residue_terms
 
 
+def test_integrability_gaussian_witness_is_pinned():
+    # recorded before the fraction-free kernel replaced Fraction arithmetic
+    rep = check_integrability(
+        3, gaussian=True, num_points=3,
+        tensor=flip_first_term(build_element(3).tensor))
+    value = "21032552461/11394551363-27337654627/11394551363i"
+    assert rep.witness == {
+        "config": {"dim": 3, "vectors": [
+            ["5-4i", "9+1i", "7+9i"], ["3", "-13+3i", "-7-11i"],
+            ["-3+6i", "0+13i", "-6-12i"], ["-7+2i", "11+4i", "6+12i"],
+            ["3+9i", "9+9i", "0+5i"], ["5", "-9-7i", "-6-1i"]]},
+        "k": 1, "outer": ["D[1,4,5]"], "point_index": 0, "value": value}
+    assert rep.residue_terms == [{"outer": ["D[1,4,5]"], "value": value}]
+
+
 def test_integrability_contracts():
     with pytest.raises(ContractViolation):
         check_integrability(1)

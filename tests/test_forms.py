@@ -1,23 +1,31 @@
 """Exact d log evaluation and the wedge pairing.
 
-The oracle here avoids the row-replacement formula entirely: the bracket
-determinant of base + t * tangent is expanded as an exact univariate
-polynomial in t (Leibniz sum over permutations with polynomial entries),
-and d log is its linear coefficient over its constant one.
+Two oracles are used here.  The first avoids the row-replacement formula
+entirely: the bracket determinant of base + t * tangent is expanded as an
+exact univariate polynomial in t (Leibniz sum over permutations with
+polynomial entries), and d log is its linear coefficient over its
+constant one.  The second is the plain Fraction evaluation (Gaussian
+elimination over the entries as given, one Fraction d log per symbol, one
+Fraction wedge product per term) that the integer kernel must reproduce
+value for value.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from grasspoly.configurations import (Configuration, GaussianRational,
                                       random_generic)
+from grasspoly.elements import (build_element, flip_first_term,
+                                steinberg_wedge_sides)
 from grasspoly.errors import ContractViolation, PoleError
 from grasspoly.forms import (TangentAssignment, dlog_eval, random_tangent,
                              tensor_slot_eval, wedge_eval, wedge_eval_graded)
-from grasspoly.tensors import (MultTensor, WedgeTensor, bracket_symbol,
-                               scalar_symbol, wedge_project)
+from grasspoly.tensors import (BRACKET, SCALAR, MultTensor, WedgeTensor,
+                               bracket_symbol, scalar_symbol, symbol_to_str,
+                               wedge_project)
 
 
 def poly_mul(p, q):
@@ -268,3 +276,153 @@ def test_wedge_eval_base_mismatch():
         wedge_eval("w", at_u, at_u)
     with pytest.raises(ContractViolation):
         wedge_eval_graded("w", at_u, at_u)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the plain Fraction evaluation
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over the entries as given."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] = m[r][c] - f * m[col][c]
+    det = Fraction(sign)
+    for i in range(n):
+        det = det * m[i][i]
+    return det
+
+
+def fraction_dlog(symbol, at):
+    kind, ix = symbol
+    if kind == SCALAR:
+        return Fraction(0)
+    assert kind == BRACKET
+    if len(set(ix)) != len(ix):
+        raise PoleError(f"degenerate bracket {symbol_to_str(symbol)}: "
+                        "repeated label")
+    rows = [at.base[i - 1] for i in ix]
+    det = fraction_det(rows)
+    if det == 0:
+        raise PoleError(f"bracket {symbol_to_str(symbol)} vanishes at base")
+    num = 0
+    for r in range(len(rows)):
+        repl = list(rows)
+        repl[r] = at.tangent[ix[r] - 1]
+        num = num + fraction_det(repl)
+    return num / det
+
+
+def fraction_wedge_graded(w, at_u, at_v):
+    cache = {}
+    out = []
+    for outer, entries in w.outer_groups():
+        total = 0
+        for a, b, coeff in entries:
+            for s in (a, b):
+                if s not in cache:
+                    cache[s] = (fraction_dlog(s, at_u), fraction_dlog(s, at_v))
+            total = total + coeff * (cache[a][0] * cache[b][1]
+                                     - cache[a][1] * cache[b][0])
+        out.append((outer, total))
+    return out
+
+
+def rational(rng, bound=9):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def gauss_rational(rng, bound=9):
+    return GaussianRational(rational(rng, bound), rational(rng, bound))
+
+
+def random_point(dim, count, entry, rng):
+    """A generic configuration and a tangent pair, all drawn by `entry`."""
+    while True:
+        cfg = Configuration(dim, [[entry(rng) for _ in range(dim)]
+                                  for _ in range(count)])
+        if cfg.is_generic():
+            break
+    u, v = ([[entry(rng) for _ in range(dim)] for _ in range(count)]
+            for _ in range(2))
+    return TangentAssignment.make(cfg, u), TangentAssignment.make(cfg, v)
+
+
+def assert_matches_fraction_oracle(w, at_u, at_v):
+    graded = wedge_eval_graded(w, at_u, at_v)
+    expected = fraction_wedge_graded(w, at_u, at_v)
+    assert graded == expected
+    assert [str(v) for _, v in graded] == [str(v) for _, v in expected]
+    assert [type(v) for _, v in graded] == [type(v) for _, v in expected]
+    assert wedge_eval(w, at_u, at_v) == sum(v for _, v in expected)
+
+
+@pytest.mark.parametrize("entry", [rational, gauss_rational],
+                         ids=["fraction", "gaussian"])
+def test_kernel_matches_fraction_oracle_on_non_integer_points(entry):
+    # row scaling must clear mixed denominators in base and tangent rows
+    rng = random.Random(601)
+    element = build_element(3).tensor
+    for _ in range(3):
+        at_u, at_v = random_point(3, 6, entry, rng)
+        for sym in {s for slots in element.terms for s in slots}:
+            assert dlog_eval(sym, at_u) == fraction_dlog(sym, at_u)
+        for k in (1, 2):
+            assert_matches_fraction_oracle(wedge_project(element, k),
+                                           at_u, at_v)
+
+
+def test_kernel_folds_fraction_coefficients():
+    lhs, rhs = steinberg_wedge_sides()
+    halves = WedgeTensor(2, 1, {slots: Fraction(c, 2)
+                                for slots, c in rhs.terms.items()})
+    mixed = WedgeTensor(2, 1, {slots: Fraction(c, 2 + i % 3)
+                               for i, (slots, c)
+                               in enumerate(sorted(lhs.terms.items()))})
+    rng = random.Random(602)
+    for entry in (rational, gauss_rational):
+        at_u, at_v = random_point(2, 4, entry, rng)
+        for w in (lhs, rhs, halves, mixed):
+            assert_matches_fraction_oracle(w, at_u, at_v)
+
+
+def test_kernel_matches_fraction_oracle_on_a_mutated_element():
+    flipped = flip_first_term(build_element(3).tensor)
+    nonzero = 0
+    for gaussian in (False, True):
+        cfg = random_generic(3, 6, seed=603, gaussian=gaussian)
+        at_u, at_v = tangent_pair(cfg, seed=603)
+        for k in (1, 2):
+            w = wedge_project(flipped, k)
+            assert_matches_fraction_oracle(w, at_u, at_v)
+            nonzero += sum(1 for _, v in wedge_eval_graded(w, at_u, at_v)
+                           if v != 0)
+    assert nonzero > 0
+
+
+def test_kernel_pole_message_matches_fraction_oracle():
+    # D[1,2] vanishes: vectors 1 and 2 are proportional
+    at_u = TangentAssignment.make([[1, 2], [2, 4], [0, 1], [1, 1]],
+                                  [[1, 0], [0, 1], [1, 1], [2, 1]])
+    at_v = TangentAssignment.make(at_u.base,
+                                  [[0, 3], [1, 1], [2, 0], [1, 5]])
+    w = WedgeTensor.from_terms(2, 1, [
+        ((bracket_symbol((1, 3))[0], bracket_symbol((2, 4))[0]), 1),
+        ((bracket_symbol((3, 4))[0], bracket_symbol((1, 2))[0]), 2)])
+    with pytest.raises(PoleError) as expected:
+        fraction_wedge_graded(w, at_u, at_v)
+    with pytest.raises(PoleError) as got:
+        wedge_eval_graded(w, at_u, at_v)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "bracket D[1,2] vanishes at base"
