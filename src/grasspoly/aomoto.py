@@ -38,13 +38,13 @@ the (w-1,1) components.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
+from math import factorial, lcm
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (MultTensor, bracket_symbol, parse_symbol,
-                      perms_with_signs, symbol_to_str, _coeff_from_json,
-                      _coeff_to_json, _combine, _expand_slots,
-                      _sort_with_sign)
+                      symbol_to_str, _coeff_from_json, _coeff_to_json,
+                      _combine, _expand_slots, _sort_with_sign)
 
 GEN = "g"
 MONO = "m"
@@ -127,10 +127,11 @@ def parse_gen(s):
 class AomotoExpr:
     """Linear combination of factor tuples (generators and monomials)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_integral")
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", dict(terms or {}))
+        object.__setattr__(self, "_integral", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AomotoExpr is immutable")
@@ -161,6 +162,18 @@ class AomotoExpr:
 
     def is_zero(self):
         return not self.terms
+
+    def _over_denominator(self):
+        """(den, ((factors, numerator), ...)): the terms as integer
+        numerators over the lcm of the coefficients' denominators.
+        Computed once per expression, so a cached coproduct image carries
+        it in the coproduct's own cache entry."""
+        if self._integral is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            object.__setattr__(self, "_integral", (den, tuple(
+                (factors, c.numerator * (den // c.denominator))
+                for factors, c in self.terms.items())))
+        return self._integral
 
     def __add__(self, other):
         if not isinstance(other, AomotoExpr):
@@ -262,7 +275,11 @@ def coproduct_weight2(gen):
     Both tensor orders appear, exactly as in the defining formula: the
     first summand carries the bracket in the left slot, the second in the
     right slot.  The overall coefficient is -1/8 in front of the double
-    alternation over the two simplices.
+    alternation over the two simplices.  Swapping l1, l2 (or m1, m2)
+    changes neither summand's canonical key and flips its sign twice, so
+    the four orders with the same (l0, m0) give equal terms: the sum runs
+    over the 3 x 3 choices of (l0, m0) with coefficient 4 (-1/8) = -1/2
+    times the sign (-1)^(i+j) of moving l_i and m_j to the front.
     """
     if not isinstance(gen, AomotoGen):
         raise ContractViolation("coproduct_weight2 expects a generator")
@@ -271,25 +288,23 @@ def coproduct_weight2(gen):
             f"coproduct_weight2 needs weight 2, got {gen.weight}")
     p = gen.prefix
     L, M = gen.left, gen.right
-    c = Fraction(-1, 8)
+    half = {1: Fraction(1, 2), -1: Fraction(-1, 2)}
     pairs = []
-    for ps, s1 in perms_with_signs(3):
-        l0, l1, l2 = (L[i] for i in ps)
-        for qs, s2 in perms_with_signs(3):
-            m0, m1, m2 = (M[j] for j in qs)
-            sgn = s1 * s2
+    for i, l0 in enumerate(L):
+        lrest = L[:i] + L[i + 1:]
+        for j, m0 in enumerate(M):
+            mrest = M[:j] + M[j + 1:]
+            sgn = 1 if (i + j) % 2 else -1
             # D(p, m0, l1, l2) (x) <p,m0 | l1,l2; m1,m2>
-            g1, gs1 = make_gen(p + (m0,), (l1, l2), (m1, m2))
+            g1, gs1 = make_gen(p + (m0,), lrest, mrest)
             if g1 is not None:
-                pairs.append((
-                    (_mono((p + (m0, l1, l2), 1)), (GEN, g1)),
-                    c * sgn * gs1))
+                pairs.append(((_mono((p + (m0,) + lrest, 1)), (GEN, g1)),
+                              half[sgn * gs1]))
             # <p,l0 | l1,l2; m1,m2> (x) D(p, l0, m1, m2)
-            g2, gs2 = make_gen(p + (l0,), (l1, l2), (m1, m2))
+            g2, gs2 = make_gen(p + (l0,), lrest, mrest)
             if g2 is not None:
-                pairs.append((
-                    ((GEN, g2), _mono((p + (l0, m1, m2), 1))),
-                    c * sgn * gs2))
+                pairs.append((((GEN, g2), _mono((p + (l0,) + mrest, 1))),
+                              half[sgn * gs2]))
     return AomotoExpr.from_terms(pairs)
 
 
@@ -359,6 +374,13 @@ def expand_to_tensor(expr, arity):
     and expands all slot monomials multi-additively.  A term whose final
     factor count differs from `arity` is a contract violation: the
     expression was not reducible to the requested depth.
+
+    Coefficients stay integers throughout: each term carries a numerator
+    and a denominator, the product of the denominators of the input and
+    of the coproduct images it went through (each image is held as
+    integer numerators over one denominator).  Numerators are summed per
+    key and denominator; a Fraction is made only for a key whose total is
+    not integral.
     """
     if isinstance(expr, AomotoGen):
         expr = AomotoExpr.of_gen(expr)
@@ -366,33 +388,60 @@ def expand_to_tensor(expr, arity):
         raise ContractViolation("expand_to_tensor expects an expression")
     arity = int(arity)
 
-    def leaves():
-        stack = list(expr.terms.items())
-        while stack:
-            factors, coeff = stack.pop()
-            idx = None
-            for i, f in enumerate(factors):
-                if f[0] == GEN and f[1].weight >= 2:
-                    idx = i
-                    break
-            if idx is not None:
-                cp = coproduct(factors[idx][1])
-                head, tail = factors[:idx], factors[idx + 1:]
-                for cf, cc in cp.terms.items():
-                    stack.append((head + cf + tail, coeff * cc))
-                continue
-            slots = []
-            for tag, payload in factors:
-                if tag == GEN:
-                    slots.append(cross_ratio_monomial(payload))
-                else:
-                    slots.append(payload)
-            if len(slots) != arity:
-                raise ContractViolation(
-                    f"term reduced to {len(slots)} slots, expected {arity}")
-            yield from _expand_slots(slots, coeff)
+    by_den = {}
+    den0, top = expr._over_denominator()
+    stack = [(factors, num, den0) for factors, num in top]
+    while stack:
+        factors, num, den = stack.pop()
+        idx = None
+        for i, f in enumerate(factors):
+            if f[0] == GEN and f[1].weight >= 2:
+                idx = i
+                break
+        if idx is not None:
+            cden, image = coproduct(factors[idx][1])._over_denominator()
+            head, tail = factors[:idx], factors[idx + 1:]
+            den *= cden
+            for cf, cn in image:
+                stack.append((head + cf + tail, num * cn, den))
+            continue
+        slots = []
+        for tag, payload in factors:
+            if tag == GEN:
+                slots.append(cross_ratio_monomial(payload))
+            else:
+                slots.append(payload)
+        if len(slots) != arity:
+            raise ContractViolation(
+                f"term reduced to {len(slots)} slots, expected {arity}")
+        acc = by_den.get(den)
+        if acc is None:
+            acc = by_den[den] = {}
+        get = acc.get
+        for key, c in _expand_slots(slots, num):
+            acc[key] = get(key, 0) + c
+    return MultTensor(arity, _over_common_denominator(by_den))
 
-    return MultTensor(arity, _combine(leaves()))
+
+def _over_common_denominator(by_den):
+    """Canonical terms from {den: {key: numerator}}: numerators summed over
+    the lcm of the denominators, zeros dropped, a Fraction only where the
+    total is not integral."""
+    if len(by_den) == 1:
+        (den, totals), = by_den.items()
+    else:
+        den = lcm(*by_den)
+        totals = {}
+        for d, acc in by_den.items():
+            scale = den // d
+            for key, num in acc.items():
+                totals[key] = totals.get(key, 0) + num * scale
+    out = {}
+    for key, num in totals.items():
+        if num:
+            q, r = divmod(num, den)
+            out[key] = q if not r else Fraction(num, den)
+    return out
 
 
 def additivity_residue(weight, dual=False, side="left"):
@@ -436,6 +485,12 @@ def pairing_element_labels(n, labels=None, prefix=()):
     <prefix | x1..xn; x(n+1)..x2n>  (x)  D(prefix, x(n+1), ..., x(2n)),
     a weight-(n-1) expression whose tensor expansion of depth n matches a
     multiple of the sliding-window bracket element; see elements.py.
+
+    The n!^2 arrangements that put the same labels in the left simplex
+    give one canonical key with one sign, so the sum runs over the
+    C(2n, n) position splits: each split is made once, with coefficient
+    (n!)^2 times the sign of the shuffle (left positions, then right
+    positions, each ascending) times the sorting sign of make_gen.
     """
     n = int(n)
     if n < 2:
@@ -448,17 +503,20 @@ def pairing_element_labels(n, labels=None, prefix=()):
     if len(set(labels)) != len(labels):
         raise ContractViolation("labels must be distinct")
     prefix = tuple(int(i) for i in prefix)
+    multiplicity = factorial(n) ** 2
 
-    def arrangements():
-        for perm, sgn in perms_with_signs(2 * n):
-            arr = [labels[p] for p in perm]
-            gen, gs = make_gen(prefix, arr[:n], arr[n:])
+    def splits():
+        for left in combinations(range(2 * n), n):
+            right = tuple(k for k in range(2 * n) if k not in left)
+            gen, gs = make_gen(prefix, [labels[k] for k in left],
+                               [labels[k] for k in right])
             if gen is None:
                 continue
-            sym, _ = bracket_symbol(prefix + tuple(arr[n:]))
-            yield ((GEN, gen), (MONO, ((sym, 1),))), sgn * gs
+            sym, _ = bracket_symbol(prefix + tuple(labels[k] for k in right))
+            coeff = multiplicity * _sort_with_sign(left + right)[1] * gs
+            yield ((GEN, gen), (MONO, ((sym, 1),))), coeff
 
-    return AomotoExpr(_combine(arrangements()))
+    return AomotoExpr(_combine(splits()))
 
 
 def pairing_element(config):

@@ -65,17 +65,20 @@ def _cmd_element(args):
 # verify
 
 
-def _verify_one(suite, n, args):
+def _verify_one(suite, n, args, element):
+    """One suite at one degree.  element(n, signed) returns the degree-n
+    element of the run, built (and mutated, under --mutate) once."""
     signed = args.mode == "strict"
     mutate = args.mutate
 
     if suite == "comparison":
-        # an unsupported degree is refused by check_comparison; build
-        # nothing for it
-        element = None
-        if mutate and n in COMPARISON_DEGREES:
-            element = _mutated(build_element(n))
-        return check_comparison(n, element=element)
+        # refuse an unsupported or opted-out degree before building
+        if n not in COMPARISON_DEGREES:
+            return check_comparison(n)
+        if n >= 4 and not args.allow_large:
+            raise ContractViolation(f"comparison --n {n} refused: "
+                                    + LARGE_HINT)
+        return check_comparison(n, element=element(n, False))
 
     if suite == "relations":
         if n >= 4 and not args.allow_large:
@@ -90,18 +93,14 @@ def _verify_one(suite, n, args):
         return check_omission_relations(n, element_builder=builder)
 
     if suite == "scale":
-        tensor = build_element(n, signed=signed).tensor
-        if mutate:
-            tensor = flip_first_term(tensor)
-        return check_scale_invariance(n, tensor=tensor)
+        return check_scale_invariance(n, tensor=element(n, signed).tensor)
 
     if suite == "integrability":
-        tensor = None
-        if mutate:
-            tensor = flip_first_term(build_element(n).tensor)
+        # degrees below 2 are refused by the check, with nothing built
         return check_integrability(
             n, num_points=args.points if args.points else 20,
-            seed=args.seed, tensor=tensor)
+            seed=args.seed,
+            tensor=element(n, False).tensor if n >= 2 else None)
 
     raise ContractViolation(f"unknown suite {suite!r}")
 
@@ -109,6 +108,14 @@ def _verify_one(suite, n, args):
 def _cmd_verify(args):
     ns = args.n if args.n else [2]
     suites = SUITES if args.suite == "all" else (args.suite,)
+    built = {}
+
+    def element(n, signed):
+        if (n, signed) not in built:
+            el = build_element(n, signed=signed)
+            built[n, signed] = _mutated(el) if args.mutate else el
+        return built[n, signed]
+
     reports = []
     for suite in suites:
         if suite == "deltar":
@@ -118,7 +125,7 @@ def _cmd_verify(args):
                 half_coefficient=not args.mutate))
             continue
         for n in ns:
-            reports.append(_verify_one(suite, n, args))
+            reports.append(_verify_one(suite, n, args, element))
     status = "pass" if all(r.passed for r in reports) else "fail"
     _emit({
         "command": "verify",

@@ -6,7 +6,7 @@ captured output of a failing run) and then asserts, so the checklist
 doubles as a regression gate.  Numeric tolerances are stated inline;
 symbolic criteria demand exact zeros in rational arithmetic.
 
-Criterion 2 includes an opt-in degree-4 leg, enabled by setting
+Criteria 1 and 2 include an opt-in degree-4 leg, enabled by setting
 GRASSPOLY_ACCEPT_LARGE=1 in the environment.
 """
 
@@ -65,9 +65,19 @@ def test_criterion_01_comparison_constants():
           and t2 < 5.0
           and rep3.passed and rep3.details["matched_constant"] == "-36"
           and t3 < 60.0)
+    stamp = f"{t2:.2f}s / {t3:.2f}s"
+    if ACCEPT_LARGE:
+        t0 = time.perf_counter()
+        rep4 = check_comparison(4)
+        t4 = time.perf_counter() - t0
+        ok = (ok and rep4.passed
+              and rep4.details["matched_constant"] == "576" and t4 < 600.0)
+        stamp += f" / {t4:.2f}s, +576 at degree 4"
+    else:
+        stamp += "; degree 4 not opted in"
     conclude(1, "expansion of the window element matches the alternated "
                 "pairing up to the degree constant (+4 at degree 2, -36 at "
-                f"degree 3; {t2:.2f}s / {t3:.2f}s)", ok)
+                f"degree 3; {stamp})", ok)
 
 
 def test_criterion_02_omission_relations_vanish():

@@ -4,9 +4,13 @@ The load-bearing oracles:
 - generator canonicalization signs against an independent parity count;
 - the weight-1 cross-ratio monomial against exact projective geometry
   (project the configuration from the prefix, take the cross-ratio);
-- the additivity relations, whose expansions must be exactly zero.
+- the additivity relations, whose expansions must be exactly zero;
+- the former per-arrangement Fraction loops of the pairing element, the
+  weight-2 coproduct and the expansion, kept here as copies.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,10 +21,11 @@ from grasspoly.aomoto import (GEN, MONO, AomotoExpr, AomotoGen,
                               coproduct_higher, coproduct_weight2,
                               cross_ratio_monomial, expand_to_tensor,
                               make_gen, pairing_element,
-                              pairing_element_labels, parse_gen)
+                              pairing_element_labels, parse_gen, _mono)
 from grasspoly.configurations import cross_ratio, random_generic
 from grasspoly.errors import ContractViolation, DegeneracyError
-from grasspoly.tensors import MultTensor, bracket_symbol
+from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
+                               _combine, _expand_slots)
 
 
 def parity_oracle(seq):
@@ -325,3 +330,217 @@ def test_pairing_element_validates_configuration():
     bad = Configuration(2, [[1, 0], [0, 1], [1, 1], [2, 2]])
     with pytest.raises(DegeneracyError):
         pairing_element(bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-arrangement Fraction loops the library used to run
+#
+# pairing_element_labels now makes one term per C(2n, n) split,
+# coproduct_weight2 one per (l0, m0) choice, and expand_to_tensor carries
+# integer numerators.  The copies below are the former loops, verbatim up
+# to the names of the functions they call, and every rewritten function
+# must return exactly their dicts.
+
+
+def old_coproduct_weight2(gen):
+    p = gen.prefix
+    L, M = gen.left, gen.right
+    c = Fraction(-1, 8)
+    pairs = []
+    for ps, s1 in perms_with_signs(3):
+        l0, l1, l2 = (L[i] for i in ps)
+        for qs, s2 in perms_with_signs(3):
+            m0, m1, m2 = (M[j] for j in qs)
+            sgn = s1 * s2
+            # D(p, m0, l1, l2) (x) <p,m0 | l1,l2; m1,m2>
+            g1, gs1 = make_gen(p + (m0,), (l1, l2), (m1, m2))
+            if g1 is not None:
+                pairs.append((
+                    (_mono((p + (m0, l1, l2), 1)), (GEN, g1)),
+                    c * sgn * gs1))
+            # <p,l0 | l1,l2; m1,m2> (x) D(p, l0, m1, m2)
+            g2, gs2 = make_gen(p + (l0,), (l1, l2), (m1, m2))
+            if g2 is not None:
+                pairs.append((
+                    ((GEN, g2), _mono((p + (l0, m1, m2), 1))),
+                    c * sgn * gs2))
+    return AomotoExpr.from_terms(pairs)
+
+
+def old_coproduct(gen):
+    if gen.weight == 2:
+        return old_coproduct_weight2(gen)
+    return coproduct_higher(gen)
+
+
+def old_expand_to_tensor(expr, arity):
+    if isinstance(expr, AomotoGen):
+        expr = AomotoExpr.of_gen(expr)
+
+    def leaves():
+        stack = list(expr.terms.items())
+        while stack:
+            factors, coeff = stack.pop()
+            idx = None
+            for i, f in enumerate(factors):
+                if f[0] == GEN and f[1].weight >= 2:
+                    idx = i
+                    break
+            if idx is not None:
+                cp = old_coproduct(factors[idx][1])
+                head, tail = factors[:idx], factors[idx + 1:]
+                for cf, cc in cp.terms.items():
+                    stack.append((head + cf + tail, coeff * cc))
+                continue
+            slots = []
+            for tag, payload in factors:
+                if tag == GEN:
+                    slots.append(cross_ratio_monomial(payload))
+                else:
+                    slots.append(payload)
+            assert len(slots) == arity
+            yield from _expand_slots(slots, coeff)
+
+    return MultTensor(arity, _combine(leaves()))
+
+
+def old_pairing_element_labels(n, labels=None, prefix=()):
+    if labels is None:
+        labels = tuple(range(1, 2 * n + 1))
+    labels = tuple(int(i) for i in labels)
+    prefix = tuple(int(i) for i in prefix)
+
+    def arrangements():
+        for perm, sgn in perms_with_signs(2 * n):
+            arr = [labels[p] for p in perm]
+            gen, gs = make_gen(prefix, arr[:n], arr[n:])
+            if gen is None:
+                continue
+            sym, _ = bracket_symbol(prefix + tuple(arr[n:]))
+            yield ((GEN, gen), (MONO, ((sym, 1),))), sgn * gs
+
+    return AomotoExpr(_combine(arrangements()))
+
+
+def assert_same_terms(new, old):
+    """Equal dicts, and integral coefficients stored as ints in both."""
+    assert new.terms == old.terms
+    for c in new.terms.values():
+        assert type(c) is int or c.denominator != 1
+
+
+PAIRING_CASES = [
+    {},
+    {"labels": "reversed"},
+    {"labels": "shuffled"},
+    {"prefix": (20, 19)},
+    {"prefix": "overlap"},
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", PAIRING_CASES,
+                         ids=["default", "reversed", "shuffled", "prefix",
+                              "overlap"])
+def test_pairing_element_matches_arrangement_loop(n, case):
+    labels = tuple(range(1, 2 * n + 1))
+    kwargs = dict(case)
+    if kwargs.get("labels") == "reversed":
+        kwargs["labels"] = labels[::-1]
+    elif kwargs.get("labels") == "shuffled":
+        kwargs["labels"] = tuple(random.Random(n).sample(labels, 2 * n))
+    if kwargs.get("prefix") == "overlap":
+        kwargs["prefix"] = (labels[1], 30)
+    new = pairing_element_labels(n, **kwargs)
+    assert_same_terms(new, old_pairing_element_labels(n, **kwargs))
+    if case.get("prefix") == "overlap":
+        assert new.is_zero()
+    else:
+        assert new.term_count == math.comb(2 * n, n)
+
+
+WEIGHT2_GENS = sorted(
+    {gen for prefix in ((), (7,), (7, 8))
+     for left in itertools.combinations(range(1, 7), 3)
+     for right in itertools.combinations(range(1, 7), 3)
+     for gen in [make_gen(prefix, left, right)[0]]},
+    key=str)
+
+
+def test_coproduct_weight2_matches_double_alternation():
+    shared = 0
+    for gen in WEIGHT2_GENS:
+        assert_same_terms(coproduct_weight2(gen), old_coproduct_weight2(gen))
+        shared += bool(set(gen.left) & set(gen.right))
+    assert len(WEIGHT2_GENS) == 3 * 400
+    assert shared == 3 * (400 - 20)  # all but the 20 disjoint pairs
+
+
+def test_expansion_of_weight2_generators_matches_fraction_loop():
+    rng = random.Random(305)
+    for gen in rng.sample(WEIGHT2_GENS, 60):
+        coeff = rng.choice((1, -2, Fraction(1, 3), Fraction(-5, 7)))
+        expr = AomotoExpr.of_gen(gen, coeff)
+        assert_same_terms(expand_to_tensor(expr, 2),
+                          old_expand_to_tensor(expr, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expansion_of_pairing_element_matches_fraction_loop(n):
+    expr = pairing_element_labels(n, prefix=(9,))
+    assert_same_terms(expand_to_tensor(expr, n),
+                      old_expand_to_tensor(expr, n))
+
+
+def test_expansion_with_fraction_coefficients_and_several_generators():
+    g2a, _ = make_gen((), (1, 2, 3), (4, 5, 6))
+    g2b, _ = make_gen((9,), (1, 3, 5), (2, 4, 7))
+    g3, _ = make_gen((), (1, 2, 3, 4), (5, 6, 7, 8))
+    g1, _ = make_gen((3,), (1, 2), (4, 5))
+    mono = (MONO, ((bracket_symbol((1, 2))[0], 2),
+                   (bracket_symbol((3, 4))[0], -1)))
+    expr = AomotoExpr.from_terms([
+        (((GEN, g2a), (GEN, g2b)), Fraction(1, 3)),
+        (((GEN, g3), mono), Fraction(5, 7)),
+        (((GEN, g1), (GEN, g3)), -2),
+        ((mono, (GEN, g2b), (GEN, g1)), Fraction(-5, 7)),
+    ])
+    new = expand_to_tensor(expr, 4)
+    assert_same_terms(new, old_expand_to_tensor(expr, 4))
+    assert any(type(c) is Fraction for c in new.terms.values())
+    assert any(type(c) is int for c in new.terms.values())
+
+
+def additivity_input(weight, dual, side):
+    """The expression additivity_residue expands (copied from it)."""
+    pool = tuple(range(1, weight + 3))
+    fixed = tuple(range(weight + 3, 2 * weight + 4))
+    pairs = []
+    for i, omitted in enumerate(pool):
+        rest = pool[:i] + pool[i + 1:]
+        prefix = (omitted,) if dual else ()
+        if side == "left":
+            gen, gs = make_gen(prefix, rest, fixed)
+        else:
+            gen, gs = make_gen(prefix, fixed, rest)
+        if gen is None:
+            continue
+        sign = -1 if i % 2 else 1
+        pairs.append((((GEN, gen),), sign * gs))
+    return AomotoExpr.from_terms(pairs)
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_additivity_inputs_expand_as_the_fraction_loop(weight, dual, side):
+    expr = additivity_input(weight, dual, side)
+    assert expand_to_tensor(expr, weight) == additivity_residue(
+        weight, dual=dual, side=side)
+    assert_same_terms(expand_to_tensor(expr, weight),
+                      old_expand_to_tensor(expr, weight))
+    # each summand alone is far from zero, so equality is not vacuous
+    one = AomotoExpr.from_terms([next(iter(expr.terms.items()))])
+    assert_same_terms(expand_to_tensor(one, weight),
+                      old_expand_to_tensor(one, weight))
+    assert not expand_to_tensor(one, weight).is_zero()

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from grasspoly import cli
+from grasspoly import cli, elements
 from grasspoly.elements import build_element
 from grasspoly.iterint import PathSpec, iterate_element
 
@@ -129,26 +129,70 @@ def test_verify_comparison_constants():
     assert details[1]["element_terms"] == 720
 
 
+# (arguments, stderr) of comparison runs refused before anything is built:
+# a degree outside the contract, and degree 4 without --allow-large
+REFUSED_COMPARISONS = [
+    (("--n", "5", "--allow-large"),
+     "error: comparison check supports n in {2, 3, 4}\n"),
+    (("--n", "4"),
+     "error: comparison --n 4 refused: " + cli.LARGE_HINT + "\n"),
+]
+
+
 def test_verify_comparison_refuses_unsupported_degree():
     # a run that checks nothing must not report a pass
-    proc = run_cli("verify", "--suite", "comparison", "--n", "4")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: comparison check supports n in {2, 3}\n"
+    for args, err in REFUSED_COMPARISONS:
+        proc = run_cli("verify", "--suite", "comparison", *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == err
+
+
+def test_verify_comparison_degree_four_opt_in(capsys):
+    code = cli.main(["verify", "--suite", "comparison", "--n", "4",
+                     "--allow-large"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["status"] == "pass"
+    details = payload["reports"][0]["details"]
+    assert details["matched_constant"] == "576"
+    assert details["element_terms"] == 40320
 
 
 def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
-    # --mutate must not build (and mutate) an element the check refuses
+    # --mutate must not build (and mutate) an element the check refuses,
+    # whether the degree is unsupported or not opted in
     def no_build(*args, **kwargs):
         raise AssertionError("build_element called for a refused degree")
 
     monkeypatch.setattr(cli, "build_element", no_build)
-    code = cli.main(["verify", "--suite", "comparison", "--n", "4",
-                     "--mutate"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: comparison check supports n in {2, 3}\n"
+    for args, err in REFUSED_COMPARISONS:
+        code = cli.main(["verify", "--suite", "comparison", *args,
+                         "--mutate"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == err
+
+
+@pytest.mark.parametrize("mode, builds", [("mod2", 1), ("strict", 2)])
+def test_verify_builds_each_element_once(monkeypatch, capsys, mode, builds):
+    # comparison, scale and integrability share one element per degree
+    # and sign setting; the relations suite builds its own on other labels
+    calls = []
+
+    def counting(*args, **kwargs):
+        if kwargs.get("labels") is None:
+            calls.append((args, kwargs.get("signed")))
+        return build_element(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_element", counting)
+    monkeypatch.setattr(elements, "build_element", counting)
+    cli.main(["verify", "--suite", "all", "--n", "2", "--n", "3",
+              "--mode", mode, "--points", "2"])
+    capsys.readouterr()
+    assert len(calls) == 2 * builds
+    assert len(set(calls)) == len(calls)
 
 
 def test_verify_mutate_fails_every_suite():

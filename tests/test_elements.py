@@ -8,6 +8,7 @@ single-term mutation.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ from grasspoly.elements import (GrassElement, Report, build_element,
                                 check_steinberg_wedge, flip_first_term,
                                 integrability_residues, omission_residues,
                                 scale_label, steinberg_wedge_sides)
+from grasspoly.aomoto import pairing_element_labels
 from grasspoly.errors import ContractViolation
-from grasspoly.tensors import MultTensor, bracket_symbol, scalar_symbol
+from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
+                               scalar_symbol, _combine)
 
 D1 = bracket_symbol((1,))[0]
 D2 = bracket_symbol((2,))[0]
@@ -77,6 +80,44 @@ def test_degree2_element_matches_independent_rebuild():
 def test_degree3_element_matches_independent_rebuild():
     assert build_element(3).tensor == window_element_oracle(
         3, (1, 2, 3, 4, 5, 6))
+
+
+def old_build_element(n, labels=None, prefix=(), signed=False):
+    """The former per-window construction of build_element, verbatim
+    apart from its argument checks."""
+    if labels is None:
+        labels = tuple(range(1, 2 * n + 1))
+    labels = tuple(int(i) for i in labels)
+    prefix = tuple(int(i) for i in prefix)
+
+    def arrangements():
+        for perm, sgn in perms_with_signs(2 * n):
+            arr = [labels[p] for p in perm]
+            slots = []
+            coeff = sgn
+            for k in range(n):
+                sym, s = bracket_symbol(prefix + tuple(arr[k:k + n]),
+                                        signed=signed)
+                slots.append(sym)
+                coeff *= s
+            yield tuple(slots), coeff
+
+    return MultTensor(n, _combine(arrangements()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("case", ["default", "prefix", "labels"])
+def test_build_element_matches_window_loop(n, signed, case):
+    kwargs = {
+        "default": {},
+        "prefix": {"prefix": (9, 0)},
+        # permuted labels with a projection center below them
+        "labels": {"labels": tuple(range(3 * n, n, -1)), "prefix": (1,)},
+    }[case]
+    new = build_element(n, signed=signed, **kwargs).tensor
+    assert new.terms == old_build_element(n, signed=signed, **kwargs).terms
+    assert new.term_count == math.factorial(2 * n)
 
 
 def test_build_element_contracts():
@@ -167,11 +208,21 @@ def test_comparison_report_constant_mode():
     assert rep.details["matched_constant"] == "4"
 
 
+def test_comparison_degree_four():
+    rep = check_comparison(4)
+    assert rep.passed
+    assert rep.details["expected_constant"] == "576"
+    assert rep.details["matched_constant"] == "576"
+    assert rep.details["expansion_terms"] == 40320
+    assert rep.details["element_terms"] == 40320
+    assert pairing_element_labels(4).term_count == 70
+
+
 def test_comparison_contracts():
     with pytest.raises(ContractViolation):
         check_comparison(1)
     with pytest.raises(ContractViolation):
-        check_comparison(4)
+        check_comparison(5)
     with pytest.raises(ContractViolation):
         check_comparison(2, mode="always")
 
