@@ -38,13 +38,14 @@ the (w-1,1) components.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial, lcm
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (MultTensor, bracket_symbol, parse_symbol,
                       symbol_to_str, _coeff_from_json, _coeff_to_json,
-                      _combine, _expand_slots, _sort_with_sign)
+                      _combine, _expand_slots, _LinearCombination,
+                      _sort_with_sign)
 
 GEN = "g"
 MONO = "m"
@@ -124,17 +125,15 @@ def parse_gen(s):
     return gen
 
 
-class AomotoExpr:
+class AomotoExpr(_LinearCombination):
     """Linear combination of factor tuples (generators and monomials)."""
 
-    __slots__ = ("terms", "_integral")
+    __slots__ = ("_integral",)
+    _sort_key = staticmethod(repr)
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", dict(terms or {}))
         object.__setattr__(self, "_integral", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AomotoExpr is immutable")
 
     @classmethod
     def zero(cls):
@@ -156,13 +155,6 @@ class AomotoExpr:
     def of_gen(cls, gen, coeff=1):
         return cls.from_terms([(((GEN, gen),), coeff)])
 
-    @property
-    def term_count(self):
-        return len(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
     def _over_denominator(self):
         """(den, ((factors, numerator), ...)): the terms as integer
         numerators over the lcm of the coefficients' denominators.
@@ -174,36 +166,6 @@ class AomotoExpr:
                 (factors, c.numerator * (den // c.denominator))
                 for factors, c in self.terms.items())))
         return self._integral
-
-    def __add__(self, other):
-        if not isinstance(other, AomotoExpr):
-            return NotImplemented
-        return AomotoExpr(_combine(
-            chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        return AomotoExpr({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, AomotoExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return AomotoExpr(_combine(
-            (k, v * scalar) for k, v in self.terms.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, AomotoExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"AomotoExpr({len(self.terms)} terms)"
 
     @staticmethod
     def _factor_strs(factors):
@@ -217,20 +179,14 @@ class AomotoExpr:
                                + (f"^{e}" if e != 1 else ""))
         return out
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for factors, coeff in sorted(self.terms.items(), key=repr):
-            bits.append(f"{coeff} * "
-                        + " (x) ".join(self._factor_strs(factors)))
-        return "  +  ".join(bits)
+    def _key_str(self, factors):
+        return " (x) ".join(self._factor_strs(factors))
 
     # -- serialization (mirrors the tensor wire format) ---------------------
 
     def to_json_dict(self):
         terms = []
-        for factors, coeff in sorted(self.terms.items(), key=repr):
+        for factors, coeff in self.items_sorted():
             terms.append({"coeff": _coeff_to_json(coeff),
                           "slots": [self._factor_strs((f,))
                                     for f in factors]})

@@ -3,7 +3,8 @@ iterated integration, and function tables.
 
 Exit codes: 0 success, 1 verification failure or contract error, 2 path
 error (also used by argparse for usage errors), 3 pole proximity, 4 panel
-budget exhausted.
+budget exhausted.  `element` and `verify` take degrees up to 4; a larger
+--n is refused with exit code 1 before anything is built.
 
 All output is deterministic for a fixed command line: reports omit wall
 times unless --timings is given, JSON keys are sorted, and every random
@@ -28,8 +29,9 @@ from .polylogs import bloch_wigner, l2g, li_n, rogers_l2
 from .tensors import MultTensor, parse_symbol
 
 SUITES = ("comparison", "relations", "scale", "integrability", "deltar")
-LARGE_HINT = ("degree 4 streams 40320 permutations per element and is "
-              "opt-in; rerun with --allow-large")
+# a degree-n element streams (2n)! arrangements: 40320 at n = 4, 3628800
+# at n = 5
+MAX_DEGREE = 4
 
 
 def _emit(data, out):
@@ -39,6 +41,15 @@ def _emit(data, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_degrees(ns):
+    """Refuse, before anything is built, a degree above MAX_DEGREE."""
+    for n in ns:
+        if n > MAX_DEGREE:
+            raise ContractViolation(
+                f"--n {n} refused: degrees above {MAX_DEGREE} are not "
+                "supported")
 
 
 def _mutated(element):
@@ -51,9 +62,7 @@ def _mutated(element):
 
 
 def _cmd_element(args):
-    if args.n >= 4 and not args.allow_large:
-        sys.stderr.write(f"element --n {args.n} refused: {LARGE_HINT}\n")
-        return 1
+    _check_degrees([args.n])
     element = build_element(args.n)
     if args.mutate:
         element = _mutated(element)
@@ -72,19 +81,12 @@ def _verify_one(suite, n, args, element):
     mutate = args.mutate
 
     if suite == "comparison":
-        # refuse an unsupported or opted-out degree before building
+        # an unsupported degree is refused by the check, with nothing built
         if n not in COMPARISON_DEGREES:
             return check_comparison(n)
-        if n >= 4 and not args.allow_large:
-            raise ContractViolation(f"comparison --n {n} refused: "
-                                    + LARGE_HINT)
         return check_comparison(n, element=element(n, False))
 
     if suite == "relations":
-        if n >= 4 and not args.allow_large:
-            raise ContractViolation(f"relations --n {n} refused: "
-                                    + LARGE_HINT)
-
         def builder(k, labels=None, prefix=()):
             el = build_element(k, labels=labels, prefix=prefix,
                                signed=signed)
@@ -107,6 +109,7 @@ def _verify_one(suite, n, args, element):
 
 def _cmd_verify(args):
     ns = args.n if args.n else [2]
+    _check_degrees(ns)
     suites = SUITES if args.suite == "all" else (args.suite,)
     built = {}
 
@@ -283,7 +286,6 @@ def build_parser():
                         help="emit the canonical degree-n element as JSON")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--out")
-    pe.add_argument("--allow-large", action="store_true")
     pe.add_argument("--mutate", action="store_true",
                     help="flip the first canonical term (test harness)")
 
@@ -300,7 +302,6 @@ def build_parser():
     pv.add_argument("--mutate", action="store_true",
                     help="corrupt the element under test; all suites must "
                          "then fail")
-    pv.add_argument("--allow-large", action="store_true")
     pv.add_argument("--timings", action="store_true",
                     help="include wall times (breaks byte determinism)")
     pv.add_argument("--out")

@@ -186,19 +186,30 @@ def bloch_wigner(z):
 # five-term machinery
 
 
+def _omit_one(points, convert, fn):
+    """[fn(*quadruple omitting point k) for k in 0..4] of exactly five
+    points, each converted first; the quadruples keep the surviving points
+    in their original order."""
+    pts = [convert(p) for p in points]
+    if len(pts) != 5:
+        raise ContractViolation("need exactly 5 points")
+    return [fn(*pts[:k], *pts[k + 1:]) for k in range(5)]
+
+
+def _alternating_sum(values):
+    """values[0] - values[1] + values[2] - ..., summed in order."""
+    total = 0.0
+    for k, val in enumerate(values):
+        total += val if k % 2 == 0 else -val
+    return total
+
+
 def omit_cross_ratios(points):
     """The five cross-ratios r(omit k) of a 5-tuple, exact arithmetic.
 
     Each quadruple keeps the surviving points in their original order.
     """
-    pts = [_as_point(p) for p in points]
-    if len(pts) != 5:
-        raise ContractViolation("need exactly 5 points")
-    out = []
-    for k in range(5):
-        rest = pts[:k] + pts[k + 1:]
-        out.append(cross_ratio(*rest))
-    return out
+    return _omit_one(points, _as_point, cross_ratio)
 
 
 def epsilon_sign(points):
@@ -228,13 +239,12 @@ def rogers_five_term(points):
     functional equation of the real dilogarithm in its orientation-exact
     form.
     """
-    ratios = omit_cross_ratios(points)
-    total = 0.0
-    for k, r in enumerate(ratios):
+    def real_rogers(r):
         if isinstance(r, GaussianRational):
             raise ContractViolation("rogers five-term needs real points")
-        val = rogers_l2(Fraction(r))
-        total += val if k % 2 == 0 else -val
+        return rogers_l2(Fraction(r))
+
+    total = _alternating_sum(map(real_rogers, omit_cross_ratios(points)))
     eps = epsilon_sign(points)
     predicted = -float(eps) * math.pi ** 2 / 6
     return {
@@ -248,20 +258,14 @@ def rogers_five_term(points):
 def bloch_wigner_five_term(points):
     """Alternating five-term sum of bloch_wigner over complex points;
     identically zero."""
-    pts = [complex(p) for p in points]
-    if len(pts) != 5:
-        raise ContractViolation("need exactly 5 points")
-    total = 0.0
-    for k in range(5):
-        rest = pts[:k] + pts[k + 1:]
-        x1, x2, x3, x4 = rest
+    def quadruple(x1, x2, x3, x4):
         num = (x3 - x1) * (x4 - x2)
         den = (x3 - x2) * (x4 - x1)
         if den == 0:
             raise DegeneracyError("degenerate quadruple in five-term sum")
-        val = bloch_wigner(num / den)
-        total += val if k % 2 == 0 else -val
-    return total
+        return bloch_wigner(num / den)
+
+    return _alternating_sum(_omit_one(points, complex, quadruple))
 
 
 def l2g(x1, x2, x3, x4):
@@ -279,15 +283,7 @@ def l2g(x1, x2, x3, x4):
 
 def l2g_five_term(points):
     """Alternating sum of l2g over the five omit-one quadruples."""
-    pts = [_as_point(p) for p in points]
-    if len(pts) != 5:
-        raise ContractViolation("need exactly 5 points")
-    total = 0.0
-    for k in range(5):
-        rest = pts[:k] + pts[k + 1:]
-        val = l2g(*rest)
-        total += val if k % 2 == 0 else -val
-    return total
+    return _alternating_sum(_omit_one(points, _as_point, l2g))
 
 
 def l2g_family_values(base, velocities, samples=11):

@@ -17,6 +17,10 @@ written additively and taken modulo 2-torsion.  Concretely:
   rational coefficients (integers stay integers).  Zero coefficients are
   pruned eagerly, so equality of canonical forms is dict equality and the
   zero tensor is the empty dict.
+* MultTensor, WedgeTensor and aomoto.AomotoExpr share one private base,
+  _LinearCombination: immutability, the queries, sums, negation, scalar
+  multiples, equality, hashing, repr and str live there once.  Each type
+  adds only its shape, its term order and how one key prints.
 
 Alternation helpers stream over permutations with cached parities; nothing
 materializes the full symmetric group action term lists beyond the merged
@@ -157,10 +161,93 @@ def _coeff_from_json(c):
     raise ContractViolation(f"bad coefficient {c!r}")
 
 
-class MultTensor:
+class _LinearCombination:
+    """Immutable canonical linear combination: the terms dict of _combine
+    together with a shape that sums and equality must agree on.
+
+    A subclass stores its shape in its own slots, named in order by _SHAPE
+    and passed to its constructor before the terms.  It also says how one
+    key prints (_key_str) and, unless items sort by _term_sort_key, how
+    (key, coeff) items sort (_sort_key).  Everything else, the algebra,
+    equality, hashing, repr and str, lives here once.
+    """
+
+    __slots__ = ("terms",)
+    _SHAPE = ()
+    _sort_key = staticmethod(_term_sort_key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _shape(self):
+        return tuple(getattr(self, field) for field in self._SHAPE)
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def term_count(self):
+        return len(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def items_sorted(self):
+        return sorted(self.terms.items(), key=self._sort_key)
+
+    # -- algebra -----------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        shape = self._shape()
+        if other._shape() != shape:
+            raise ContractViolation(
+                ", ".join(self._SHAPE) + " mismatch in tensor sum")
+        return type(self)(*shape, _combine(
+            chain(self.terms.items(), other.terms.items())))
+
+    def __neg__(self):
+        return type(self)(*self._shape(),
+                          {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return type(self)(*self._shape(), _combine(
+            (k, v * scalar) for k, v in self.terms.items()))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self._shape() + (frozenset(self.terms.items()),))
+
+    def __repr__(self):
+        shape = "".join(f"{field}={value}, " for field, value
+                        in zip(self._SHAPE, self._shape()))
+        return f"{type(self).__name__}({shape}{len(self.terms)} terms)"
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return "  +  ".join(f"{coeff} * {self._key_str(key)}"
+                            for key, coeff in self.items_sorted())
+
+
+class MultTensor(_LinearCombination):
     """Canonical linear combination of symbol tensors of fixed arity."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
+    _SHAPE = ("arity",)
 
     def __init__(self, arity, terms=None):
         arity = int(arity)
@@ -168,9 +255,6 @@ class MultTensor:
             raise ContractViolation("arity must be >= 1")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", dict(terms or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultTensor is immutable")
 
     @classmethod
     def zero(cls, arity):
@@ -189,66 +273,11 @@ class MultTensor:
 
         return cls(arity, _combine(keyed()))
 
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def term_count(self):
-        return len(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=_term_sort_key)
-
     def coefficient(self, slots):
         return self.terms.get(tuple(slots), 0)
 
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, MultTensor):
-            return NotImplemented
-        if other.arity != self.arity:
-            raise ContractViolation("arity mismatch in tensor sum")
-        return MultTensor(self.arity, _combine(
-            chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        return MultTensor(self.arity, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultTensor):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return MultTensor(self.arity, _combine(
-            (k, v * scalar) for k, v in self.terms.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, MultTensor):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"MultTensor(arity={self.arity}, {len(self.terms)} terms)"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for slots, coeff in self.items_sorted():
-            body = " (x) ".join(symbol_to_str(s) for s in slots)
-            bits.append(f"{coeff} * {body}")
-        return "  +  ".join(bits)
+    def _key_str(self, slots):
+        return " (x) ".join(symbol_to_str(s) for s in slots)
 
     # -- serialization -------------------------------------------------------
 
@@ -334,7 +363,7 @@ def alt(template, k):
     return MultTensor(arity, terms)
 
 
-class WedgeTensor:
+class WedgeTensor(_LinearCombination):
     """A tensor with one designated adjacent slot pair antisymmetrized.
 
     Stores `width` slot positions; the pair sits at 1-based positions
@@ -344,7 +373,8 @@ class WedgeTensor:
     one slot, the element has arity width - 1.
     """
 
-    __slots__ = ("width", "pair_index", "terms")
+    __slots__ = ("width", "pair_index")
+    _SHAPE = ("width", "pair_index")
 
     def __init__(self, width, pair_index, terms=None):
         width = int(width)
@@ -357,9 +387,6 @@ class WedgeTensor:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "pair_index", pair_index)
         object.__setattr__(self, "terms", dict(terms or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WedgeTensor is immutable")
 
     @classmethod
     def from_terms(cls, width, pair_index, pairs):
@@ -385,12 +412,6 @@ class WedgeTensor:
     def arity(self):
         return self.width - 1
 
-    def is_zero(self):
-        return not self.terms
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=_term_sort_key)
-
     def outer_groups(self):
         """Terms grouped by the symbols outside the wedge pair.
 
@@ -415,39 +436,11 @@ class WedgeTensor:
             out.append((outer, entries))
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, WedgeTensor):
-            return NotImplemented
-        return (self.width == other.width
-                and self.pair_index == other.pair_index
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.width, self.pair_index,
-                     frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return (f"WedgeTensor(width={self.width}, "
-                f"pair_index={self.pair_index}, {len(self.terms)} terms)")
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _key_str(self, slots):
         k = self.pair_index - 1
-        bits = []
-        for slots, coeff in self.items_sorted():
-            parts = []
-            i = 0
-            while i < self.width:
-                if i == k:
-                    parts.append(f"{symbol_to_str(slots[i])} ^ "
-                                 f"{symbol_to_str(slots[i + 1])}")
-                    i += 2
-                else:
-                    parts.append(symbol_to_str(slots[i]))
-                    i += 1
-            bits.append(f"{coeff} * " + " (x) ".join(parts))
-        return "  +  ".join(bits)
+        parts = [symbol_to_str(s) for s in slots]
+        return " (x) ".join(
+            parts[:k] + [f"{parts[k]} ^ {parts[k + 1]}"] + parts[k + 2:])
 
 
 def wedge_project(t, k):

@@ -6,8 +6,8 @@ captured output of a failing run) and then asserts, so the checklist
 doubles as a regression gate.  Numeric tolerances are stated inline;
 symbolic criteria demand exact zeros in rational arithmetic.
 
-Criteria 1 and 2 include an opt-in degree-4 leg, enabled by setting
-GRASSPOLY_ACCEPT_LARGE=1 in the environment.
+Criteria 1 and 2 include a degree-4 leg, a few seconds of exact tensor
+algebra over 40320 terms.
 """
 
 import cmath
@@ -32,8 +32,6 @@ from grasspoly.polylogs import (bloch_wigner_five_term, epsilon_sign,
                                 l2g_family_values, li_n, li_series,
                                 rogers_five_term, rogers_l2,
                                 rogers_l2_slope)
-
-ACCEPT_LARGE = os.environ.get("GRASSPOLY_ACCEPT_LARGE", "") not in ("", "0")
 
 SAFE_BASE = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 3.0]]
 SAFE_TARGET = [[1.1, 0.02], [0.03, 1.05], [0.95, 1.1], [2.1, 3.2]]
@@ -65,23 +63,19 @@ def test_criterion_01_comparison_constants():
           and t2 < 5.0
           and rep3.passed and rep3.details["matched_constant"] == "-36"
           and t3 < 60.0)
-    stamp = f"{t2:.2f}s / {t3:.2f}s"
-    if ACCEPT_LARGE:
-        t0 = time.perf_counter()
-        rep4 = check_comparison(4)
-        t4 = time.perf_counter() - t0
-        ok = (ok and rep4.passed
-              and rep4.details["matched_constant"] == "576" and t4 < 600.0)
-        stamp += f" / {t4:.2f}s, +576 at degree 4"
-    else:
-        stamp += "; degree 4 not opted in"
+    t0 = time.perf_counter()
+    rep4 = check_comparison(4)
+    t4 = time.perf_counter() - t0
+    ok = (ok and rep4.passed
+          and rep4.details["matched_constant"] == "576" and t4 < 600.0)
+    stamp = f"{t2:.2f}s / {t3:.2f}s / {t4:.2f}s"
     conclude(1, "expansion of the window element matches the alternated "
                 "pairing up to the degree constant (+4 at degree 2, -36 at "
-                f"degree 3; {stamp})", ok)
+                f"degree 3, +576 at degree 4; {stamp})", ok)
 
 
 def test_criterion_02_omission_relations_vanish():
-    degrees = [2, 3] + ([4] if ACCEPT_LARGE else [])
+    degrees = [2, 3, 4]
     ok = True
     times = []
     for n in degrees:
@@ -93,10 +87,9 @@ def test_criterion_02_omission_relations_vanish():
         ok = ok and rep.passed and dt < budget
         ok = ok and rep.details["plain_residue_terms"] == 0
         ok = ok and rep.details["projected_residue_terms"] == 0
-    note = "" if ACCEPT_LARGE else "; degree 4 not opted in"
     stamp = "/".join(f"{dt:.2f}s" for dt in times)
     conclude(2, "both label-omission relations cancel exactly at degrees "
-                f"{degrees} ({stamp}{note})", ok)
+                f"{degrees} ({stamp})", ok)
 
 
 def test_criterion_03_scale_invariance():

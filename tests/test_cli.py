@@ -64,16 +64,17 @@ def test_element_ignores_thread_count():
     assert lone.stdout == pooled.stdout
 
 
-def test_element_degree_four_needs_opt_in():
-    proc = run_cli("element", "--n", "4")
+def test_element_degree_five_refused():
+    proc = run_cli("element", "--n", "5")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "--allow-large" in proc.stderr
+    assert proc.stderr == (
+        "error: --n 5 refused: degrees above 4 are not supported\n")
 
 
-def test_element_degree_four_opt_in(tmp_path):
+def test_element_degree_four(tmp_path):
     out = tmp_path / "deg4.json"
-    proc = run_cli("element", "--n", "4", "--allow-large", "--out", str(out))
+    proc = run_cli("element", "--n", "4", "--out", str(out))
     assert proc.returncode == 0
     assert proc.stdout == ""
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -130,12 +131,12 @@ def test_verify_comparison_constants():
 
 
 # (arguments, stderr) of comparison runs refused before anything is built:
-# a degree outside the contract, and degree 4 without --allow-large
+# a degree above the command line's limit, and one below the check's range
 REFUSED_COMPARISONS = [
-    (("--n", "5", "--allow-large"),
+    (("--n", "5"),
+     "error: --n 5 refused: degrees above 4 are not supported\n"),
+    (("--n", "1"),
      "error: comparison check supports n in {2, 3, 4}\n"),
-    (("--n", "4"),
-     "error: comparison --n 4 refused: " + cli.LARGE_HINT + "\n"),
 ]
 
 
@@ -148,9 +149,8 @@ def test_verify_comparison_refuses_unsupported_degree():
         assert proc.stderr == err
 
 
-def test_verify_comparison_degree_four_opt_in(capsys):
-    code = cli.main(["verify", "--suite", "comparison", "--n", "4",
-                     "--allow-large"])
+def test_verify_comparison_degree_four(capsys):
+    code = cli.main(["verify", "--suite", "comparison", "--n", "4"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["status"] == "pass"
@@ -161,7 +161,7 @@ def test_verify_comparison_degree_four_opt_in(capsys):
 
 def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
     # --mutate must not build (and mutate) an element the check refuses,
-    # whether the degree is unsupported or not opted in
+    # whether the degree is above the limit or below the check's range
     def no_build(*args, **kwargs):
         raise AssertionError("build_element called for a refused degree")
 
@@ -173,6 +173,29 @@ def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
         assert code == 1
         assert captured.out == ""
         assert captured.err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["element", "--n", "5"],
+    ["verify", "--suite", "scale", "--n", "5"],
+    ["verify", "--suite", "integrability", "--n", "5"],
+    ["verify", "--suite", "relations", "--n", "5"],
+    ["verify", "--suite", "all", "--n", "2", "--n", "5"],
+])
+def test_degree_above_four_refused_before_building(monkeypatch, capsys,
+                                                   argv):
+    # a degree-5 element would stream 10! arrangements
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_element called for a refused degree")
+
+    monkeypatch.setattr(cli, "build_element", no_build)
+    monkeypatch.setattr(elements, "build_element", no_build)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --n 5 refused: degrees above 4 are not supported\n")
 
 
 @pytest.mark.parametrize("mode, builds", [("mod2", 1), ("strict", 2)])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from grasspoly.aomoto import GEN, MONO, AomotoExpr, make_gen
 from grasspoly.errors import ContractViolation
 from grasspoly.tensors import (MultTensor, WedgeTensor, alt,
                                bracket_symbol, equal, parse_symbol,
@@ -300,3 +301,69 @@ def test_wedge_linear_in_coefficients():
     merged = WedgeTensor.from_terms(
         2, 1, list(w1.terms.items()) + list(w2.terms.items()))
     assert w_sum == merged
+
+
+# ---------------------------------------------------------------------------
+# the linear-combination contract shared by all three stores
+
+
+def combination_values(kind):
+    """(a, b, c, strings): a and b share a shape, c has another (None where
+    the type has one shape only); strings are repr(a), str(a), repr(b) and
+    str(b) as recorded before the three types shared one base."""
+    d12, d13, d24 = (bracket_symbol(ix)[0] for ix in ((1, 2), (1, 3), (2, 4)))
+    a = scalar_symbol("a")
+    if kind is MultTensor:
+        return (MultTensor.from_terms(2, [((d13, a), Fraction(-1, 2)),
+                                          ((d12, d24), 3)]),
+                MultTensor.from_terms(2, [((d12, d24), -1), ((a, d12), 2)]),
+                MultTensor.from_terms(3, [((d12, d13, a), 1)]),
+                ("MultTensor(arity=2, 2 terms)",
+                 "3 * D[1,2] (x) D[2,4]  +  -1/2 * D[1,3] (x) a",
+                 "MultTensor(arity=2, 2 terms)",
+                 "-1 * D[1,2] (x) D[2,4]  +  2 * a (x) D[1,2]"))
+    if kind is WedgeTensor:
+        return (WedgeTensor.from_terms(3, 2, [((a, d24, d12), 2),
+                                              ((d12, d13, d24),
+                                               Fraction(1, 3))]),
+                WedgeTensor.from_terms(3, 2, [((d12, d13, d24), -1)]),
+                WedgeTensor.from_terms(3, 1, [((d12, d13, d24), 1)]),
+                ("WedgeTensor(width=3, pair_index=2, 2 terms)",
+                 "1/3 * D[1,2] (x) D[1,3] ^ D[2,4]  +  "
+                 "-2 * a (x) D[1,2] ^ D[2,4]",
+                 "WedgeTensor(width=3, pair_index=2, 1 terms)",
+                 "-1 * D[1,2] (x) D[1,3] ^ D[2,4]"))
+    g1 = (GEN, make_gen((5,), (1, 2), (3, 4))[0])
+    g2 = (GEN, make_gen((), (1, 2, 3), (4, 5, 6))[0])
+    mono = (MONO, ((d13, 1), (a, -2)))
+    return (AomotoExpr.from_terms([((g2, mono), Fraction(-1, 2)),
+                                   ((g1,), 4)]),
+            AomotoExpr.from_terms([((g1,), -1), ((mono, g1), 1)]),
+            None,
+            ("AomotoExpr(2 terms)",
+             "-1/2 * A_2[|1,2,3;4,5,6] (x) D[1,3] (x) a^-2  +  "
+             "4 * A_1[5|1,2;3,4]",
+             "AomotoExpr(2 terms)",
+             "-1 * A_1[5|1,2;3,4]  +  1 * D[1,3] (x) a^-2 (x) "
+             "A_1[5|1,2;3,4]"))
+
+
+@pytest.mark.parametrize("kind", [MultTensor, WedgeTensor, AomotoExpr])
+def test_linear_combination_contract(kind):
+    a, b, c, strings = combination_values(kind)
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    assert a + b - b == a
+    assert -(-a) == a
+    assert 2 * a == a + a == a * 2
+    assert (a - a).is_zero() and (a - a).term_count == 0
+    assert a + b != a and a.term_count == 2
+    twin = kind.from_terms(*a._shape(), a.terms.items())
+    assert twin == a and hash(twin) == hash(a)
+    assert len({a, twin, b}) == 2
+    assert (repr(a), str(a), repr(b), str(b)) == strings
+    assert str(a - a) == "0"
+    if c is not None:
+        with pytest.raises(ContractViolation):
+            a + c
+        assert a != c
