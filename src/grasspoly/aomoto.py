@@ -14,16 +14,25 @@ prefix degenerates the simplex and also gives zero.
 Expressions are linear combinations of factor tuples, each factor either a
 generator or a multiplicative monomial of bracket symbols.  The coproduct
 of a generator lands in such two-factor expressions, with the factor order
-exactly as in the coproduct formulas:
-
-* weight 2 (both summand orders appear):
-    -(1/8) Alt_{3,3}[ D(p,m0,l1,l2) (x) <p,m0 | l1,l2; m1,m2>
-                     + <p,l0 | l1,l2; m1,m2> (x) D(p,l0,m1,m2) ]
-  where Alt_{3,3} alternates (l0,l1,l2) and (m0,m1,m2) independently and p
-  is the inherited prefix.
+exactly as in the coproduct formulas.  Write L = (l_0..l_w), M = (m_0..m_w)
+and p for the inherited prefix; at every weight the (w-1, 1) component is
+one face-deletion sum moving l_i (and, at weight 2, m_j) into the prefix:
 
 * weight w >= 3 (generator left, bracket right):
     - sum_{i,j} (-1)^(i+j) <p,l_i | L\\l_i; M\\m_j> (x) D(p, l_i, M\\m_j)
+
+* weight 2: the defining formula is -(1/8) times the double alternation
+  over both simplices of D(p,m0,l1,l2) (x) <p,m0 | l1,l2; m1,m2> +
+  <p,l0 | l1,l2; m1,m2> (x) D(p,l0,m1,m2).  Swapping l1, l2 (or m1, m2)
+  keeps each summand's key and flips its sign twice, so the four orders
+  sharing (l0, m0) = (l_i, m_j) give equal terms: it is the sum above halved,
+  with the summand D(p, m_j, L\\l_i) (x) <p,m_j | L\\l_i; M\\m_j> added
+  (both tensor orders appear).
+
+One loop builds both.  Dropping a label from a sorted simplex keeps it
+sorted, so each sub-generator is canonical with sign +1 once its new
+center joins the prefix; it vanishes when that center lies in the other
+simplex.
 
 Iterating the coproduct on the leftmost reducible factor and then turning
 every weight-1 generator into its projected cross-ratio monomial
@@ -42,7 +51,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .errors import ContractViolation, DegeneracyError
-from .tensors import (MultTensor, bracket_symbol, parse_symbol,
+from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
                       symbol_to_str, _coeff_from_json, _coeff_to_json,
                       _combine, _expand_slots, _LinearCombination,
                       _sort_with_sign)
@@ -216,52 +225,52 @@ class AomotoExpr(_LinearCombination):
 
 
 def _mono(*signed_brackets):
-    """Monomial factor from (labels, exponent) pairs, mod-2 canonical."""
-    out = []
-    for labels, e in signed_brackets:
-        sym, _ = bracket_symbol(labels)
-        out.append((sym, e))
-    return (MONO, tuple(out))
+    """Monomial factor from (labels, exponent) pairs, mod-2 canonical.
+    The labels are those of canonical generators, so already ints."""
+    return (MONO, tuple(((BRACKET, tuple(sorted(labels))), e)
+                        for labels, e in signed_brackets))
+
+
+def _coproduct_terms(gen):
+    """The (w-1, 1) face-deletion sum of the module docstring, for any
+    weight >= 2.  A directly constructed generator is canonicalised once
+    here, so unsorted or repeated labels give its sign times the canonical
+    image; the terms' keys are distinct, so no combining is needed."""
+    canon, sign = make_gen(gen.prefix, gen.left, gen.right)
+    if canon is None:
+        return AomotoExpr.zero()
+    p, L, M = canon.prefix, canon.left, canon.right
+    both = canon.weight == 2
+    unit = Fraction(sign, 2) if both else sign
+    terms = {}
+    for i, li in enumerate(L):
+        lrest = L[:i] + L[i + 1:]
+        pl = tuple(sorted(p + (li,)))
+        for j, mj in enumerate(M):
+            mrest = M[:j] + M[j + 1:]
+            c = unit if (i + j) % 2 else -unit
+            if both and mj not in lrest:
+                # D(p, m_j, L\l_i) (x) <p, m_j | L\l_i; M\m_j>
+                pm = tuple(sorted(p + (mj,)))
+                terms[_mono((pm + lrest, 1)),
+                      (GEN, AomotoGen(pm, lrest, mrest))] = c
+            if li not in mrest:
+                # <p, l_i | L\l_i; M\m_j> (x) D(p, l_i, M\m_j)
+                terms[(GEN, AomotoGen(pl, lrest, mrest)),
+                      _mono((pl + mrest, 1))] = c
+    return AomotoExpr(terms)
 
 
 @lru_cache(maxsize=None)
 def coproduct_weight2(gen):
-    """Coproduct of a weight-2 generator into weight-1 (x) bracket terms.
-
-    Both tensor orders appear, exactly as in the defining formula: the
-    first summand carries the bracket in the left slot, the second in the
-    right slot.  The overall coefficient is -1/8 in front of the double
-    alternation over the two simplices.  Swapping l1, l2 (or m1, m2)
-    changes neither summand's canonical key and flips its sign twice, so
-    the four orders with the same (l0, m0) give equal terms: the sum runs
-    over the 3 x 3 choices of (l0, m0) with coefficient 4 (-1/8) = -1/2
-    times the sign (-1)^(i+j) of moving l_i and m_j to the front.
-    """
+    """Coproduct of a weight-2 generator into weight-1 (x) bracket terms,
+    in both tensor orders."""
     if not isinstance(gen, AomotoGen):
         raise ContractViolation("coproduct_weight2 expects a generator")
     if gen.weight != 2:
         raise ContractViolation(
             f"coproduct_weight2 needs weight 2, got {gen.weight}")
-    p = gen.prefix
-    L, M = gen.left, gen.right
-    half = {1: Fraction(1, 2), -1: Fraction(-1, 2)}
-    pairs = []
-    for i, l0 in enumerate(L):
-        lrest = L[:i] + L[i + 1:]
-        for j, m0 in enumerate(M):
-            mrest = M[:j] + M[j + 1:]
-            sgn = 1 if (i + j) % 2 else -1
-            # D(p, m0, l1, l2) (x) <p,m0 | l1,l2; m1,m2>
-            g1, gs1 = make_gen(p + (m0,), lrest, mrest)
-            if g1 is not None:
-                pairs.append(((_mono((p + (m0,) + lrest, 1)), (GEN, g1)),
-                              half[sgn * gs1]))
-            # <p,l0 | l1,l2; m1,m2> (x) D(p, l0, m1, m2)
-            g2, gs2 = make_gen(p + (l0,), lrest, mrest)
-            if g2 is not None:
-                pairs.append((((GEN, g2), _mono((p + (l0,) + mrest, 1))),
-                              half[sgn * gs2]))
-    return AomotoExpr.from_terms(pairs)
+    return _coproduct_terms(gen)
 
 
 @lru_cache(maxsize=None)
@@ -274,21 +283,7 @@ def coproduct_higher(gen):
     if w < 3:
         raise ContractViolation(
             f"coproduct_higher needs weight >= 3, got {w}")
-    p = gen.prefix
-    L, M = gen.left, gen.right
-    pairs = []
-    for i, li in enumerate(L):
-        lrest = L[:i] + L[i + 1:]
-        for j in range(len(M)):
-            mrest = M[:j] + M[j + 1:]
-            g, gs = make_gen(p + (li,), lrest, mrest)
-            if g is None:
-                continue
-            sgn = -1 if (i + j) % 2 else 1
-            pairs.append((
-                ((GEN, g), _mono((p + (li,) + mrest, 1))),
-                -sgn * gs))
-    return AomotoExpr.from_terms(pairs)
+    return _coproduct_terms(gen)
 
 
 def coproduct(gen):

@@ -374,7 +374,8 @@ class IterIntResult:
     def to_json_dict(self):
         return {"value": [self.value.real, self.value.imag],
                 "error": self.error,
-                "panels": self.panels}
+                "panels": self.panels,
+                "depth_exceeded": self.depth_exceeded}
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
@@ -83,6 +81,8 @@ def li_series(n, z, tol=1e-17, max_terms=4000):
 
 def li2(z):
     """Principal-branch dilogarithm (cut along [1, oo))."""
+    import mpmath
+
     return complex(mpmath.polylog(2, complex(z)))
 
 
@@ -135,6 +135,8 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
 
 
 def _re_li2(x):
+    import mpmath
+
     return float(mpmath.polylog(2, mpmath.mpf(x)).real
                  if x > 1 else mpmath.polylog(2, mpmath.mpf(x)))
 
@@ -325,10 +327,7 @@ def aomoto_a1(l1, l2, m1, m2, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     def config(z):
         return [[z, 1.0], [l1c, 1.0], [l2c, 1.0]]
 
-    if len(zs) == 2 and zs[0] == zs[1]:
-        path = PathSpec.line(config(zs[0]), config(zs[0]))
-    else:
-        path = PathSpec.from_points([config(z) for z in zs])
+    path = PathSpec.from_points([config(z) for z in zs])
     word = [dlog_letter((1, 3)) + dlog_letter((1, 2), coeff=-1)]
     res = iterate_word(word, path, tol=tol, budget=budget)
     return BranchedValue(value=res.value, path=path, error=res.error,

@@ -6,7 +6,8 @@ The load-bearing oracles:
   (project the configuration from the prefix, take the cross-ratio);
 - the additivity relations, whose expansions must be exactly zero;
 - the former per-arrangement Fraction loops of the pairing element, the
-  weight-2 coproduct and the expansion, kept here as copies.
+  weight-2 coproduct and the expansion, and the former weight >= 3
+  coproduct loop, kept here as copies.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from grasspoly.aomoto import (GEN, MONO, AomotoExpr, AomotoGen,
                               coproduct_higher, coproduct_weight2,
                               cross_ratio_monomial, expand_to_tensor,
                               make_gen, pairing_element,
-                              pairing_element_labels, parse_gen, _mono)
+                              pairing_element_labels, parse_gen)
 from grasspoly.configurations import cross_ratio, random_generic
 from grasspoly.errors import ContractViolation, DegeneracyError
 from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
@@ -335,11 +336,19 @@ def test_pairing_element_validates_configuration():
 # ---------------------------------------------------------------------------
 # oracle: the per-arrangement Fraction loops the library used to run
 #
-# pairing_element_labels now makes one term per C(2n, n) split,
-# coproduct_weight2 one per (l0, m0) choice, and expand_to_tensor carries
-# integer numerators.  The copies below are the former loops, verbatim up
-# to the names of the functions they call, and every rewritten function
-# must return exactly their dicts.
+# pairing_element_labels now makes one term per C(2n, n) split, both
+# coproducts run one face-deletion loop over canonical parts, and
+# expand_to_tensor carries integer numerators.  The copies below are the
+# former loops, verbatim up to the names of the functions they call, and
+# every rewritten function must return exactly their dicts.
+
+
+def old_mono(*signed_brackets):
+    out = []
+    for labels, e in signed_brackets:
+        sym, _ = bracket_symbol(labels)
+        out.append((sym, e))
+    return (MONO, tuple(out))
 
 
 def old_coproduct_weight2(gen):
@@ -356,21 +365,47 @@ def old_coproduct_weight2(gen):
             g1, gs1 = make_gen(p + (m0,), (l1, l2), (m1, m2))
             if g1 is not None:
                 pairs.append((
-                    (_mono((p + (m0, l1, l2), 1)), (GEN, g1)),
+                    (old_mono((p + (m0, l1, l2), 1)), (GEN, g1)),
                     c * sgn * gs1))
             # <p,l0 | l1,l2; m1,m2> (x) D(p, l0, m1, m2)
             g2, gs2 = make_gen(p + (l0,), (l1, l2), (m1, m2))
             if g2 is not None:
                 pairs.append((
-                    ((GEN, g2), _mono((p + (l0, m1, m2), 1))),
+                    ((GEN, g2), old_mono((p + (l0, m1, m2), 1))),
                     c * sgn * gs2))
+    return AomotoExpr.from_terms(pairs)
+
+
+def old_coproduct_higher(gen):
+    """Coproduct component of a generator of weight >= 3 into
+    weight-(w-1) (x) bracket terms, generator in the left slot."""
+    if not isinstance(gen, AomotoGen):
+        raise ContractViolation("coproduct_higher expects a generator")
+    w = gen.weight
+    if w < 3:
+        raise ContractViolation(
+            f"coproduct_higher needs weight >= 3, got {w}")
+    p = gen.prefix
+    L, M = gen.left, gen.right
+    pairs = []
+    for i, li in enumerate(L):
+        lrest = L[:i] + L[i + 1:]
+        for j in range(len(M)):
+            mrest = M[:j] + M[j + 1:]
+            g, gs = make_gen(p + (li,), lrest, mrest)
+            if g is None:
+                continue
+            sgn = -1 if (i + j) % 2 else 1
+            pairs.append((
+                ((GEN, g), old_mono((p + (li,) + mrest, 1))),
+                -sgn * gs))
     return AomotoExpr.from_terms(pairs)
 
 
 def old_coproduct(gen):
     if gen.weight == 2:
         return old_coproduct_weight2(gen)
-    return coproduct_higher(gen)
+    return old_coproduct_higher(gen)
 
 
 def old_expand_to_tensor(expr, arity):
@@ -474,6 +509,89 @@ def test_coproduct_weight2_matches_double_alternation():
         shared += bool(set(gen.left) & set(gen.right))
     assert len(WEIGHT2_GENS) == 3 * 400
     assert shared == 3 * (400 - 20)  # all but the 20 disjoint pairs
+
+
+def higher_gens(weight, labels, prefixes, count, seed):
+    """`count` canonical generators of `weight` over `labels`, sampled from
+    every left/right choice under each prefix; most simplex pairs share
+    labels."""
+    pool = [gen for prefix in prefixes
+            for left in itertools.combinations(labels, weight + 1)
+            for right in itertools.combinations(labels, weight + 1)
+            for gen in [make_gen(prefix, left, right)[0]]]
+    return random.Random(seed).sample(sorted(pool, key=str), count)
+
+
+@pytest.mark.parametrize("weight", [3, 4])
+def test_coproduct_higher_matches_face_deletion_loop(weight):
+    gens = higher_gens(weight, range(1, weight + 5), ((), (20,), (21, 20)),
+                       400, weight)
+    prefixes = {gen.prefix for gen in gens}
+    assert prefixes == {(), (20,), (20, 21)}
+    overlapping = 0
+    for gen in gens:
+        new = coproduct_higher(gen)
+        assert_same_terms(new, old_coproduct_higher(gen))
+        assert not new.is_zero()
+        overlapping += bool(set(gen.left) & set(gen.right))
+    assert overlapping > 300
+
+
+def non_canonical_gens(weight, count, seed):
+    """Directly constructed generators: shuffled simplices and prefixes,
+    and copies with one label repeated inside a simplex or the prefix."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        labels = rng.sample(range(1, 3 * weight + 6), 2 * weight + 4)
+        prefix = tuple(labels[:rng.randrange(3)])
+        left = labels[2:weight + 3]
+        right = labels[weight + 3:2 * weight + 4]
+        if rng.random() < 0.5:  # overlapping simplices
+            right[rng.randrange(weight + 1)] = rng.choice(left)
+        rng.shuffle(left)
+        rng.shuffle(right)
+        out.append(AomotoGen(prefix[::-1], tuple(left), tuple(right)))
+        where = rng.choice(("left", "right", "prefix"))
+        l2, r2, p2 = list(left), list(right), [labels[0], labels[0]]
+        if where == "left":
+            l2[0] = l2[-1]
+        elif where == "right":
+            r2[-1] = r2[0]
+        out.append(AomotoGen(tuple(p2), tuple(l2), tuple(r2)))
+    return out
+
+
+@pytest.mark.parametrize("weight", [2, 3, 4])
+def test_coproduct_of_non_canonical_generators_matches_old_loops(weight):
+    live = coproduct_weight2 if weight == 2 else coproduct_higher
+    nonzero = canonical = 0
+    for gen in non_canonical_gens(weight, 60, 306 + weight):
+        canon, _ = make_gen(gen.prefix, gen.left, gen.right)
+        new = live(gen)
+        assert_same_terms(new, old_coproduct(gen))
+        if canon is None:
+            assert new.is_zero()
+        nonzero += not new.is_zero()
+        canonical += canon == gen
+    assert nonzero >= 40
+    assert canonical < 10
+
+
+@pytest.mark.parametrize("gen", [
+    AomotoGen((1,), (1, 2, 3), (4, 5, 6)),
+    AomotoGen((4,), (1, 2, 3), (4, 5, 6)),
+    AomotoGen((9, 5), (1, 2, 3, 4), (5, 6, 7, 8)),
+    AomotoGen((7,), (1, 2, 3, 4, 5), (6, 7, 8, 9, 10)),
+], ids=str)
+def test_coproduct_of_degenerate_generator_is_zero(gen):
+    """A simplex label in the prefix makes the generator zero, so its
+    coproduct and expansion vanish.  The old loops moved that label out of
+    a simplex and returned terms."""
+    assert make_gen(gen.prefix, gen.left, gen.right) == (None, 0)
+    assert coproduct(gen).is_zero()
+    assert expand_to_tensor(gen, gen.weight).is_zero()
+    assert not old_coproduct(gen).is_zero()
 
 
 def test_expansion_of_weight2_generators_matches_fraction_loop():

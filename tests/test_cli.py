@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from grasspoly import cli, elements
+from grasspoly import cli, elements, iterint
 from grasspoly.elements import build_element
 from grasspoly.iterint import PathSpec, iterate_element
 
@@ -265,7 +265,9 @@ def test_integrate_word_log(tmp_path):
                    "--path", path_file)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    assert sorted(payload.keys()) == ["error", "panels", "value"]
+    assert sorted(payload.keys()) == ["depth_exceeded", "error", "panels",
+                                      "value"]
+    assert payload["depth_exceeded"] is False
     assert abs(payload["value"][0] - math.log(3)) < 1e-12
     assert payload["value"][1] == 0.0
     assert payload["panels"] >= 1
@@ -302,6 +304,27 @@ def test_integrate_element_file_matches_library(tmp_path):
     expected = iterate_element(build_element(2).tensor, spec)
     got = complex(payload["value"][0], payload["value"][1])
     assert abs(got - expected.value) < 1e-12
+
+
+def test_integrate_reports_depth_exceeded(tmp_path, monkeypatch, capsys):
+    # with no subdivision allowed, one panel of d log z from z = 0.1
+    # cannot meet the tolerance; the value is still printed, flagged
+    monkeypatch.setattr(iterint, "MAX_DEPTH", 0)
+    word = json.dumps([[[1, "D[1]"]]])
+    word_path = write_path(tmp_path, PathSpec.line([[0.1]], [[3.0]]))
+    element_file = tmp_path / "element.json"
+    element_file.write_text(json.dumps(build_element(1).tensor.to_json_dict()),
+                            encoding="utf-8")
+    element_path = write_path(tmp_path, PathSpec.line([[0.1], [0.2]],
+                                                      [[3.0], [5.0]]),
+                              name="element_path.json")
+    for source in (["--word", word, "--path", word_path],
+                   ["--element", str(element_file), "--path", element_path]):
+        code = cli.main(["integrate", *source])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["depth_exceeded"] is True
+        assert payload["error"] > 1e-6
 
 
 def test_integrate_requires_exactly_one_source(tmp_path):
@@ -344,6 +367,18 @@ def test_integrate_budget_exit_code(tmp_path):
                    "--budget", "2", "--tol", "1e-14")
     assert proc.returncode == 4
     assert "budget error" in proc.stderr
+
+
+def test_mpmath_loads_only_when_a_dilogarithm_needs_it():
+    code = ("import sys, grasspoly.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "import grasspoly\n"
+            "grasspoly.li2(0.5)\n"
+            "print('mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

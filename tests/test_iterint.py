@@ -308,7 +308,8 @@ def test_element_contracts():
 def test_result_json_shape():
     r = iterate_word([W1], zline(1, 3))
     d = r.to_json_dict()
-    assert set(d) == {"value", "error", "panels"}
+    assert set(d) == {"value", "error", "panels", "depth_exceeded"}
+    assert d["depth_exceeded"] is False
     assert d["value"] == [r.value.real, r.value.imag]
     assert isinstance(r, IterIntResult)
 
