@@ -3,7 +3,8 @@ iterated integration, and function tables.
 
 Exit codes: 0 success, 1 verification failure or contract error, 2 path
 error (also used by argparse for usage errors), 3 pole proximity, 4 panel
-budget exhausted.  `element` and `verify` take degrees up to 4; a larger
+budget exhausted, 5 not converged (`integrate` printed a value flagged
+`depth_exceeded`).  `element` and `verify` take degrees up to 4; a larger
 --n is refused with exit code 1 before anything is built.
 
 All output is deterministic for a fixed command line: reports omit wall
@@ -191,7 +192,7 @@ def _cmd_integrate(args):
         word = _parse_word_spec(json.loads(args.word))
         res = iterate_word(word, path, tol=args.tol, budget=args.budget)
     _emit(res.to_json_dict(), args.out)
-    return 0
+    return 5 if res.depth_exceeded else 0
 
 
 # ---------------------------------------------------------------------------

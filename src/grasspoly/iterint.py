@@ -15,9 +15,11 @@ single sweep, sharing panels and letter evaluations; this is how elements
 with hundreds of terms stay cheap.  The sweep keeps one state per distinct
 prefix, not per word: the words form a prefix trie (the 720 words of the
 degree-3 element have 20, 180 and 720 distinct prefixes of length 1, 2 and
-3), and words with different initial values never share a node.  The
-letter values of a panel come from one batched determinant and one batched
-solve over all brackets at all nodes.
+3), and words with different initial values never share a node.  On a
+path segment every bracket is a polynomial P in the segment parameter; it
+is fitted once per segment as a Chebyshev series from one batched
+determinant, and the letters of every panel are P'/P of that fit at the
+nodes.
 
 Panels split adaptively by comparing a whole-panel sweep against two
 half-panel sweeps.  Acceptance is proportional to the interval, so the
@@ -33,12 +35,12 @@ Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
 malformed or discontinuous paths raise PathError.  A bracket whose phase
 jumps between adjacent nodes makes the panel split; the first such jump on
-a segment also runs an exact root check of every bracket on the segment
-(each bracket is a polynomial in the segment parameter), which raises
-PoleError at once when the path crosses a zero.  A zero that the path only
-grazes is left to the subdivision.  Evaluation is single-threaded and
-results are deterministic for fixed inputs; the GRASSPOLY_THREADS
-environment variable is accepted and ignored.
+a segment also runs a root check of every bracket on the segment (on the
+same fitted polynomials), which raises PoleError at once when the path
+crosses a zero.  A zero that the path only grazes is left to the
+subdivision.  Evaluation is single-threaded and results are deterministic
+for fixed inputs; the GRASSPOLY_THREADS environment variable is accepted
+and ignored.
 """
 
 import random
@@ -48,6 +50,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .configurations import Configuration
 from .errors import BudgetError, ContractViolation, PathError, PoleError
@@ -400,9 +403,9 @@ class _WordBatch:
     Letters: `symbols` are the distinct symbols in the order the letters
     first name them, and `coef` is the (symbols, letters) matrix with
     letter g = sum_j coef[j, g] d log symbols[j].  `brackets` holds the
-    0-based vector indices of the bracket symbols, (brackets, dim), and
-    `bracket_syms` their positions in `symbols`; a scalar symbol has zero
-    d log along a path.
+    0-based vector indices of the bracket symbols, (brackets, dim),
+    `bracket_syms` their positions in `symbols` and `bracket_coef` their
+    rows of `coef`; a scalar symbol has zero d log along a path.
 
     Prefixes: the sweep keeps one state per node of the prefix trie of
     the words.  Nodes are numbered level by level, the roots (empty
@@ -437,6 +440,7 @@ class _WordBatch:
         self.brackets = np.array(
             [[i - 1 for i in self.symbols[j][1]] for j in self.bracket_syms],
             dtype=int).reshape(len(self.bracket_syms), dim)
+        self.bracket_coef = self.coef[self.bracket_syms]
 
         start = np.zeros((len(words), max(map(len, words)) + 1),
                          dtype=complex)
@@ -473,68 +477,78 @@ class _WordBatch:
         self.word_nodes = np.array(columns, dtype=int).T
 
 
-def _configurations(seg, svals):
-    """Segment matrices at the given s positions, (points, count, dim),
-    and the powers of s used to form them."""
-    powers = svals[None, :] ** np.arange(seg.shape[0])[:, None]
-    return np.einsum("dcx,du->ucx", seg, powers), powers
+def _fit_brackets(seg, batch):
+    """Every bracket of the batch on one segment as a Chebyshev series in
+    x = 2s - 1, and its derivative in s: two (terms, brackets) arrays.
 
-
-def _letter_values(seg, svals, batch):
-    """Values of every letter at the given s positions: (nodes, letters).
-
-    One det and one solve cover every bracket at every node.  A bracket
-    whose modulus drops below POLE_THRESHOLD raises PoleError; one whose
-    value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
-    raises _PhaseJump.  Of several offending brackets the first in
-    `batch.symbols` is reported, and its modulus is checked before its
-    phase.
-    """
-    deg = seg.shape[0] - 1
-    m, powers = _configurations(seg, svals)
-    if deg >= 1:
-        dcoef = seg[1:] * np.arange(1, deg + 1)[:, None, None]
-        mp = np.einsum("dcx,du->ucx", dcoef, powers[:deg])
-    else:
-        mp = np.zeros_like(m)
-    values = np.zeros((len(svals), len(batch.symbols)), dtype=complex)
-    if batch.bracket_syms:
-        a = m[:, batch.brackets, :]
-        det = np.linalg.det(a)
-        small = np.abs(det).min(axis=0)
-        turns = np.abs(np.angle(det[1:] / det[:-1])).max(axis=0)
-        bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
-        if bad.any():
-            b = int(bad.argmax())
-            sym = batch.symbols[batch.bracket_syms[b]]
-            if small[b] < POLE_THRESHOLD:
-                raise PoleError(
-                    f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
-                    f"below {POLE_THRESHOLD:g} on the path")
-            raise _PhaseJump(sym, float(turns[b]))
-        values[:, batch.bracket_syms] = np.trace(
-            np.linalg.solve(a, mp[:, batch.brackets, :]), axis1=2, axis2=3)
-    return values @ batch.coef
-
-
-def _check_segment_roots(seg, batch, index):
-    """Raise PoleError when a bracket of the batch vanishes on the segment.
-
-    A bracket is a polynomial in s of degree at most dim * deg.  Its values
-    at that many plus one Chebyshev points fix its monomial coefficients
-    in x = 2s - 1; negligible leading coefficients are trimmed, and the
-    eigenvalues of the companion matrices are the roots.  The bracket
-    vanishes on the segment when its LU |det| at a root's projection onto
-    [0, 1] is below POLE_THRESHOLD.  A complex zero off the segment leaves
-    |det| there well above it, so a path that only grazes a zero passes.
+    A bracket is a polynomial in s of degree at most dim * deg, so its
+    values at that many plus one Chebyshev points, taken by one batched
+    det, fix the series.  (A monomial fit is ill-conditioned at degree 9
+    near a zero; the Chebyshev-Vandermonde matrix at Chebyshev points is
+    a scaled orthogonal one.)
     """
     top = seg.shape[2] * (seg.shape[0] - 1)
+    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
+    powers = (0.5 * (x + 1.0)) ** np.arange(seg.shape[0])[:, None]
+    m = np.einsum("dcx,du->ucx", seg, powers)
+    series = np.linalg.solve(chebyshev.chebvander(x, top),
+                             np.linalg.det(m[:, batch.brackets, :]))
+    return series, chebyshev.chebder(series, scl=2.0)
+
+
+def _letter_values(fit, svals, batch):
+    """Values of every letter at the given s positions: (nodes, letters).
+
+    `fit` is the segment's `_fit_brackets`; the d log of a bracket P is
+    P'/P, both read off the series at the nodes.  A bracket whose modulus
+    drops below POLE_THRESHOLD raises PoleError; one whose value turns by
+    more than PHASE_JUMP_LIMIT between adjacent nodes raises _PhaseJump.
+    Of several offending brackets the first in `batch.symbols` is
+    reported, and its modulus is checked before its phase.
+    """
+    series, slopes = fit
+    vander = chebyshev.chebvander(2.0 * svals - 1.0, len(series) - 1)
+    vals = vander @ series
+    small = np.abs(vals).min(axis=0)
+    turns = np.abs(np.angle(vals[1:] / vals[:-1])).max(axis=0)
+    bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+    if bad.any():
+        b = int(bad.argmax())
+        sym = batch.symbols[batch.bracket_syms[b]]
+        if small[b] < POLE_THRESHOLD:
+            raise PoleError(
+                f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
+                f"below {POLE_THRESHOLD:g} on the path")
+        raise _PhaseJump(sym, float(turns[b]))
+    return (vander[:, :len(slopes)] @ slopes / vals) @ batch.bracket_coef
+
+
+def _monomials(top):
+    """(top+1, top+1) matrix taking Chebyshev coefficients to monomial
+    ones: column j holds T_j, from T_j = 2x T_(j-1) - T_(j-2)."""
+    out = np.eye(top + 1)
+    for j in range(2, top + 1):
+        out[:, j] = -out[:, j - 2]
+        out[1:, j] += 2.0 * out[:-1, j - 1]
+    return out
+
+
+def _check_segment_roots(fit, batch, index):
+    """Raise PoleError when a bracket of the batch vanishes on the segment.
+
+    The segment's fitted series (`_fit_brackets`) give each bracket's
+    monomial coefficients in x = 2s - 1; negligible leading coefficients
+    are trimmed, and the eigenvalues of the companion matrices are the
+    roots.  The bracket vanishes on the segment when its series has
+    modulus below POLE_THRESHOLD at a root's projection onto [0, 1].  A
+    complex zero off the segment leaves the modulus there well above it,
+    so a path that only grazes a zero passes.
+    """
+    series = fit[0]
+    top = len(series) - 1
     if not batch.bracket_syms or top == 0:
         return
-    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
-    m, _ = _configurations(seg, 0.5 * (x + 1.0))
-    dets = np.linalg.det(m[:, batch.brackets, :])
-    coef = np.linalg.solve(np.vander(x, increasing=True), dets).T
+    coef = (_monomials(top) @ series).T
     mag = np.abs(coef)
     keep = mag > _ROOT_TRIM * mag.max(axis=1, keepdims=True)
     degree = top - np.argmax(keep[:, ::-1], axis=1)
@@ -549,12 +563,9 @@ def _check_segment_roots(seg, batch, index):
     companion = np.zeros((len(live), top, top), dtype=complex)
     companion[:, 1:, :-1] = np.eye(top - 1)
     companion[:, :, -1] = -padded[live, :top] / padded[live, top, None]
-    s = np.clip(0.5 * (np.linalg.eigvals(companion).real + 1.0), 0.0, 1.0)
-    m, _ = _configurations(seg, s.ravel())
-    m = m.reshape(len(live), top, *m.shape[1:])
-    a = m[np.arange(len(live))[:, None, None], np.arange(top)[None, :, None],
-          batch.brackets[live][:, None, :]]
-    mod = np.abs(np.linalg.det(a))
+    x = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
+    mod = np.abs(np.einsum("lrk,kl->lr", chebyshev.chebvander(x, top),
+                           series[:, live]))
     hit = (mod < POLE_THRESHOLD).any(axis=1)
     if hit.any():
         b = int(hit.argmax())
@@ -562,8 +573,8 @@ def _check_segment_roots(seg, batch, index):
         sym = batch.symbols[batch.bracket_syms[live[b]]]
         raise PoleError(
             f"bracket {symbol_to_str(sym)} modulus {mod[b, r]:.3e} below "
-            f"{POLE_THRESHOLD:g} at s = {s[b, r]:.6f} of path segment "
-            f"{index}; the path crosses a zero of the bracket")
+            f"{POLE_THRESHOLD:g} at s = {0.5 * (x[b, r] + 1.0):.6f} of path "
+            f"segment {index}; the path crosses a zero of the bracket")
 
 
 class _Engine:
@@ -578,7 +589,7 @@ class _Engine:
         self.segment = 0
         self.roots_checked = False
 
-    def _panel(self, seg, sa, sb, f_a, lv=None):
+    def _panel(self, fit, sa, sb, f_a, lv=None):
         """One sweep over [sa, sb] from the node states f_a: returns the
         node states at sb and the letter values used, which lv supplies
         when the caller already has them.  Every sweep counts as a panel
@@ -590,7 +601,7 @@ class _Engine:
                 "too close to a pole or the tolerance is too tight")
         hh = 0.5 * (sb - sa)
         if lv is None:
-            lv = _letter_values(seg, 0.5 * (sa + sb) + hh * _NODES,
+            lv = _letter_values(fit, 0.5 * (sa + sb) + hh * _NODES,
                                 self.batch)
         levels = self.batch.levels
         f_b = f_a.copy()
@@ -603,7 +614,7 @@ class _Engine:
             f_b[nodes] = f_a[nodes] + hh * (g @ _WEIGHTS)
         return f_b, lv
 
-    def _advance(self, seg, sa, sb, f_a, depth, whole=None, lv=None):
+    def _advance(self, fit, sa, sb, f_a, depth, whole=None, lv=None):
         """Integrate [sa, sb] from f_a, comparing the whole panel with its
         two halves and splitting until they agree.  A split hands the left
         half down as the left child's whole panel (same interval, same
@@ -613,9 +624,9 @@ class _Engine:
         left = None
         try:
             if whole is None:
-                whole, _ = self._panel(seg, sa, sb, f_a, lv)
-            left, _ = self._panel(seg, sa, mid, f_a)
-            halves, lv_right = self._panel(seg, mid, sb, left)
+                whole, _ = self._panel(fit, sa, sb, f_a, lv)
+            left, _ = self._panel(fit, sa, mid, f_a)
+            halves, lv_right = self._panel(fit, mid, sb, left)
         except _PhaseJump as exc:
             if depth >= MAX_DEPTH:
                 raise PoleError(
@@ -625,9 +636,9 @@ class _Engine:
                     f"zero of the bracket") from None
             if not self.roots_checked:
                 self.roots_checked = True
-                _check_segment_roots(seg, self.batch, self.segment)
-            f_mid = self._advance(seg, sa, mid, f_a, depth + 1, whole=left)
-            return self._advance(seg, mid, sb, f_mid, depth + 1)
+                _check_segment_roots(fit, self.batch, self.segment)
+            f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
+            return self._advance(fit, mid, sb, f_mid, depth + 1)
         diff = np.abs(whole - halves)
         scale = max(1.0, float(np.abs(halves).max()))
         limit = max(self.tol * (sb - sa), _ROUNDING_FLOOR) * scale
@@ -637,15 +648,18 @@ class _Engine:
                 self.depth_exceeded = True
             self.err += diff[self.batch.word_nodes].max(axis=1)
             return halves
-        f_mid = self._advance(seg, sa, mid, f_a, depth + 1, whole=left)
-        return self._advance(seg, mid, sb, f_mid, depth + 1, lv=lv_right)
+        f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
+        return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lv_right)
 
     def run(self):
+        """Sweep the whole path; returns every word's end value.  Each
+        segment's brackets are fitted once and the fit serves all its
+        panels."""
         f = self.batch.f0
         for index, seg in enumerate(self.path.segments):
             self.segment, self.roots_checked = index, False
-            f = self._advance(seg, 0.0, 1.0, f, 0)
-        return f
+            f = self._advance(_fit_brackets(seg, self.batch), 0.0, 1.0, f, 0)
+        return f[self.batch.word_nodes[:, -1]]
 
 
 def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -657,13 +671,12 @@ def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """
     if not isinstance(path, PathSpec):
         raise PathError("iterate_words needs a PathSpec")
-    batch = _WordBatch(words, path.dim, path.count, initial)
-    engine = _Engine(batch, path, tol, budget)
-    f_end = engine.run()
-    return [IterIntResult(value=complex(f_end[node]), error=float(err),
+    engine = _Engine(_WordBatch(words, path.dim, path.count, initial), path,
+                     tol, budget)
+    return [IterIntResult(value=complex(value), error=float(err),
                           panels=engine.panels,
                           depth_exceeded=engine.depth_exceeded)
-            for node, err in zip(batch.word_nodes[:, -1], engine.err)]
+            for value, err in zip(engine.run(), engine.err)]
 
 
 def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -677,33 +690,37 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
                          initial=init)[0]
 
 
-def _element_words(t):
-    """An element's terms as (coefficients, words), both tuples."""
+def _element_terms(t, dim, count):
+    """An element's terms as (coefficient array, prepared batch of their
+    words) for paths of `count` vectors in dimension `dim`."""
     if not isinstance(t, MultTensor):
         raise ContractViolation("expected a MultTensor element")
     if t.is_zero():
         raise ContractViolation("cannot integrate the zero element")
     terms = t.items_sorted()
-    return (tuple(complex(coeff) for _, coeff in terms),
-            tuple(tuple(((1, sym),) for sym in slots) for slots, _ in terms))
+    return (np.array([complex(coeff) for _, coeff in terms]),
+            _WordBatch([tuple(((1, sym),) for sym in slots)
+                        for slots, _ in terms], dim, count))
 
 
-def _iterate_terms(coeffs, words, path, tol, budget):
-    """The coefficient-weighted sum of the words' integrals, one sweep."""
-    results = iterate_words(words, path, tol=tol, budget=budget)
-    value = sum(c * r.value for c, r in zip(coeffs, results))
-    error = sum(abs(c) * r.error for c, r in zip(coeffs, results))
-    return IterIntResult(value=complex(value), error=float(error),
-                         panels=results[0].panels,
-                         depth_exceeded=any(r.depth_exceeded
-                                            for r in results))
+def _iterate_terms(coeffs, batch, path, tol, budget):
+    """The coefficient-weighted sum of the batch's word integrals, one
+    sweep: sum c * value, with error sum |c| * error."""
+    engine = _Engine(batch, path, tol, budget)
+    value = coeffs @ engine.run()
+    return IterIntResult(value=complex(value),
+                         error=float(np.abs(coeffs) @ engine.err),
+                         panels=engine.panels,
+                         depth_exceeded=engine.depth_exceeded)
 
 
 def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
     """Iterated integral of a tensor element: the coefficient-weighted sum
     of its term words, all sharing one quadrature sweep."""
-    coeffs, words = _element_words(t)
-    return _iterate_terms(coeffs, words, path, tol, budget)
+    if not isinstance(path, PathSpec):
+        raise PathError("iterate_element needs a PathSpec")
+    coeffs, batch = _element_terms(t, path.dim, path.count)
+    return _iterate_terms(coeffs, batch, path, tol, budget)
 
 
 def _integrate_any(obj, path, tol, budget):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
-from .iterint import (DEFAULT_BUDGET, PathSpec, _element_words, _iterate_terms,
+from .iterint import (DEFAULT_BUDGET, PathSpec, _element_terms, _iterate_terms,
                       dlog_letter, iterate_word)
 from .tensors import MultTensor
 
@@ -336,10 +336,11 @@ def aomoto_a1(l1, l2, m1, m2, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
 
 @functools.lru_cache(maxsize=2)
 def _window_terms(n):
-    """The degree-n window element as (coefficients, words), built once."""
+    """The degree-n window element as (coefficients, prepared word batch
+    for paths of 2n vectors in dimension n), built once."""
     from .elements import build_element
 
-    return _element_words(build_element(n).tensor)
+    return _element_terms(build_element(n).tensor, n, 2 * n)
 
 
 def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -348,8 +349,8 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
     2n-vector configurations: the general-n period as a function of the
     path.  Homotopy invariance (within the pole-free region) follows from
     the integrability of the element.  The default element of each degree
-    is built on the first call and kept; an `element` override is used as
-    given.
+    and its prepared word batch are built on the first call and kept; an
+    `element` override is used as given and prepared on every call.
     """
     n = int(n)
     if n not in (2, 3):
@@ -361,11 +362,11 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
             f"need a path of {2*n} vectors in dimension {n}, got "
             f"count={path.count}, dim={path.dim}")
     if element is None:
-        coeffs, words = _window_terms(n)
+        coeffs, batch = _window_terms(n)
     elif isinstance(element, MultTensor):
-        coeffs, words = _element_words(element)
+        coeffs, batch = _element_terms(element, n, 2 * n)
     else:
         raise ContractViolation("element override must be a MultTensor")
-    res = _iterate_terms(coeffs, words, path, tol, budget)
+    res = _iterate_terms(coeffs, batch, path, tol, budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)

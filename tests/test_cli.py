@@ -308,7 +308,8 @@ def test_integrate_element_file_matches_library(tmp_path):
 
 def test_integrate_reports_depth_exceeded(tmp_path, monkeypatch, capsys):
     # with no subdivision allowed, one panel of d log z from z = 0.1
-    # cannot meet the tolerance; the value is still printed, flagged
+    # cannot meet the tolerance; the value is still printed, flagged, and
+    # the exit code says it did not converge
     monkeypatch.setattr(iterint, "MAX_DEPTH", 0)
     word = json.dumps([[[1, "D[1]"]]])
     word_path = write_path(tmp_path, PathSpec.line([[0.1]], [[3.0]]))
@@ -322,7 +323,7 @@ def test_integrate_reports_depth_exceeded(tmp_path, monkeypatch, capsys):
                    ["--element", str(element_file), "--path", element_path]):
         code = cli.main(["integrate", *source])
         payload = json.loads(capsys.readouterr().out)
-        assert code == 0
+        assert code == 5
         assert payload["depth_exceeded"] is True
         assert payload["error"] > 1e-6
 

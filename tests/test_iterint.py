@@ -11,6 +11,8 @@ import json
 import math
 import os
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -18,13 +20,15 @@ import pytest
 
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
-from grasspoly.iterint import (IterIntResult, PathSpec, _WordBatch,
-                               dlog_letter,
-                               homotopy_test, iterate_element, iterate_word,
-                               iterate_words, monodromy_probe,
+from grasspoly.iterint import (_NODES, PHASE_JUMP_LIMIT, POLE_THRESHOLD,
+                               IterIntResult, PathSpec, _fit_brackets,
+                               _letter_values, _PhaseJump, _WordBatch,
+                               dlog_letter, homotopy_test, iterate_element,
+                               iterate_word, iterate_words, monodromy_probe,
                                normalize_letter, normalize_word,
                                shuffle_test, shuffles)
-from grasspoly.tensors import MultTensor, bracket_symbol, scalar_symbol
+from grasspoly.tensors import (MultTensor, bracket_symbol, scalar_symbol,
+                               symbol_to_str)
 
 W1 = dlog_letter((1,))
 W2 = dlog_letter((2,))
@@ -348,6 +352,170 @@ def test_words_with_different_initial_rows_never_merge():
         assert abs(r.value - want) < 1e-12
         alone = iterate_word(word, zline(1, 2), initial=row)
         assert abs(r.value - alone.value) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# letters from the fitted bracket series against det/solve letters
+#
+# _configurations and _det_solve_letter_values are the engine's former
+# letter evaluation (a det, a solve and a trace on every panel), kept
+# verbatim as the oracle.
+
+
+def _configurations(seg, svals):
+    """Segment matrices at the given s positions, (points, count, dim),
+    and the powers of s used to form them."""
+    powers = svals[None, :] ** np.arange(seg.shape[0])[:, None]
+    return np.einsum("dcx,du->ucx", seg, powers), powers
+
+
+def _det_solve_letter_values(seg, svals, batch):
+    """Values of every letter at the given s positions: (nodes, letters).
+
+    One det and one solve cover every bracket at every node.  A bracket
+    whose modulus drops below POLE_THRESHOLD raises PoleError; one whose
+    value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
+    raises _PhaseJump.  Of several offending brackets the first in
+    `batch.symbols` is reported, and its modulus is checked before its
+    phase.
+    """
+    deg = seg.shape[0] - 1
+    m, powers = _configurations(seg, svals)
+    if deg >= 1:
+        dcoef = seg[1:] * np.arange(1, deg + 1)[:, None, None]
+        mp = np.einsum("dcx,du->ucx", dcoef, powers[:deg])
+    else:
+        mp = np.zeros_like(m)
+    values = np.zeros((len(svals), len(batch.symbols)), dtype=complex)
+    if batch.bracket_syms:
+        a = m[:, batch.brackets, :]
+        det = np.linalg.det(a)
+        small = np.abs(det).min(axis=0)
+        turns = np.abs(np.angle(det[1:] / det[:-1])).max(axis=0)
+        bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+        if bad.any():
+            b = int(bad.argmax())
+            sym = batch.symbols[batch.bracket_syms[b]]
+            if small[b] < POLE_THRESHOLD:
+                raise PoleError(
+                    f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
+                    f"below {POLE_THRESHOLD:g} on the path")
+            raise _PhaseJump(sym, float(turns[b]))
+        values[:, batch.bracket_syms] = np.trace(
+            np.linalg.solve(a, mp[:, batch.brackets, :]), axis1=2, axis2=3)
+    return values @ batch.coef
+
+
+def _panel_nodes(sa, sb):
+    return 0.5 * (sa + sb) + 0.5 * (sb - sa) * _NODES
+
+
+def _letter_batch(dim, count):
+    """One-letter words over every bracket of `count` vectors in dimension
+    `dim`: each bracket alone, multi-part letters with int, Fraction and
+    complex coefficients, a scalar letter and a bracket-and-scalar
+    letter."""
+    brackets = [bracket_symbol(c)[0]
+                for c in combinations(range(1, count + 1), dim)]
+    a, b, c = brackets[0], brackets[1], brackets[-1]
+    t = scalar_symbol("t")
+    letters = [((1, sym),) for sym in brackets] + [
+        ((2, a), (-1, b)),
+        ((Fraction(1, 3), b), (Fraction(-5, 2), c)),
+        ((0.5 - 1.5j, a), (2j, c), (-3, b)),
+        ((1, t),),
+        ((4, c), (Fraction(7, 2), t)),
+    ]
+    return _WordBatch([(letter,) for letter in letters], dim, count)
+
+
+def _outcome(letters, *args):
+    try:
+        return letters(*args)
+    except _PhaseJump as exc:
+        return exc.sym
+
+
+def _assert_letters_match(seg, svals, batch):
+    """The series letters agree with the det/solve letters to 1e-12 of
+    each letter's size, or both refuse the panel for the same bracket."""
+    old = _outcome(_det_solve_letter_values, seg, svals, batch)
+    new = _outcome(_letter_values, _fit_brackets(seg, batch), svals, batch)
+    if isinstance(old, tuple):
+        assert new == old
+        return None
+    scale = np.abs(old).max(axis=0)
+    assert np.all(np.abs(new - old) <= 1e-12 * scale)
+    return old
+
+
+def test_series_letters_match_det_solve_letters():
+    rng = np.random.default_rng(20260)
+    compared = 0
+    for dim in (1, 2, 3):
+        count = dim + 2
+        batch = _letter_batch(dim, count)
+        for deg in (0, 1, 2, 3):
+            for _ in range(4):
+                seg = (rng.standard_normal((deg + 1, count, dim))
+                       + 1j * rng.standard_normal((deg + 1, count, dim)))
+                sa = rng.uniform(0.0, 0.9)
+                sb = sa + rng.uniform(0.01, 0.1)
+                old = _assert_letters_match(seg, _panel_nodes(sa, sb), batch)
+                if old is not None:
+                    compared += 1
+                    if deg == 0:
+                        assert not old.any()
+    assert compared >= 40
+
+
+def test_series_letters_match_near_a_bracket_zero():
+    # D[1,2,3] of a random degree-3 path in dimension 3 is moved to vanish
+    # at the complex s0 = 0.37 + 1e-3 i; panels ending short of Re s0 put
+    # their last nodes within a few thousandths of the zero, the last one
+    # within 2e-3
+    rng = np.random.default_rng(7)
+    dim, count = 3, 5
+    batch = _letter_batch(dim, count)
+    seg = (rng.standard_normal((4, count, dim))
+           + 1j * rng.standard_normal((4, count, dim)))
+    s0 = 0.37 + 1e-3j
+    at = np.einsum("dcx,d->cx", seg, s0 ** np.arange(4))
+    seg[0, 0] += 0.3 * at[1] - 0.8 * at[2] - at[0]
+    for sb in (0.36, 0.368, 0.3695):
+        svals = _panel_nodes(0.3, sb)
+        old = _assert_letters_match(seg, svals, batch)
+        assert old is not None
+    assert np.abs(svals - s0).min() < 2e-3
+    assert np.abs(old[:, 0]).max() > 500
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_series_letters_report_the_same_offender():
+    # vectors (1, 0), (0, 1), (1, 0), (2s - 1 + 0.01i, 1): D[1,3] is zero
+    # everywhere, and D[2,4] = -(2s - 1 + 0.01i) turns by nearly pi
+    # between the nodes next to s = 1/2
+    seg = np.array([[[1, 0], [0, 1], [1, 0], [-1 + 0.01j, 1]],
+                    [[0, 0], [0, 0], [0, 0], [2, 0]]], dtype=complex)
+    svals = _panel_nodes(0.0, 1.0)
+    pole, jump = (bracket_symbol(b)[0] for b in ((1, 3), (2, 4)))
+    for first, second in ((pole, jump), (jump, pole)):
+        batch = _WordBatch([(((1, first),),), (((1, second),),)], 2, 4)
+        fit = _fit_brackets(seg, batch)
+        if first == pole:
+            with pytest.raises(PoleError) as old:
+                _det_solve_letter_values(seg, svals, batch)
+            with pytest.raises(PoleError) as new:
+                _letter_values(fit, svals, batch)
+            assert str(new.value) == str(old.value)
+            assert str(new.value).startswith("bracket D[1,3] modulus 0.000e+00")
+        else:
+            with pytest.raises(_PhaseJump) as old:
+                _det_solve_letter_values(seg, svals, batch)
+            with pytest.raises(_PhaseJump) as new:
+                _letter_values(fit, svals, batch)
+            assert new.value.sym == old.value.sym == jump
+            assert new.value.jump == pytest.approx(old.value.jump, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

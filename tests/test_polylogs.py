@@ -366,3 +366,26 @@ def test_grassmannian_tate_matches_recorded_values(n, points, recorded,
 
     override = grassmannian_tate(n, path, element=2 * build_element(n).tensor)
     assert override.value == 2 * first.value
+
+
+def test_grassmannian_tate_prepares_the_default_batch_once(monkeypatch):
+    from grasspoly import iterint
+    from grasspoly.elements import build_element
+
+    path = detour(*TATE_DETOURS[1][1])
+    first = grassmannian_tate(3, path)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the cached element's word batch was rebuilt")
+
+    monkeypatch.setattr(iterint, "_WordBatch", rebuilt)
+    again = grassmannian_tate(3, path)
+    assert (again.value, again.error, again.panels) == (
+        first.value, first.error, first.panels)
+    # an element override prepares its own batch
+    with pytest.raises(AssertionError, match="rebuilt"):
+        grassmannian_tate(3, path, element=build_element(3).tensor)
+    monkeypatch.undo()
+    override = grassmannian_tate(3, path, element=build_element(3).tensor)
+    assert (override.value, override.error, override.panels) == (
+        first.value, first.error, first.panels)
