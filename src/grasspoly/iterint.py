@@ -12,12 +12,18 @@ each panel the letter values at the Gauss nodes are combined with a
 spectral prefix-antiderivative matrix, so one lower-triangular sweep per
 panel yields every F_k at every node.  Many words are integrated in a
 single sweep, sharing panels and letter evaluations; this is how elements
-with hundreds of terms stay cheap.  The sweep keeps one state per distinct
-prefix, not per word: the words form a prefix trie (the 720 words of the
-degree-3 element have 20, 180 and 720 distinct prefixes of length 1, 2 and
-3), and words with different initial values never share a node.  On a
-path segment every bracket is a polynomial P in the segment parameter; it
-is fitted once per segment as a Chebyshev series from one batched
+with hundreds of terms stay cheap.  Words integrated for their own values
+(`iterate_words`) keep one state per distinct prefix, not per word: the
+words form a prefix trie (the 720 words of the degree-3 element have 20,
+180 and 720 distinct prefixes of length 1, 2 and 3), and words with
+different initial values never share a node.  An element, whose words
+are wanted only in the sum sum_w c_w It(w) (`iterate_element`), is swept
+as the minimal weighted automaton of its words: prefixes whose weighted
+suffixes are proportional share one state, and the full words end in a
+single state, the element's value (20 and 90 states at levels 1 and 2
+for the degree-3 element, 70, 1120 and 1260 for degree 4).  On a path
+segment every bracket is a polynomial P in the segment parameter; it is
+fitted once per segment as a Chebyshev series from one batched
 determinant, and the letters of every panel are P'/P of that fit at the
 nodes.
 
@@ -29,7 +35,11 @@ panels could not meet in double precision.  A split reuses what is
 already known: the left half becomes the left child's whole panel, and the
 right half's letter values serve the right child's whole panel.  The
 `panels` count of a result is the number of sweeps evaluated, and the
-budget limits the same count.
+budget limits the same count.  The acceptance test reads every state of
+the sweep: trie nodes for words, automaton states and the value for an
+element.  A word's reported error sums, over the accepted panels, the
+largest |whole - halves| among its prefix nodes; an element's sums its
+own value's |whole - halves|.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
@@ -54,7 +64,8 @@ from numpy.polynomial import chebyshev
 
 from .configurations import Configuration
 from .errors import BudgetError, ContractViolation, PathError, PoleError
-from .tensors import BRACKET, SCALAR, MultTensor, symbol_to_str
+from .tensors import (BRACKET, SCALAR, MultTensor, symbol_sort_key,
+                      symbol_to_str)
 
 GAUSS_ORDER = 16
 POLE_THRESHOLD = 1e-8
@@ -102,6 +113,9 @@ def _prefix_matrices():
 
 
 _NODES, _WEIGHTS, _QMAT = _prefix_matrices()
+# g @ _PREFIX_AND_END gives a panel's prefix values at the nodes and at
+# its end in one product
+_PREFIX_AND_END = np.hstack([_QMAT.T, _WEIGHTS[:, None]])
 
 
 # ---------------------------------------------------------------------------
@@ -397,39 +411,23 @@ def _check_bracket(sym, dim, count):
             f"path's {count} vectors")
 
 
-class _WordBatch:
-    """The words of one sweep, prepared once for all its panels.
+class _LetterTable:
+    """The letters of one sweep, prepared once for all its panels.
 
-    Letters: `symbols` are the distinct symbols in the order the letters
-    first name them, and `coef` is the (symbols, letters) matrix with
-    letter g = sum_j coef[j, g] d log symbols[j].  `brackets` holds the
-    0-based vector indices of the bracket symbols, (brackets, dim),
-    `bracket_syms` their positions in `symbols` and `bracket_coef` their
-    rows of `coef`; a scalar symbol has zero d log along a path.
-
-    Prefixes: the sweep keeps one state per node of the prefix trie of
-    the words.  Nodes are numbered level by level, the roots (empty
-    prefixes) first, and `f0` holds their start values.  `levels[k-1]` is
-    (slice of the level-k nodes, index of each one's parent among the
-    level-(k-1) nodes, its letter column).  Words share a node while they
-    agree in their letters and in their initial values, so words whose
-    initial rows differ never merge.  `word_nodes[i, k]` is the node of
-    the first k letters of word i; past the word's length it repeats the
-    word's last node, so the last column holds every word's full node.
+    `symbols` are the distinct symbols in the order the letters first name
+    them, and `coef` is the (symbols, letters) matrix with letter
+    g = sum_j coef[j, g] d log symbols[j].  `brackets` holds the 0-based
+    vector indices of the bracket symbols, (brackets, dim), `bracket_syms`
+    their positions in `symbols` and `bracket_coef` their rows of `coef`;
+    a scalar symbol has zero d log along a path.
     """
 
-    def __init__(self, words, dim, count, initial=None):
-        if not words:
-            raise ContractViolation("no words to integrate")
-        words = [normalize_word(w) for w in words]
-        letter_cols = {}
-        rows = [[letter_cols.setdefault(l, len(letter_cols)) for l in w]
-                for w in words]
+    def __init__(self, letters, dim, count):
         sym_rows = {}
         parts = [(sym_rows.setdefault(sym, len(sym_rows)), g, complex(c))
-                 for g, letter in enumerate(letter_cols) for c, sym in letter]
+                 for g, letter in enumerate(letters) for c, sym in letter]
         self.symbols = list(sym_rows)
-        self.coef = np.zeros((len(self.symbols), len(letter_cols)),
+        self.coef = np.zeros((len(self.symbols), len(letters)),
                              dtype=complex)
         for j, g, c in parts:
             self.coef[j, g] += c
@@ -441,6 +439,30 @@ class _WordBatch:
             [[i - 1 for i in self.symbols[j][1]] for j in self.bracket_syms],
             dtype=int).reshape(len(self.bracket_syms), dim)
         self.bracket_coef = self.coef[self.bracket_syms]
+
+
+class _WordBatch:
+    """The words of one sweep as a prefix trie: one state per prefix.
+
+    Nodes are numbered level by level, the roots (empty prefixes) first,
+    and `f0` holds their start values.  `levels[k-1]` is (slice of the
+    level-k nodes, index of each one's parent among the level-(k-1)
+    nodes, its letter column in `letters`).  Words share a node
+    while they agree in their letters and in their initial values, so
+    words whose initial rows differ never merge.  `word_nodes[i, k]` is
+    the node of the first k letters of word i; past the word's length it
+    repeats the word's last node, so the last column holds every word's
+    full node.
+    """
+
+    def __init__(self, words, dim, count, initial=None):
+        if not words:
+            raise ContractViolation("no words to integrate")
+        words = [normalize_word(w) for w in words]
+        letter_cols = {}
+        rows = [[letter_cols.setdefault(l, len(letter_cols)) for l in w]
+                for w in words]
+        self.letters = _LetterTable(list(letter_cols), dim, count)
 
         start = np.zeros((len(words), max(map(len, words)) + 1),
                          dtype=complex)
@@ -476,10 +498,185 @@ class _WordBatch:
         self.f0 = np.array(values, dtype=complex)
         self.word_nodes = np.array(columns, dtype=int).T
 
+    def sweep(self, lv, f_a, hh):
+        """The node states at the end of a panel from those at its start
+        f_a, given the letter values at its nodes and its half width."""
+        f_b = f_a.copy()
+        roots = self.levels[0][0].start
+        prev = np.broadcast_to(f_a[:roots, None], (roots, GAUSS_ORDER))
+        for k, (nodes, parent, col) in enumerate(self.levels, start=1):
+            g = lv[:, col].T * prev[parent]
+            if k < len(self.levels):
+                prev = f_a[nodes, None] + hh * (g @ _QMAT.T)
+            f_b[nodes] = f_a[nodes] + hh * (g @ _WEIGHTS)
+        return f_b
 
-def _fit_brackets(seg, batch):
-    """Every bracket of the batch on one segment as a Chebyshev series in
-    x = 2s - 1, and its derivative in s: two (terms, brackets) arrays.
+    def errors(self, diff):
+        """Each word's share of a panel's |whole - halves|: the largest
+        over its prefix nodes."""
+        return diff[self.word_nodes].max(axis=1)
+
+    def ends(self, f):
+        """Each word's value from the node states."""
+        return f[self.word_nodes[:, -1]]
+
+
+def _ratio(w, lead):
+    """w / lead exactly: an int when it divides, else a Fraction."""
+    if type(w) is int and type(lead) is int and w % lead == 0:
+        return w // lead
+    q = Fraction(w) / Fraction(lead)
+    return q.numerator if q.denominator == 1 else q
+
+
+class _Automaton:
+    """The minimal weighted automaton of an element's words, for a sweep
+    that yields only the element's value sum_w c_w It(w).
+
+    Read a word letter by letter from the left (the innermost letter
+    first).  A prefix p has the suffix function S_p(s) = c_(ps), and the
+    element is the suffix function of the empty prefix.  Prefixes whose
+    suffix functions are proportional share a state: the state holds one
+    representative S_q, and each of its prefixes has S_p = lam_p S_q.
+    The integral of ps is linear in the prefix integral F_p, so the sweep
+    carries G_q = sum_p lam_p F_p per state, and the states of a level
+    follow from the previous level's through weighted edges:
+    G_r' = sum over edges (q, a, w) into r of w G_q L_a, with G = 1 at
+    the root.  The last letter ends every word, so the level of full
+    words is a single state E with E' = sum_q G_q (L @ final)[q], where
+    the (letters, last-level states) matrix `final` holds the combined
+    last letter of each state.  The element's value is scale * E(1).
+
+    The automaton is computed exactly, with int and Fraction arithmetic,
+    from the longest prefixes down.  A prefix's edges (letter, next state,
+    weight) are divided by the weight of its first letter, and prefixes
+    with equal normalised edges are one state, with that first weight as
+    their lam.  Every prefix has one edge per letter, so a state keeps one
+    weight per (letter, next state).  States are numbered as their first
+    prefix appears in sorted order, so the automaton depends on the
+    element alone.  The 720 words of the degree-3 element need 20 and 90
+    states at levels 1 and 2 and 360 entries of `final` (the prefix trie
+    has 20, 180 and 720 nodes); the 40320 words of degree 4 need 70, 1120
+    and 1260 states and 5040 entries.
+
+    The sweep's states are the root, then level by level, then E.
+    `levels[k-1]` takes level k - 1 to level k: (slice of the level-k
+    states, letter and weight of each of the level's distinct (letter,
+    weight) pairs, slots).  Slot j holds the j-th incoming edge of every
+    state with more than j of them, as (number of such states, source
+    state of each edge, its pair); the states of a level are numbered by
+    falling in-degree (then as above), so each slot covers a leading run
+    of them.
+    """
+
+    def __init__(self, t, dim, count):
+        if not isinstance(t, MultTensor):
+            raise ContractViolation("expected a MultTensor element")
+        if t.is_zero():
+            raise ContractViolation("cannot integrate the zero element")
+        symbols = sorted({sym for slots in t.terms for sym in slots},
+                         key=symbol_sort_key)
+        column = {sym: a for a, sym in enumerate(symbols)}
+        self.letters = _LetterTable([((1, sym),) for sym in symbols], dim,
+                                    count)
+        # (state, lam) of every prefix, from the full words (all in the
+        # state E, lam = coefficient) down to the empty prefix; keys[k]
+        # lists the normalised edges of the states of prefix length k
+        classes = {tuple(map(column.__getitem__, slots)): (0, c)
+                   for slots, c in t.terms.items()}
+        keys = []
+        for _ in range(t.arity):
+            edges = {}
+            for word, (state, lam) in classes.items():
+                edges.setdefault(word[:-1], []).append(
+                    (word[-1], state, lam))
+            states = {}
+            classes = {}
+            for prefix in sorted(edges):
+                out = sorted(edges[prefix])
+                lead = out[0][2]
+                key = tuple((a, r, _ratio(w, lead)) for a, r, w in out)
+                classes[prefix] = (states.setdefault(key, len(states)), lead)
+            keys.insert(0, list(states))
+        self.scale = complex(classes[()][1])
+
+        self.levels = []
+        order = [0]  # sweep position of each state of the previous level
+        base = 1
+        for k in range(1, t.arity):
+            incoming = [[] for _ in keys[k]]
+            for q, key in enumerate(keys[k - 1]):
+                for a, r, w in key:
+                    incoming[r].append((order[q], a, w))
+            by_degree = sorted(range(len(incoming)),
+                               key=lambda r: -len(incoming[r]))
+            order = [0] * len(incoming)
+            for pos, r in enumerate(by_degree):
+                order[r] = pos
+            edges_in = [sorted(incoming[r]) for r in by_degree]
+            slots = [[edges[j] for edges in edges_in if len(edges) > j]
+                     for j in range(len(edges_in[0]))]
+            pairs = sorted({(a, w) for slot in slots for _, a, w in slot})
+            index = {pair: i for i, pair in enumerate(pairs)}
+            letter, weight = zip(*pairs)
+            self.levels.append((
+                slice(base, base + len(edges_in)),
+                np.array(letter, dtype=int),
+                np.array(weight, dtype=float)[:, None],
+                [(len(slot), np.array([q for q, _, _ in slot], dtype=int),
+                  np.array([index[a, w] for _, a, w in slot], dtype=int))
+                 for slot in slots]))
+            base += len(edges_in)
+        self.final = np.zeros((len(symbols), len(order)))
+        for q, key in enumerate(keys[-1]):
+            for a, _, w in key:
+                self.final[a, order[q]] = float(w)
+        self.f0 = np.zeros(base + 1, dtype=complex)
+        self.f0[0] = 1.0
+
+    def sweep(self, lv, f_a, hh):
+        """The states at the end of a panel from those at its start f_a,
+        given the letter values at its nodes and its half width.  Each
+        slot's products are made and summed one slot at a time (a level's
+        edges at once would be a large temporary at degree 4)."""
+        f_b = f_a.copy()
+        lv_t = lv.T.copy()
+        prev = f_a[:1, None]
+        for nodes, pair_letter, pair_weight, slots in self.levels:
+            weighted = lv_t.take(pair_letter, axis=0)
+            weighted *= pair_weight
+            (_, src, pair), *rest = slots
+            g = weighted.take(pair, axis=0)
+            g *= prev.take(src, axis=0)
+            for size, src, pair in rest:
+                term = weighted.take(pair, axis=0)
+                term *= prev.take(src, axis=0)
+                g[:size] += term
+            out = g @ _PREFIX_AND_END
+            out *= hh
+            out += f_a[nodes, None]
+            prev = out[:, :GAUSS_ORDER]
+            f_b[nodes] = out[:, GAUSS_ORDER]
+        # E' at the nodes: sum over a of L_a * (final @ G)[a], with the
+        # real matrix `final` applied to G's real and imaginary parts
+        e = np.einsum("ua,au->u", lv,
+                      (self.final @ prev.view(float)).view(complex))
+        f_b[-1] = f_a[-1] + hh * (e @ _WEIGHTS)
+        return f_b
+
+    def errors(self, diff):
+        """The element's share of a panel's |whole - halves|."""
+        return abs(self.scale) * diff[-1:]
+
+    def ends(self, f):
+        """The element's value from the states."""
+        return self.scale * f[-1:]
+
+
+def _fit_brackets(seg, letters):
+    """Every bracket of the letter table on one segment as a Chebyshev
+    series in x = 2s - 1, and its derivative in s: two (terms, brackets)
+    arrays.
 
     A bracket is a polynomial in s of degree at most dim * deg, so its
     values at that many plus one Chebyshev points, taken by one batched
@@ -492,18 +689,18 @@ def _fit_brackets(seg, batch):
     powers = (0.5 * (x + 1.0)) ** np.arange(seg.shape[0])[:, None]
     m = np.einsum("dcx,du->ucx", seg, powers)
     series = np.linalg.solve(chebyshev.chebvander(x, top),
-                             np.linalg.det(m[:, batch.brackets, :]))
+                             np.linalg.det(m[:, letters.brackets, :]))
     return series, chebyshev.chebder(series, scl=2.0)
 
 
-def _letter_values(fit, svals, batch):
+def _letter_values(fit, svals, letters):
     """Values of every letter at the given s positions: (nodes, letters).
 
     `fit` is the segment's `_fit_brackets`; the d log of a bracket P is
     P'/P, both read off the series at the nodes.  A bracket whose modulus
     drops below POLE_THRESHOLD raises PoleError; one whose value turns by
     more than PHASE_JUMP_LIMIT between adjacent nodes raises _PhaseJump.
-    Of several offending brackets the first in `batch.symbols` is
+    Of several offending brackets the first in `letters.symbols` is
     reported, and its modulus is checked before its phase.
     """
     series, slopes = fit
@@ -514,13 +711,13 @@ def _letter_values(fit, svals, batch):
     bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
     if bad.any():
         b = int(bad.argmax())
-        sym = batch.symbols[batch.bracket_syms[b]]
+        sym = letters.symbols[letters.bracket_syms[b]]
         if small[b] < POLE_THRESHOLD:
             raise PoleError(
                 f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                 f"below {POLE_THRESHOLD:g} on the path")
         raise _PhaseJump(sym, float(turns[b]))
-    return (vander[:, :len(slopes)] @ slopes / vals) @ batch.bracket_coef
+    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.bracket_coef
 
 
 def _monomials(top):
@@ -533,8 +730,9 @@ def _monomials(top):
     return out
 
 
-def _check_segment_roots(fit, batch, index):
-    """Raise PoleError when a bracket of the batch vanishes on the segment.
+def _check_segment_roots(fit, letters, index):
+    """Raise PoleError when a bracket of the letter table vanishes on the
+    segment.
 
     The segment's fitted series (`_fit_brackets`) give each bracket's
     monomial coefficients in x = 2s - 1; negligible leading coefficients
@@ -546,7 +744,7 @@ def _check_segment_roots(fit, batch, index):
     """
     series = fit[0]
     top = len(series) - 1
-    if not batch.bracket_syms or top == 0:
+    if not letters.bracket_syms or top == 0:
         return
     coef = (_monomials(top) @ series).T
     mag = np.abs(coef)
@@ -570,7 +768,7 @@ def _check_segment_roots(fit, batch, index):
     if hit.any():
         b = int(hit.argmax())
         r = int(mod[b].argmin())
-        sym = batch.symbols[batch.bracket_syms[live[b]]]
+        sym = letters.symbols[letters.bracket_syms[live[b]]]
         raise PoleError(
             f"bracket {symbol_to_str(sym)} modulus {mod[b, r]:.3e} below "
             f"{POLE_THRESHOLD:g} at s = {0.5 * (x[b, r] + 1.0):.6f} of path "
@@ -578,22 +776,29 @@ def _check_segment_roots(fit, batch, index):
 
 
 class _Engine:
-    def __init__(self, batch, path, tol, budget):
-        self.batch = batch
+    """The adaptive panel control of one path for a `_WordBatch` (one
+    result per word) or an `_Automaton` (the element's value alone).
+    Either one holds its letter table, its start states `f0`, and says how
+    one panel moves its states (`sweep`), how a panel's |whole - halves|
+    becomes its results' errors (`errors`) and how the final states
+    become its values (`ends`)."""
+
+    def __init__(self, states, path, tol, budget):
+        self.states = states
         self.path = path
         self.tol = float(tol)
         self.budget = int(budget)
         self.panels = 0
         self.depth_exceeded = False
-        self.err = np.zeros(len(batch.word_nodes))
+        self.err = 0.0
         self.segment = 0
         self.roots_checked = False
 
     def _panel(self, fit, sa, sb, f_a, lv=None):
-        """One sweep over [sa, sb] from the node states f_a: returns the
-        node states at sb and the letter values used, which lv supplies
-        when the caller already has them.  Every sweep counts as a panel
-        against the budget."""
+        """One sweep over [sa, sb] from the states f_a: returns the states
+        at sb and the letter values used, which lv supplies when the
+        caller already has them.  Every sweep counts as a panel against
+        the budget."""
         self.panels += 1
         if self.panels > self.budget:
             raise BudgetError(
@@ -602,17 +807,8 @@ class _Engine:
         hh = 0.5 * (sb - sa)
         if lv is None:
             lv = _letter_values(fit, 0.5 * (sa + sb) + hh * _NODES,
-                                self.batch)
-        levels = self.batch.levels
-        f_b = f_a.copy()
-        roots = levels[0][0].start
-        prev = np.broadcast_to(f_a[:roots, None], (roots, GAUSS_ORDER))
-        for k, (nodes, parent, col) in enumerate(levels, start=1):
-            g = lv[:, col].T * prev[parent]
-            if k < len(levels):
-                prev = f_a[nodes, None] + hh * (g @ _QMAT.T)
-            f_b[nodes] = f_a[nodes] + hh * (g @ _WEIGHTS)
-        return f_b, lv
+                                self.states.letters)
+        return self.states.sweep(lv, f_a, hh), lv
 
     def _advance(self, fit, sa, sb, f_a, depth, whole=None, lv=None):
         """Integrate [sa, sb] from f_a, comparing the whole panel with its
@@ -636,7 +832,8 @@ class _Engine:
                     f"zero of the bracket") from None
             if not self.roots_checked:
                 self.roots_checked = True
-                _check_segment_roots(fit, self.batch, self.segment)
+                _check_segment_roots(fit, self.states.letters,
+                                     self.segment)
             f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
             return self._advance(fit, mid, sb, f_mid, depth + 1)
         diff = np.abs(whole - halves)
@@ -646,20 +843,21 @@ class _Engine:
         if converged or depth >= MAX_DEPTH:
             if not converged:
                 self.depth_exceeded = True
-            self.err += diff[self.batch.word_nodes].max(axis=1)
+            self.err += self.states.errors(diff)
             return halves
         f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
         return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lv_right)
 
     def run(self):
-        """Sweep the whole path; returns every word's end value.  Each
-        segment's brackets are fitted once and the fit serves all its
+        """Sweep the whole path; returns the end values of the results.
+        Each segment's brackets are fitted once and the fit serves all its
         panels."""
-        f = self.batch.f0
+        f = self.states.f0
+        letters = self.states.letters
         for index, seg in enumerate(self.path.segments):
             self.segment, self.roots_checked = index, False
-            f = self._advance(_fit_brackets(seg, self.batch), 0.0, 1.0, f, 0)
-        return f[self.batch.word_nodes[:, -1]]
+            f = self._advance(_fit_brackets(seg, letters), 0.0, 1.0, f, 0)
+        return self.states.ends(f)
 
 
 def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -690,37 +888,26 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
                          initial=init)[0]
 
 
-def _element_terms(t, dim, count):
-    """An element's terms as (coefficient array, prepared batch of their
-    words) for paths of `count` vectors in dimension `dim`."""
-    if not isinstance(t, MultTensor):
-        raise ContractViolation("expected a MultTensor element")
-    if t.is_zero():
-        raise ContractViolation("cannot integrate the zero element")
-    terms = t.items_sorted()
-    return (np.array([complex(coeff) for _, coeff in terms]),
-            _WordBatch([tuple(((1, sym),) for sym in slots)
-                        for slots, _ in terms], dim, count))
-
-
-def _iterate_terms(coeffs, batch, path, tol, budget):
-    """The coefficient-weighted sum of the batch's word integrals, one
-    sweep: sum c * value, with error sum |c| * error."""
-    engine = _Engine(batch, path, tol, budget)
-    value = coeffs @ engine.run()
-    return IterIntResult(value=complex(value),
-                         error=float(np.abs(coeffs) @ engine.err),
+def _iterate_automaton(automaton, path, tol, budget):
+    """The element value of a prepared `_Automaton`, one sweep; its error
+    is the element's own accumulated |whole - halves|."""
+    engine = _Engine(automaton, path, tol, budget)
+    value, = engine.run()
+    error, = engine.err
+    return IterIntResult(value=complex(value), error=float(error),
                          panels=engine.panels,
                          depth_exceeded=engine.depth_exceeded)
 
 
 def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
     """Iterated integral of a tensor element: the coefficient-weighted sum
-    of its term words, all sharing one quadrature sweep."""
+    of its term words, swept as one minimal weighted automaton.  The
+    error is the accumulated |whole - halves| of the element's value, not
+    a sum of per-word errors."""
     if not isinstance(path, PathSpec):
         raise PathError("iterate_element needs a PathSpec")
-    coeffs, batch = _element_terms(t, path.dim, path.count)
-    return _iterate_terms(coeffs, batch, path, tol, budget)
+    return _iterate_automaton(_Automaton(t, path.dim, path.count), path,
+                              tol, budget)
 
 
 def _integrate_any(obj, path, tol, budget):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
-from .iterint import (DEFAULT_BUDGET, PathSpec, _element_terms, _iterate_terms,
+from .iterint import (DEFAULT_BUDGET, PathSpec, _Automaton, _iterate_automaton,
                       dlog_letter, iterate_word)
 from .tensors import MultTensor
 
@@ -334,13 +334,13 @@ def aomoto_a1(l1, l2, m1, m2, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
                          panels=res.panels)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=3)
 def _window_terms(n):
-    """The degree-n window element as (coefficients, prepared word batch
-    for paths of 2n vectors in dimension n), built once."""
+    """The degree-n window element as the minimal weighted automaton of
+    its words, for paths of 2n vectors in dimension n, built once."""
     from .elements import build_element
 
-    return _element_terms(build_element(n).tensor, n, 2 * n)
+    return _Automaton(build_element(n).tensor, n, 2 * n)
 
 
 def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -348,13 +348,16 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """Iterated integral of the degree-n window element along a path of
     2n-vector configurations: the general-n period as a function of the
     path.  Homotopy invariance (within the pole-free region) follows from
-    the integrability of the element.  The default element of each degree
-    and its prepared word batch are built on the first call and kept; an
-    `element` override is used as given and prepared on every call.
+    the integrability of the element.  Supported degrees are 2, 3 and 4.
+    The element is swept as the minimal weighted automaton of its words;
+    the default element's automaton is built on the first call of each
+    degree and kept, and an `element` override is used as given and
+    prepared on every call.  The error is the element's own accumulated
+    difference of whole and halved panels.
     """
     n = int(n)
-    if n not in (2, 3):
-        raise ContractViolation("supported degrees are 2 and 3")
+    if n not in (2, 3, 4):
+        raise ContractViolation("supported degrees are 2, 3 and 4")
     if not isinstance(path, PathSpec):
         raise PathError("grassmannian_tate needs a PathSpec")
     if path.count != 2 * n or path.dim != n:
@@ -362,11 +365,11 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
             f"need a path of {2*n} vectors in dimension {n}, got "
             f"count={path.count}, dim={path.dim}")
     if element is None:
-        coeffs, batch = _window_terms(n)
+        automaton = _window_terms(n)
     elif isinstance(element, MultTensor):
-        coeffs, batch = _element_terms(element, n, 2 * n)
+        automaton = _Automaton(element, n, 2 * n)
     else:
         raise ContractViolation("element override must be a MultTensor")
-    res = _iterate_terms(coeffs, batch, path, tol, budget)
+    res = _iterate_automaton(automaton, path, tol, budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)

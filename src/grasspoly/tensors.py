@@ -106,9 +106,16 @@ def _sort_with_sign(seq):
 
 @lru_cache(maxsize=None)
 def perms_with_signs(k):
-    """All permutations of range(k) with their parities, lexicographic."""
-    return tuple((perm, _sort_with_sign(perm)[1])
-                 for perm in permutations(range(k)))
+    """All permutations of range(k) with their parities, lexicographic.
+
+    In lexicographic order the permutations run in step with their
+    factorial-base (Lehmer) codes, whose digit j counts the later entries
+    smaller than entry j; the digits sum to the number of inversions, so
+    their sum's parity is the permutation's."""
+    return tuple((perm, -1 if sum(code) % 2 else 1)
+                 for perm, code in zip(
+                     permutations(range(k)),
+                     product(*(range(k - j) for j in range(k)))))
 
 
 def _norm_coeff(c):

@@ -1,5 +1,8 @@
 """Shared test set-up.
 
+`per_word_sum` integrates an element through the per-word prefix-trie
+sweep, the oracle of the element's automaton sweep.
+
 The command line tests run ``python -m grasspoly.cli`` in subprocesses.
 They must import the same package as the tests themselves, also when
 the package is not installed and only pytest's own ``pythonpath`` points
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import grasspoly
+from grasspoly.iterint import iterate_words
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -22,3 +26,17 @@ def cli_imports_the_tested_package():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", src + (os.pathsep + rest if rest else ""))
         yield
+
+
+def _per_word_sum(t, path, tol=1e-12):
+    """sum_w c_w It(w) over the element's terms, from one iterate_words
+    sweep of its words."""
+    terms = t.items_sorted()
+    words = [tuple(((1, sym),) for sym in slots) for slots, _ in terms]
+    results = iterate_words(words, path, tol=tol)
+    return sum(complex(c) * r.value for (_, c), r in zip(terms, results))
+
+
+@pytest.fixture
+def per_word_sum():
+    return _per_word_sum

@@ -21,8 +21,9 @@ import pytest
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
 from grasspoly.iterint import (_NODES, PHASE_JUMP_LIMIT, POLE_THRESHOLD,
-                               IterIntResult, PathSpec, _fit_brackets,
-                               _letter_values, _PhaseJump, _WordBatch,
+                               IterIntResult, PathSpec, _Automaton,
+                               _fit_brackets, _LetterTable, _letter_values,
+                               _PhaseJump, _WordBatch,
                                dlog_letter, homotopy_test, iterate_element,
                                iterate_word, iterate_words, monodromy_probe,
                                normalize_letter, normalize_word,
@@ -369,14 +370,14 @@ def _configurations(seg, svals):
     return np.einsum("dcx,du->ucx", seg, powers), powers
 
 
-def _det_solve_letter_values(seg, svals, batch):
+def _det_solve_letter_values(seg, svals, letters):
     """Values of every letter at the given s positions: (nodes, letters).
 
     One det and one solve cover every bracket at every node.  A bracket
     whose modulus drops below POLE_THRESHOLD raises PoleError; one whose
     value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
     raises _PhaseJump.  Of several offending brackets the first in
-    `batch.symbols` is reported, and its modulus is checked before its
+    `letters.symbols` is reported, and its modulus is checked before its
     phase.
     """
     deg = seg.shape[0] - 1
@@ -386,31 +387,31 @@ def _det_solve_letter_values(seg, svals, batch):
         mp = np.einsum("dcx,du->ucx", dcoef, powers[:deg])
     else:
         mp = np.zeros_like(m)
-    values = np.zeros((len(svals), len(batch.symbols)), dtype=complex)
-    if batch.bracket_syms:
-        a = m[:, batch.brackets, :]
+    values = np.zeros((len(svals), len(letters.symbols)), dtype=complex)
+    if letters.bracket_syms:
+        a = m[:, letters.brackets, :]
         det = np.linalg.det(a)
         small = np.abs(det).min(axis=0)
         turns = np.abs(np.angle(det[1:] / det[:-1])).max(axis=0)
         bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
         if bad.any():
             b = int(bad.argmax())
-            sym = batch.symbols[batch.bracket_syms[b]]
+            sym = letters.symbols[letters.bracket_syms[b]]
             if small[b] < POLE_THRESHOLD:
                 raise PoleError(
                     f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                     f"below {POLE_THRESHOLD:g} on the path")
             raise _PhaseJump(sym, float(turns[b]))
-        values[:, batch.bracket_syms] = np.trace(
-            np.linalg.solve(a, mp[:, batch.brackets, :]), axis1=2, axis2=3)
-    return values @ batch.coef
+        values[:, letters.bracket_syms] = np.trace(
+            np.linalg.solve(a, mp[:, letters.brackets, :]), axis1=2, axis2=3)
+    return values @ letters.coef
 
 
 def _panel_nodes(sa, sb):
     return 0.5 * (sa + sb) + 0.5 * (sb - sa) * _NODES
 
 
-def _letter_batch(dim, count):
+def _letter_table(dim, count):
     """One-letter words over every bracket of `count` vectors in dimension
     `dim`: each bracket alone, multi-part letters with int, Fraction and
     complex coefficients, a scalar letter and a bracket-and-scalar
@@ -426,7 +427,7 @@ def _letter_batch(dim, count):
         ((1, t),),
         ((4, c), (Fraction(7, 2), t)),
     ]
-    return _WordBatch([(letter,) for letter in letters], dim, count)
+    return _LetterTable(letters, dim, count)
 
 
 def _outcome(letters, *args):
@@ -436,11 +437,11 @@ def _outcome(letters, *args):
         return exc.sym
 
 
-def _assert_letters_match(seg, svals, batch):
+def _assert_letters_match(seg, svals, letters):
     """The series letters agree with the det/solve letters to 1e-12 of
     each letter's size, or both refuse the panel for the same bracket."""
-    old = _outcome(_det_solve_letter_values, seg, svals, batch)
-    new = _outcome(_letter_values, _fit_brackets(seg, batch), svals, batch)
+    old = _outcome(_det_solve_letter_values, seg, svals, letters)
+    new = _outcome(_letter_values, _fit_brackets(seg, letters), svals, letters)
     if isinstance(old, tuple):
         assert new == old
         return None
@@ -454,14 +455,14 @@ def test_series_letters_match_det_solve_letters():
     compared = 0
     for dim in (1, 2, 3):
         count = dim + 2
-        batch = _letter_batch(dim, count)
+        letters = _letter_table(dim, count)
         for deg in (0, 1, 2, 3):
             for _ in range(4):
                 seg = (rng.standard_normal((deg + 1, count, dim))
                        + 1j * rng.standard_normal((deg + 1, count, dim)))
                 sa = rng.uniform(0.0, 0.9)
                 sb = sa + rng.uniform(0.01, 0.1)
-                old = _assert_letters_match(seg, _panel_nodes(sa, sb), batch)
+                old = _assert_letters_match(seg, _panel_nodes(sa, sb), letters)
                 if old is not None:
                     compared += 1
                     if deg == 0:
@@ -476,7 +477,7 @@ def test_series_letters_match_near_a_bracket_zero():
     # within 2e-3
     rng = np.random.default_rng(7)
     dim, count = 3, 5
-    batch = _letter_batch(dim, count)
+    letters = _letter_table(dim, count)
     seg = (rng.standard_normal((4, count, dim))
            + 1j * rng.standard_normal((4, count, dim)))
     s0 = 0.37 + 1e-3j
@@ -484,7 +485,7 @@ def test_series_letters_match_near_a_bracket_zero():
     seg[0, 0] += 0.3 * at[1] - 0.8 * at[2] - at[0]
     for sb in (0.36, 0.368, 0.3695):
         svals = _panel_nodes(0.3, sb)
-        old = _assert_letters_match(seg, svals, batch)
+        old = _assert_letters_match(seg, svals, letters)
         assert old is not None
     assert np.abs(svals - s0).min() < 2e-3
     assert np.abs(old[:, 0]).max() > 500
@@ -500,20 +501,20 @@ def test_series_letters_report_the_same_offender():
     svals = _panel_nodes(0.0, 1.0)
     pole, jump = (bracket_symbol(b)[0] for b in ((1, 3), (2, 4)))
     for first, second in ((pole, jump), (jump, pole)):
-        batch = _WordBatch([(((1, first),),), (((1, second),),)], 2, 4)
-        fit = _fit_brackets(seg, batch)
+        letters = _LetterTable([((1, first),), ((1, second),)], 2, 4)
+        fit = _fit_brackets(seg, letters)
         if first == pole:
             with pytest.raises(PoleError) as old:
-                _det_solve_letter_values(seg, svals, batch)
+                _det_solve_letter_values(seg, svals, letters)
             with pytest.raises(PoleError) as new:
-                _letter_values(fit, svals, batch)
+                _letter_values(fit, svals, letters)
             assert str(new.value) == str(old.value)
             assert str(new.value).startswith("bracket D[1,3] modulus 0.000e+00")
         else:
             with pytest.raises(_PhaseJump) as old:
-                _det_solve_letter_values(seg, svals, batch)
+                _det_solve_letter_values(seg, svals, letters)
             with pytest.raises(_PhaseJump) as new:
-                _letter_values(fit, svals, batch)
+                _letter_values(fit, svals, letters)
             assert new.value.sym == old.value.sym == jump
             assert new.value.jump == pytest.approx(old.value.jump, rel=1e-9)
 
@@ -549,6 +550,97 @@ def test_iterate_element_is_the_weighted_sum_of_words():
         word = tuple(((1, sym),) for sym in slots)
         manual += complex(coeff) * iterate_word(word, path).value
     assert abs(combined.value - manual) < 1e-12
+
+
+def automaton_sizes(automaton):
+    """States per level below the last, and the entries of `final`."""
+    return ([level[0].stop - level[0].start for level in automaton.levels],
+            int(np.count_nonzero(automaton.final)))
+
+
+def test_automaton_merges_negatively_proportional_fraction_suffixes(
+        per_word_sum):
+    # S_(a,b) = {c: 1/2, d: -1/3} and S_(e,b) = -3/2 S_(a,b), so the two
+    # prefixes of length 2, and a and e before them, share one state each
+    a, b, c, d, e = (bracket_symbol(ix)[0]
+                     for ix in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)))
+    t = MultTensor.from_terms(3, [
+        ((a, b, c), Fraction(1, 2)), ((a, b, d), Fraction(-1, 3)),
+        ((e, b, c), Fraction(-3, 4)), ((e, b, d), Fraction(1, 2))])
+    automaton = _Automaton(t, 2, 4)
+    assert automaton_sizes(automaton) == ([1, 1], 2)
+    assert automaton.scale == 0.5
+    # the root reaches the one level-1 state by a (weight 1) and e (-3/2)
+    _, pair_letter, pair_weight, slots = automaton.levels[0]
+    assert [size for size, _, _ in slots] == [1, 1]
+    assert sorted(zip(pair_letter, pair_weight[:, 0])) == [(0, 1.0),
+                                                         (4, -1.5)]
+    path = safe_element_path()
+    result = iterate_element(t, path)
+    gap = abs(result.value - per_word_sum(t, path))
+    assert gap <= result.error + 1e-15 and gap < 1e-13
+
+
+def test_automaton_merges_suffixes_that_sum_to_zero(per_word_sum):
+    # S_a = {b: 1, c: -1} sums to zero and S_d = 2 S_a; S_e = {b: 1, c: 1}
+    # is a state of its own, so the level-1 states have in-degrees 2 and 1
+    a, b, c, d, e = (bracket_symbol(ix)[0]
+                     for ix in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)))
+    t = MultTensor.from_terms(2, [
+        ((a, b), 1), ((a, c), -1), ((d, b), 2), ((d, c), -2),
+        ((e, b), 1), ((e, c), 1)])
+    automaton = _Automaton(t, 2, 4)
+    assert automaton_sizes(automaton) == ([2], 4)
+    assert [size for size, _, _ in automaton.levels[0][3]] == [2, 1]
+    path = safe_element_path()
+    result = iterate_element(t, path)
+    gap = abs(result.value - per_word_sum(t, path))
+    assert gap <= result.error + 1e-15 and gap < 1e-13
+
+
+def test_automaton_of_one_letter_words_and_of_scalar_letters(
+        per_word_sum):
+    from grasspoly.elements import build_element, scale_label
+
+    # degree 1: no level between the root and E
+    path = PathSpec.line([[1.0], [2.0]], [[3.0], [0.5 + 1j]])
+    t = build_element(1).tensor
+    result = iterate_element(t, path)
+    assert abs(result.value - per_word_sum(t, path)) < 1e-14
+    assert abs(result.value - (cmath.log(3) - cmath.log((0.5 + 1j) / 2))) \
+        < 1e-13
+    # a scalar letter has zero d log, so its words integrate to zero
+    scaled = scale_label(build_element(2).tensor, 1, "a")
+    path = safe_element_path()
+    result = iterate_element(scaled, path)
+    assert abs(result.value - per_word_sum(scaled, path)) < 1e-13
+    assert abs(result.value - iterate_element(build_element(2).tensor,
+                                              path).value) < 1e-13
+
+
+def test_automaton_does_not_depend_on_term_order():
+    from grasspoly.elements import build_element
+
+    def layout(automaton):
+        return (automaton.scale, automaton.final.tolist(),
+                [(nodes, letter.tolist(), weight.tolist(),
+                  [(size, src.tolist(), pair.tolist())
+                   for size, src, pair in slots])
+                 for nodes, letter, weight, slots in automaton.levels])
+
+    t = build_element(3).tensor
+    shuffled = list(t.terms.items())
+    random.Random(5).shuffle(shuffled)
+    assert layout(_Automaton(t, 3, 6)) == layout(
+        _Automaton(MultTensor(3, dict(shuffled)), 3, 6))
+
+
+@pytest.mark.parametrize("n, sizes", [(2, ([3], 12)), (3, ([20, 90], 360)),
+                                      (4, ([70, 1120, 1260], 5040))])
+def test_window_element_automaton_sizes(n, sizes):
+    from grasspoly.polylogs import _window_terms
+
+    assert automaton_sizes(_window_terms(n)) == sizes
 
 
 # ---------------------------------------------------------------------------

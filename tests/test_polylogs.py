@@ -316,7 +316,7 @@ def test_grassmannian_tate_runs_and_validates():
     assert abs(v.value - w.value) < 1e-9
 
     with pytest.raises(ContractViolation):
-        grassmannian_tate(4, path)
+        grassmannian_tate(5, path)
     with pytest.raises(PathError):
         grassmannian_tate(3, path)
     with pytest.raises(PathError):
@@ -332,8 +332,9 @@ def detour(start, end, lift):
 
 
 # Values computed by the per-word sweep that the prefix-trie sweep
-# replaced; the two give bit-identical results on these paths.  The panel
-# counts are those of the trie sweep, which evaluates no panel twice.
+# replaced (the trie gave bit-identical values on these paths).  The panel
+# counts are those of the automaton sweep, whose panel acceptance reads
+# the automaton's states and the element's value.
 TATE_DETOURS = [
     (2, ([[2, 1], [-1, 3], [1, -2], [3, 2]],
          [[1, 3], [2, -1], [-3, 1], [1, 4]],
@@ -345,7 +346,7 @@ TATE_DETOURS = [
           [-1, 2, 3]],
          [[1, -1, 0], [0, 1, 1], [-1, 1, 0], [1, 0, -1], [0, 1, 1],
           [1, 0, 1]]),
-     78.42749650995977 + 68.43828293749301j, 142),
+     78.42749650995977 + 68.43828293749301j, 137),
 ]
 
 
@@ -366,6 +367,42 @@ def test_grassmannian_tate_matches_recorded_values(n, points, recorded,
 
     override = grassmannian_tate(n, path, element=2 * build_element(n).tensor)
     assert override.value == 2 * first.value
+    assert override.error == 2 * first.error
+    assert override.panels == first.panels
+
+
+@pytest.mark.parametrize("n, points", [d[:2] for d in TATE_DETOURS],
+                         ids=["n2", "n3"])
+def test_grassmannian_tate_matches_the_per_word_sweep(n, points,
+                                                      per_word_sum):
+    from grasspoly.elements import build_element
+
+    path = detour(*points)
+    result = grassmannian_tate(n, path)
+    oracle = per_word_sum(build_element(n).tensor, path)
+    assert abs(result.value - oracle) <= result.error
+
+
+# A generic degree-4 detour: every 4 x 4 minor of both ends is a nonzero
+# integer.  The value is the per-word sweep's (iterate_words on the
+# element's 40320 words at tol 1e-10, summed with their coefficients,
+# which takes about 3 s), against which the automaton is checked.
+TATE_DETOUR_4 = (
+    [[2, 3, 0, -2], [2, -2, -3, -2], [-1, -1, -2, -2], [1, 0, 1, 3],
+     [3, -3, 2, -1], [2, 1, -3, 3], [3, 3, -3, -2], [1, 0, -3, 3]],
+    [[-3, -1, -2, 2], [1, -3, -1, 3], [3, 3, -3, 3], [-1, -3, 2, -3],
+     [-3, 3, -3, -1], [3, -2, -2, -1], [2, 1, -1, -2], [0, 0, -1, 1]],
+    [[-1, 1, 0, -1], [1, 1, 0, 0], [0, 0, 0, 0], [0, -1, -1, 1],
+     [0, -1, 1, 0], [-1, -1, -1, 0], [0, 1, 1, 1], [-1, -1, 0, 0]])
+PER_WORD_4 = -93.52056714073937 + 93.67591465300856j
+
+
+def test_grassmannian_tate_degree_four_matches_the_per_word_sweep():
+    path = detour(*TATE_DETOUR_4)
+    result = grassmannian_tate(4, path, tol=1e-10)
+    assert result.panels == 130
+    assert abs(result.value - PER_WORD_4) <= result.error
+    assert abs(result.value - PER_WORD_4) < 1e-11
 
 
 def test_grassmannian_tate_prepares_the_default_batch_once(monkeypatch):
@@ -376,13 +413,13 @@ def test_grassmannian_tate_prepares_the_default_batch_once(monkeypatch):
     first = grassmannian_tate(3, path)
 
     def rebuilt(*args, **kwargs):
-        raise AssertionError("the cached element's word batch was rebuilt")
+        raise AssertionError("the cached element's automaton was rebuilt")
 
-    monkeypatch.setattr(iterint, "_WordBatch", rebuilt)
+    monkeypatch.setattr(iterint._Automaton, "__init__", rebuilt)
     again = grassmannian_tate(3, path)
     assert (again.value, again.error, again.panels) == (
         first.value, first.error, first.panels)
-    # an element override prepares its own batch
+    # an element override prepares its own automaton
     with pytest.raises(AssertionError, match="rebuilt"):
         grassmannian_tate(3, path, element=build_element(3).tensor)
     monkeypatch.undo()

@@ -3,12 +3,13 @@ and the JSON wire format."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from grasspoly.aomoto import GEN, MONO, AomotoExpr, make_gen
 from grasspoly.errors import ContractViolation
-from grasspoly.tensors import (MultTensor, WedgeTensor, alt,
+from grasspoly.tensors import (MultTensor, WedgeTensor, _sort_with_sign, alt,
                                bracket_symbol, equal, parse_symbol,
                                perms_with_signs, scalar_symbol,
                                symbol_sort_key, symbol_to_str,
@@ -87,6 +88,14 @@ def test_perms_with_signs_oracle():
         assert len(table) == [1, 1, 2, 6, 24][k]
         for perm, sgn in table:
             assert sgn == parity_oracle(perm)
+
+
+def test_perms_with_signs_matches_sort_with_sign():
+    # the Lehmer-code parities against the inversion count, same order
+    for k in range(-1, 7):
+        assert perms_with_signs(k) == tuple(
+            (perm, _sort_with_sign(perm)[1])
+            for perm in permutations(range(k)))
 
 
 # ---------------------------------------------------------------------------
