@@ -26,6 +26,11 @@ Numeric layer (float/complex with error estimates):
   evaluator built on the exact element.
 
 The cli module exposes all of it as the `grasspoly` command.
+
+Importing the package imports every module above but loads neither numpy
+nor mpmath. numpy loads when the numeric engine first runs (a `PathSpec`
+is built or an iterated integral is computed), and mpmath when a
+dilogarithm is evaluated through it; the exact layer needs neither.
 """
 
 from .aomoto import (AomotoExpr, AomotoGen, additivity_residue, coproduct,

@@ -51,31 +51,56 @@ crosses a zero.  A zero that the path only grazes is left to the
 subdivision.  Evaluation is single-threaded and results are deterministic
 for fixed inputs; the GRASSPOLY_THREADS environment variable is accepted
 and ignored.
+
+numpy is bound lazily: it loads when a path is built or an integral runs,
+not when the module is imported, and the quadrature tables are built on
+the first panel.
 """
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb
-
-import numpy as np
-from numpy.polynomial import chebyshev
+from math import comb, pi
 
 from .configurations import Configuration
 from .errors import BudgetError, ContractViolation, PathError, PoleError
 from .tensors import (BRACKET, SCALAR, MultTensor, symbol_sort_key,
                       symbol_to_str)
 
+
+def _lazy_numpy():
+    """numpy, loaded on its first attribute access (the standard-library
+    `importlib.util.LazyLoader` recipe), so that importing the package and
+    the exact layers never pay for it; a numpy already imported is
+    returned as it is."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("grasspoly needs numpy", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
+
 GAUSS_ORDER = 16
 POLE_THRESHOLD = 1e-8
-PHASE_JUMP_LIMIT = np.pi / 2
+PHASE_JUMP_LIMIT = pi / 2
 DEFAULT_BUDGET = 16384
 MAX_DEPTH = 26
 _JOINT_TOL = 1e-9
 # Panel acceptance never asks for less than this relative difference: a
 # tol * width test on deep panels would fall below double rounding.
-_ROUNDING_FLOOR = 16 * np.finfo(float).eps
+_ROUNDING_FLOOR = 16 * sys.float_info.epsilon
 # Leading coefficients this small relative to a bracket polynomial's
 # largest are dropped before its roots are taken.
 _ROOT_TRIM = 1e-10
@@ -93,8 +118,13 @@ class _PhaseJump(Exception):
         self.jump = jump
 
 
-def _prefix_matrices():
-    """Gauss nodes/weights and the node-to-node prefix integration matrix.
+@cache
+def _quadrature():
+    """The panel quadrature, built on first use: the Gauss nodes and
+    weights on [-1, 1], the node-to-node prefix integration matrix Q, and
+    [Q.T | weights], which takes a panel's integrand values to its prefix
+    values at the nodes and at its end in one product.  The arrays are
+    shared, so they are read-only.
 
     With f expanded in Legendre polynomials from its values at the nodes,
     the antiderivative vanishing at -1 is exact for the expansion, giving
@@ -109,13 +139,22 @@ def _prefix_matrices():
     anti[:, 0] = x + 1.0
     for mm in range(1, GAUSS_ORDER):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
-    return x, w, anti @ coef
+    qmat = anti @ coef
+    tables = (x, w, qmat, np.hstack([qmat.T, w[:, None]]))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
-_NODES, _WEIGHTS, _QMAT = _prefix_matrices()
-# g @ _PREFIX_AND_END gives a panel's prefix values at the nodes and at
-# its end in one product
-_PREFIX_AND_END = np.hstack([_QMAT.T, _WEIGHTS[:, None]])
+_QUADRATURE_NAMES = ("_NODES", "_WEIGHTS", "_QMAT", "_PREFIX_AND_END")
+
+
+def __getattr__(name):
+    """The `_quadrature` tables under their names, such as
+    `from grasspoly.iterint import _NODES`."""
+    if name in _QUADRATURE_NAMES:
+        return _quadrature()[_QUADRATURE_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +540,15 @@ class _WordBatch:
     def sweep(self, lv, f_a, hh):
         """The node states at the end of a panel from those at its start
         f_a, given the letter values at its nodes and its half width."""
+        _, weights, qmat, _ = _quadrature()
         f_b = f_a.copy()
         roots = self.levels[0][0].start
         prev = np.broadcast_to(f_a[:roots, None], (roots, GAUSS_ORDER))
         for k, (nodes, parent, col) in enumerate(self.levels, start=1):
             g = lv[:, col].T * prev[parent]
             if k < len(self.levels):
-                prev = f_a[nodes, None] + hh * (g @ _QMAT.T)
-            f_b[nodes] = f_a[nodes] + hh * (g @ _WEIGHTS)
+                prev = f_a[nodes, None] + hh * (g @ qmat.T)
+            f_b[nodes] = f_a[nodes] + hh * (g @ weights)
         return f_b
 
     def errors(self, diff):
@@ -639,6 +679,7 @@ class _Automaton:
         given the letter values at its nodes and its half width.  Each
         slot's products are made and summed one slot at a time (a level's
         edges at once would be a large temporary at degree 4)."""
+        _, weights, _, prefix_and_end = _quadrature()
         f_b = f_a.copy()
         lv_t = lv.T.copy()
         prev = f_a[:1, None]
@@ -652,7 +693,7 @@ class _Automaton:
                 term = weighted.take(pair, axis=0)
                 term *= prev.take(src, axis=0)
                 g[:size] += term
-            out = g @ _PREFIX_AND_END
+            out = g @ prefix_and_end
             out *= hh
             out += f_a[nodes, None]
             prev = out[:, :GAUSS_ORDER]
@@ -661,7 +702,7 @@ class _Automaton:
         # real matrix `final` applied to G's real and imaginary parts
         e = np.einsum("ua,au->u", lv,
                       (self.final @ prev.view(float)).view(complex))
-        f_b[-1] = f_a[-1] + hh * (e @ _WEIGHTS)
+        f_b[-1] = f_a[-1] + hh * (e @ weights)
         return f_b
 
     def errors(self, diff):
@@ -671,6 +712,22 @@ class _Automaton:
     def ends(self, f):
         """The element's value from the states."""
         return self.scale * f[-1:]
+
+
+def _chebvander(x, deg):
+    """The Chebyshev-Vandermonde matrix of the float or complex array x,
+    T_0..T_deg along a new last axis: numpy's `chebvander` recurrence
+    (T_0 = 1, T_1 = x, T_i = T_(i-1) * 2x - T_(i-2)) and memory layout,
+    so the values and the products taken with them are bit-identical,
+    without its argument conversion and `np.moveaxis` call."""
+    v = np.empty((deg + 1,) + x.shape, dtype=x.dtype)
+    v[0] = 1.0
+    if deg > 0:
+        x2 = 2 * x
+        v[1] = x
+        for i in range(2, deg + 1):
+            v[i] = v[i - 1] * x2 - v[i - 2]
+    return v.transpose((*range(1, v.ndim), 0))
 
 
 def _fit_brackets(seg, letters):
@@ -688,9 +745,9 @@ def _fit_brackets(seg, letters):
     x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
     powers = (0.5 * (x + 1.0)) ** np.arange(seg.shape[0])[:, None]
     m = np.einsum("dcx,du->ucx", seg, powers)
-    series = np.linalg.solve(chebyshev.chebvander(x, top),
+    series = np.linalg.solve(_chebvander(x, top),
                              np.linalg.det(m[:, letters.brackets, :]))
-    return series, chebyshev.chebder(series, scl=2.0)
+    return series, np.polynomial.chebyshev.chebder(series, scl=2.0)
 
 
 def _letter_values(fit, svals, letters):
@@ -704,7 +761,7 @@ def _letter_values(fit, svals, letters):
     reported, and its modulus is checked before its phase.
     """
     series, slopes = fit
-    vander = chebyshev.chebvander(2.0 * svals - 1.0, len(series) - 1)
+    vander = _chebvander(2.0 * svals - 1.0, len(series) - 1)
     vals = vander @ series
     small = np.abs(vals).min(axis=0)
     turns = np.abs(np.angle(vals[1:] / vals[:-1])).max(axis=0)
@@ -762,7 +819,7 @@ def _check_segment_roots(fit, letters, index):
     companion[:, 1:, :-1] = np.eye(top - 1)
     companion[:, :, -1] = -padded[live, :top] / padded[live, top, None]
     x = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
-    mod = np.abs(np.einsum("lrk,kl->lr", chebyshev.chebvander(x, top),
+    mod = np.abs(np.einsum("lrk,kl->lr", _chebvander(x, top),
                            series[:, live]))
     hit = (mod < POLE_THRESHOLD).any(axis=1)
     if hit.any():
@@ -806,7 +863,7 @@ class _Engine:
                 "too close to a pole or the tolerance is too tight")
         hh = 0.5 * (sb - sa)
         if lv is None:
-            lv = _letter_values(fit, 0.5 * (sa + sb) + hh * _NODES,
+            lv = _letter_values(fit, 0.5 * (sa + sb) + hh * _quadrature()[0],
                                 self.states.letters)
         return self.states.sweep(lv, f_a, hh), lv
 

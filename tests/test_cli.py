@@ -5,6 +5,7 @@ parsing, JSON serialization, exit codes, and stream separation are all
 exercised exactly as a user would hit them.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -371,15 +373,60 @@ def test_integrate_budget_exit_code(tmp_path):
 
 
 def test_mpmath_loads_only_when_a_dilogarithm_needs_it():
-    code = ("import sys, grasspoly.cli\n"
-            "print('mpmath' in sys.modules)\n"
-            "import grasspoly\n"
-            "grasspoly.li2(0.5)\n"
-            "print('mpmath' in sys.modules)\n")
+    """mpmath loads on the first dilogarithm, numpy when the numeric engine
+    first runs; the exact commands and the real tables load neither
+    (the tables need mpmath)."""
+    commands = [["element", "--n", "2"],
+                ["verify", "--suite", "comparison", "--n", "2"],
+                ["table", "--function", "rogers", "--grid=-1:2:7"],
+                ["table", "--function", "bloch_wigner",
+                 "--grid=0.1:0.9:3,0.5:1:2"],
+                ["table", "--function", "l2g", "--grid=0.1:0.9:3"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "def loaded(step):\n"
+        # a lazily loaded numpy registers `numpy` alone until first used
+        "    numpy = any(name.startswith('numpy.') for name in sys.modules)\n"
+        "    print(step, 'mpmath' in sys.modules, numpy)\n"
+        "loaded('start')\n"
+        "import grasspoly\n"
+        "loaded('grasspoly')\n"
+        "import grasspoly.cli\n"
+        "loaded('cli')\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert grasspoly.cli.main(argv) == 0, argv\n"
+        "    loaded(argv[0] + '_' + argv[2])\n"
+        "grasspoly.li_n(2, 0.5)\n"
+        "loaded('li_n')\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines() == [
+        "start False False", "grasspoly False False", "cli False False",
+        "element_2 False False", "verify_comparison False False",
+        "table_rogers True False", "table_bloch_wigner True False",
+        "table_l2g True False", "li_n True True"]
+
+
+def test_import_registers_every_traced_layer():
+    """The benchmark's tracer finds each layer it wraps in sys.modules after
+    `import grasspoly` alone."""
+    spans = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "spans.py")
+    layers, = (ast.literal_eval(node.value)
+               for node in ast.parse(spans.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["LAYERS"])
+    code = ("import sys, grasspoly\n"
+            "print(*sorted(name for name in sys.modules\n"
+            "              if name.startswith('grasspoly.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(layers) == 7
+    assert {f"grasspoly.{layer}" for layer in layers} <= set(
+        proc.stdout.split())
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from grasspoly import iterint
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
 from grasspoly.iterint import (_NODES, PHASE_JUMP_LIMIT, POLE_THRESHOLD,
                                IterIntResult, PathSpec, _Automaton,
-                               _fit_brackets, _LetterTable, _letter_values,
-                               _PhaseJump, _WordBatch,
+                               _chebvander, _fit_brackets, _LetterTable,
+                               _letter_values, _PhaseJump, _WordBatch,
                                dlog_letter, homotopy_test, iterate_element,
                                iterate_word, iterate_words, monodromy_probe,
                                normalize_letter, normalize_word,
@@ -517,6 +518,48 @@ def test_series_letters_report_the_same_offender():
                 _letter_values(fit, svals, letters)
             assert new.value.sym == old.value.sym == jump
             assert new.value.jump == pytest.approx(old.value.jump, rel=1e-9)
+
+
+@pytest.mark.parametrize("deg", range(13))
+def test_chebvander_is_numpys_bit_for_bit(deg):
+    rng = np.random.default_rng(deg)
+    real = rng.uniform(-1.0, 1.0, 17)
+    points = {"real": real,
+              "complex": real + 1j * rng.uniform(-1.0, 1.0, 17),
+              "matrix": rng.uniform(-1.0, 1.0, (3, 5))}
+    for x in points.values():
+        want = np.polynomial.chebyshev.chebvander(x, deg)
+        got = _chebvander(x, deg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+def test_lazy_tables_and_constants_equal_their_eager_definitions():
+    """The quadrature tables, built on first use, and the scalar
+    constants, written without numpy, are the exact values of the former
+    import-time numpy definitions (reproduced here)."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    vander = np.polynomial.legendre.legvander(x, 16)
+    m = np.arange(16)
+    coef = ((2 * m[:, None] + 1) / 2.0) * w[None, :] * vander[:, :16].T
+    anti = np.empty((16, 16))
+    anti[:, 0] = x + 1.0
+    for mm in range(1, 16):
+        anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
+    qmat = anti @ coef
+    eager = {"_NODES": x, "_WEIGHTS": w, "_QMAT": qmat,
+             "_PREFIX_AND_END": np.hstack([qmat.T, w[:, None]])}
+    for name, value in eager.items():
+        table = getattr(iterint, name)
+        assert table is getattr(iterint, name)  # built once
+        assert not table.flags.writeable
+        assert table.dtype == value.dtype and np.array_equal(table, value)
+    assert _NODES is iterint._NODES
+    assert PHASE_JUMP_LIMIT == np.pi / 2
+    assert iterint._ROUNDING_FLOOR == 16 * np.finfo(float).eps
+    with pytest.raises(AttributeError):
+        iterint._NO_SUCH_TABLE
 
 
 # ---------------------------------------------------------------------------
