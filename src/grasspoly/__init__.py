@@ -27,10 +27,11 @@ Numeric layer (float/complex with error estimates):
 
 The cli module exposes all of it as the `grasspoly` command.
 
-Importing the package imports every module above but loads neither numpy
-nor mpmath. numpy loads when the numeric engine first runs (a `PathSpec`
-is built or an iterated integral is computed), and mpmath when a
-dilogarithm is evaluated through it; the exact layer needs neither.
+Importing the package imports every module above but does not load
+numpy; numpy loads when the numeric engine first runs (a `PathSpec` is
+built or an iterated integral is computed), and the exact layer never
+needs it. The dilogarithm is evaluated in plain floats, so the package
+never imports mpmath.
 """
 
 from .aomoto import (AomotoExpr, AomotoGen, additivity_residue, coproduct,

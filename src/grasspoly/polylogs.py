@@ -1,9 +1,9 @@
 """Named special functions and their functional-equation drivers.
 
 All numeric values here come from either a convergent series, a
-principal-branch dilogarithm (mpmath), or the iterated-integral engine; the
-functional-equation drivers combine them with the exact bracket layer so
-the inputs to every identity are exact cross-ratios.
+principal-branch dilogarithm in plain floats (li2), or the iterated-integral
+engine; the functional-equation drivers combine them with the exact bracket
+layer so the inputs to every identity are exact cross-ratios.
 
 Branch conventions, fixed once and used everywhere:
 
@@ -79,11 +79,76 @@ def li_series(n, z, tol=1e-17, max_terms=4000):
     return acc
 
 
-def li2(z):
-    """Principal-branch dilogarithm (cut along [1, oo))."""
-    import mpmath
+def _bernoulli_coefficients(count):
+    """B_2k / (2k+1)! for k = count, ..., 1 (Horner order), each a float
+    rounded once from an exact integer quotient.
 
-    return complex(mpmath.polylog(2, complex(z)))
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), where T_k = 1, 2, 16,
+    272, ... are the tangent numbers (tan x = sum T_k x^(2k-1) / (2k-1)!),
+    built here by the integer recurrence of Brent and Harvey.
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple((-1) ** (k - 1) * 2 * k * t[k]
+                 / (4 ** k * (4 ** k - 1) * math.factorial(2 * k + 1))
+                 for k in range(count, 0, -1))
+
+
+# On the region served by the series below, |u| = |log(1 - z)| <= 1.05
+# and the k-th term is about 2 (|u| / 2 pi)^(2k) |u| / (2k + 1), so ten
+# terms leave a tail under 1e-18.
+_LI2_BERNOULLI = _bernoulli_coefficients(10)
+_LI2_TAYLOR_RADIUS = 0.25
+_PI2_6 = math.pi ** 2 / 6
+
+
+def _li2_disk(z):
+    """Li2 on |z| <= 1, Re z <= 1/2.
+
+    Near zero the plain series sum z^k / k^2: there 1 - z rounds away
+    the low digits of z that u = -log(1 - z) needs.  Elsewhere the series
+    u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u.
+    """
+    if abs(z) < _LI2_TAYLOR_RADIUS:
+        return li_series(2, z)
+    u = -cmath.log(1 - z)
+    u2 = u * u
+    acc = 0.0
+    for c in _LI2_BERNOULLI:
+        acc = acc * u2 + c
+    return u + u2 * (u * acc - 0.25)
+
+
+def li2(z):
+    """Principal-branch dilogarithm, cut along [1, oo), in double precision.
+
+    On the cut itself (z real, z > 1, whatever the sign of a zero imaginary
+    part) the value is the limit from below, Li2(x) = Re Li2(x) - i pi log x,
+    which is also what the principal log(1 - z) in -int_0^z log(1 - t) dt/t
+    gives.  Points with |z| <= 1 and Re z <= 1/2 are summed directly;
+    points within distance 1 of z = 1 go through the reflection
+    Li2(z) = pi^2/6 - log(z) log(1 - z) - Li2(1 - z), and all others
+    through the inversion Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ContractViolation("li2 needs a finite argument")
+    if z == 1:
+        return complex(_PI2_6)
+    if abs(z) <= 1 and z.real <= 0.5:
+        return _li2_disk(z)
+    on_cut = z.imag == 0 and z.real > 1
+    if abs(1 - z) <= 1:
+        log_1mz = (complex(math.log(z.real - 1), math.pi) if on_cut
+                   else cmath.log(1 - z))
+        return _PI2_6 - cmath.log(z) * log_1mz - _li2_disk(1 - z)
+    log_mz = (complex(math.log(z.real), math.pi) if on_cut
+              else cmath.log(-z))
+    return -_li2_disk(1 / z) - _PI2_6 - 0.5 * log_mz * log_mz
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +199,6 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
 # real dilogarithm variants and Bloch-Wigner
 
 
-def _re_li2(x):
-    import mpmath
-
-    return float(mpmath.polylog(2, mpmath.mpf(x)).real
-                 if x > 1 else mpmath.polylog(2, mpmath.mpf(x)))
-
-
 def rogers_l2(x):
     """Real dilogarithm solving the symmetric-slope differential equation
     with zeros at -1, 1/2, and 2; continuous on each component of
@@ -149,11 +207,12 @@ def rogers_l2(x):
     if x in (0.0, 1.0) or math.isinf(x) or math.isnan(x):
         raise ContractViolation("rogers_l2 is singular at 0, 1, infinity")
     pi2 = math.pi ** 2
+    re_li2 = li2(x).real
     if 0.0 < x < 1.0:
-        return _re_li2(x) + 0.5 * math.log(1 - x) * math.log(x) - pi2 / 12
+        return re_li2 + 0.5 * math.log(1 - x) * math.log(x) - pi2 / 12
     if x < 0.0:
-        return _re_li2(x) + 0.5 * math.log(1 - x) * math.log(-x) + pi2 / 12
-    return _re_li2(x) + 0.5 * math.log(x - 1) * math.log(x) - pi2 / 4
+        return re_li2 + 0.5 * math.log(1 - x) * math.log(-x) + pi2 / 12
+    return re_li2 + 0.5 * math.log(x - 1) * math.log(x) - pi2 / 4
 
 
 def rogers_l2_closed_form(x):
@@ -162,7 +221,7 @@ def rogers_l2_closed_form(x):
     x = float(x)
     if not 0.0 < x < 1.0:
         raise ContractViolation("the closed form lives on (0, 1)")
-    return _re_li2(x) + 0.5 * math.log(1 - x) * math.log(x)
+    return li2(x).real + 0.5 * math.log(1 - x) * math.log(x)
 
 
 def rogers_l2_slope(x):

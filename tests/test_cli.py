@@ -372,10 +372,11 @@ def test_integrate_budget_exit_code(tmp_path):
     assert "budget error" in proc.stderr
 
 
-def test_mpmath_loads_only_when_a_dilogarithm_needs_it():
-    """mpmath loads on the first dilogarithm, numpy when the numeric engine
-    first runs; the exact commands and the real tables load neither
-    (the tables need mpmath)."""
+def test_mpmath_never_loads():
+    """The library evaluates every dilogarithm itself, so mpmath never
+    loads; numpy loads when the numeric engine first runs, and the exact
+    commands, the real tables and the dilogarithm functions do not load
+    it."""
     commands = [["element", "--n", "2"],
                 ["verify", "--suite", "comparison", "--n", "2"],
                 ["table", "--function", "rogers", "--grid=-1:2:7"],
@@ -397,6 +398,12 @@ def test_mpmath_loads_only_when_a_dilogarithm_needs_it():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert grasspoly.cli.main(argv) == 0, argv\n"
         "    loaded(argv[0] + '_' + argv[2])\n"
+        "grasspoly.li2(3 + 0.5j)\n"
+        "loaded('li2')\n"
+        "grasspoly.bloch_wigner_five_term([0, 1, 2j, 3 + 1j, -1 - 2j])\n"
+        "loaded('bloch_wigner_five_term')\n"
+        "grasspoly.rogers_five_term([0, 1, 3, 4, 6])\n"
+        "loaded('rogers_five_term')\n"
         "grasspoly.li_n(2, 0.5)\n"
         "loaded('li_n')\n")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -405,8 +412,10 @@ def test_mpmath_loads_only_when_a_dilogarithm_needs_it():
     assert proc.stdout.splitlines() == [
         "start False False", "grasspoly False False", "cli False False",
         "element_2 False False", "verify_comparison False False",
-        "table_rogers True False", "table_bloch_wigner True False",
-        "table_l2g True False", "li_n True True"]
+        "table_rogers False False", "table_bloch_wigner False False",
+        "table_l2g False False", "li2 False False",
+        "bloch_wigner_five_term False False",
+        "rogers_five_term False False", "li_n False True"]
 
 
 def test_import_registers_every_traced_layer():

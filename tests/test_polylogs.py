@@ -81,6 +81,119 @@ def test_li2_half_reference_value():
     assert abs(li2(0.5) - exact) < 1e-14
 
 
+# ---------------------------------------------------------------------------
+# accuracy of the in-house dilogarithm against mpmath at 30 digits
+
+LI2_BOUND = 2e-15
+
+
+def li2_error(value, oracle):
+    """Relative error, or absolute where the oracle is below 1e-3."""
+    err = abs(mpmath.mpc(value) - oracle)
+    return float(err / abs(oracle) if abs(oracle) >= 1e-3 else err)
+
+
+def li2_region_points():
+    """Seeded points in every region of li2's transformations and on the
+    boundaries between them."""
+    rng = random.Random(611)
+
+    def around(center, radius):
+        return center + cmath.rect(radius, rng.uniform(-math.pi, math.pi))
+
+    def log_uniform(lo, hi):
+        return 10 ** rng.uniform(lo, hi)
+
+    def off_cut():
+        x = 1 + log_uniform(-9, math.log10(49))
+        eps = log_uniform(-300, -3)
+        return complex(x, eps if rng.random() < 0.5 else -eps)
+
+    makers = {
+        "small": lambda: around(0, log_uniform(-12, -2)),
+        "series_edge": lambda: around(0, rng.uniform(0.2, 0.3)),
+        "ring": lambda: around(0, rng.uniform(0.9, 1.1)),
+        "near_one": lambda: around(1, log_uniform(-10, -1)),
+        "reflection_edge": lambda: around(1, rng.uniform(0.95, 1.05)),
+        "large": lambda: around(0, log_uniform(0, math.log10(50))),
+        "off_cut": off_cut,
+    }
+    return {name: [make() for _ in range(120)]
+            for name, make in makers.items()}
+
+
+LI2_REGIONS = li2_region_points()
+
+
+@pytest.mark.parametrize("region", sorted(LI2_REGIONS))
+def test_li2_matches_mpmath_in_every_region(region):
+    errors = {z: li2_error(li2(z), mpmath.polylog(2, mpmath.mpc(z)))
+              for z in LI2_REGIONS[region]}
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= LI2_BOUND, (worst, errors[worst])
+
+
+def test_li2_on_the_cut_takes_mpmaths_branch():
+    """On real z > 1 the value is the limit from below, Im = -pi log z,
+    whatever the sign of a zero imaginary part."""
+    rng = random.Random(612)
+    xs = [1 + 1e-12, 1 + 1e-6, 1.5, 2.0, 2.5, 50.0]
+    xs += [1 + 10 ** rng.uniform(-9, math.log10(49)) for _ in range(40)]
+    for x in xs:
+        oracle = mpmath.polylog(2, mpmath.mpf(x))
+        assert oracle.imag < 0
+        values = {li2(x), li2(complex(x, 0.0)), li2(complex(x, -0.0))}
+        assert len(values) == 1
+        value, = values
+        assert li2_error(value, oracle) <= LI2_BOUND, x
+        assert abs(value.imag + math.pi * math.log(x)) <= (
+            LI2_BOUND * abs(oracle))
+    # just off the cut the two sides differ by 2 pi i log x
+    above, below = li2(complex(3, 1e-300)), li2(complex(3, -1e-300))
+    assert below == li2(3.0)
+    assert abs(above - below.conjugate()) < 1e-15
+    assert abs((above - below) - 2j * math.pi * math.log(3)) < 1e-14
+
+
+def test_li2_at_zero_and_one_and_its_contracts():
+    assert li2(0) == 0
+    assert li2(0j) == 0
+    assert li2(1) == math.pi ** 2 / 6
+    assert li2_error(li2(1), mpmath.zeta(2)) <= LI2_BOUND
+    assert li2_error(li2(-1), -mpmath.zeta(2) / 2) <= LI2_BOUND
+    for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                complex(math.inf, 1.0)):
+        with pytest.raises(ContractViolation):
+            li2(bad)
+
+
+def mp_rogers(x):
+    """rogers_l2 of a rational at 30 digits, from its definition."""
+    x = mpmath.mpf(x.numerator) / x.denominator
+    li, pi2 = mpmath.re(mpmath.polylog(2, x)), mpmath.pi ** 2
+    if 0 < x < 1:
+        return li + mpmath.log(1 - x) * mpmath.log(x) / 2 - pi2 / 12
+    if x < 0:
+        return li + mpmath.log(1 - x) * mpmath.log(-x) / 2 + pi2 / 12
+    return li + mpmath.log(x - 1) * mpmath.log(x) / 2 - pi2 / 4
+
+
+def test_rogers_of_fractions_matches_mpmath():
+    """rogers_l2 adds Re Li2(x) to a product of logarithms of about the same
+    size, so its error is bounded relative to 1 + |Re Li2(x)|."""
+    rng = random.Random(613)
+    done = 0
+    while done < 150:
+        x = Fraction(rng.randint(-2500, 2500), rng.randint(1, 50))
+        if x in (0, 1):
+            continue
+        value = rogers_l2(x)
+        assert value == rogers_l2(float(x))
+        scale = 1 + abs(mpmath.re(mpmath.polylog(2, mpmath.mpf(float(x)))))
+        assert abs(value - mp_rogers(x)) <= LI2_BOUND * scale, x
+        done += 1
+
+
 def test_li_n_contracts():
     with pytest.raises(ContractViolation):
         li_n(0, 0.5)
@@ -426,3 +539,141 @@ def test_grassmannian_tate_prepares_the_default_batch_once(monkeypatch):
     override = grassmannian_tate(3, path, element=build_element(3).tensor)
     assert (override.value, override.error, override.panels) == (
         first.value, first.error, first.panels)
+
+
+# ---------------------------------------------------------------------------
+# degree 2: the numeric Grassmannian function is twice the Rogers dilogarithm
+
+
+def _det2(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _bracket_value(cfg, symbol):
+    i, j = symbol[1]
+    return _det2(cfg[i - 1], cfg[j - 1])
+
+
+def _r_value(cfg):
+    """The cross-ratio r = D13 D24 / (D14 D23) of four 2-vectors."""
+    d = {ij: _det2(cfg[ij[0] - 1], cfg[ij[1] - 1])
+         for ij in ((1, 3), (2, 4), (1, 4), (2, 3))}
+    return d[1, 3] * d[2, 4] / (d[1, 4] * d[2, 3])
+
+
+def mp_rogers_r(r):
+    """R(r) = Re Li2(r) + (1/2) log|r| log|1 - r| at 30 digits."""
+    r = mpmath.mpf(r)
+    return (mpmath.re(mpmath.polylog(2, r))
+            + mpmath.log(abs(r)) * mpmath.log(abs(1 - r)) / 2)
+
+
+def degree_two_factor(tensor):
+    """The exact f with grassmannian_tate(2, path) + base = f (R(r1) - R(r0))
+    on real pole-free paths, derived from the element, not fitted.
+
+    The element is lam times half the alternation of D12 ^ D13, with
+    a ^ b = a (x) b - b (x) a, and that half alternation expands to
+    (1 - r) ^ r (the sign of 1 - r = -D12 D34 / (D14 D23) is dropped, as
+    only |1 - r| enters on real paths).  The first slot is integrated first,
+    so a (x) b contributes int log|a| dlog|b| once the base term is added
+    back, and (1 - r) ^ r gives int log|1 - r| dlog|r| - log|r| dlog|1 - r|
+    = -2 dR.  Hence f = -2 lam.
+    """
+    from grasspoly.tensors import alt, bracket_symbol, equal, tensor_of_slots
+
+    def d(i, j):
+        return bracket_symbol((i, j))[0]
+
+    def wedge(a, b):
+        return tensor_of_slots([a, b]) - tensor_of_slots([b, a])
+
+    half_alt = Fraction(1, 2) * alt(
+        lambda p: wedge([(d(p[0] + 1, p[1] + 1), 1)],
+                        [(d(p[0] + 1, p[2] + 1), 1)]), 4)
+    one_minus_r = [(d(1, 2), 1), (d(3, 4), 1), (d(2, 3), -1), (d(1, 4), -1)]
+    r = [(d(1, 3), 1), (d(2, 4), 1), (d(2, 3), -1), (d(1, 4), -1)]
+    assert equal(half_alt, wedge(one_minus_r, r))
+    slots = next(iter(half_alt.terms))
+    lam = Fraction(tensor.coefficient(slots)) / half_alt.coefficient(slots)
+    assert equal(tensor, lam * half_alt)
+    return -2 * lam
+
+
+def _segment_keeps_signs(a, b):
+    """No bracket of the four 2-vectors vanishes on the segment a -> b:
+    each is a quadratic in s with the same sign at both ends and at an
+    interior vertex."""
+    for i in range(4):
+        for j in range(i + 1, 4):
+            da = [y - x for x, y in zip(a[i], b[i])]
+            db = [y - x for x, y in zip(a[j], b[j])]
+            c0 = _det2(a[i], a[j])
+            c1 = _det2(a[i], db) + _det2(da, a[j])
+            c2 = _det2(da, db)
+            values = [c0, c0 + c1 + c2]
+            if c2 != 0 and 0 < -c1 / (2 * c2) < 1:
+                values.append(c0 - c1 * c1 / (4 * c2))
+            if min(values) * max(values) <= 0:
+                return False
+    return True
+
+
+def real_paths_by_chamber(per_chamber, seed):
+    """Seeded real polylines of four general 2-vectors, on which no bracket
+    vanishes, grouped by the chamber of r; every third path has two
+    segments."""
+    rng = random.Random(seed)
+    paths = {"r<0": [], "0<r<1": [], "r>1": []}
+
+    def step(cfg):
+        return [[v + rng.uniform(-0.6, 0.6) for v in row] for row in cfg]
+
+    while min(map(len, paths.values())) < per_chamber:
+        start = [[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(4)]
+        points = [start, step(start)]
+        if sum(map(len, paths.values())) % 3 == 2:
+            points.append(step(points[-1]))
+        if not all(map(_segment_keeps_signs, points, points[1:])):
+            continue
+        r = _r_value(start)
+        chamber = "r<0" if r < 0 else "0<r<1" if r < 1 else "r>1"
+        if len(paths[chamber]) < per_chamber:
+            paths[chamber].append(points)
+    return paths
+
+
+def degree_two_defect(points, tensor, factor, element=None):
+    """Relative defect of grassmannian_tate(2) + base = factor * dR, with
+    the base term sum c_ab log|a(x0)| (log|b(x1)| - log|b(x0)|) taken from
+    the element's own coefficients."""
+    x0, x1 = points[0], points[-1]
+    base = sum(float(c) * math.log(abs(_bracket_value(x0, a)))
+               * (math.log(abs(_bracket_value(x1, b)))
+                  - math.log(abs(_bracket_value(x0, b))))
+               for (a, b), c in tensor.terms.items())
+    value = grassmannian_tate(2, PathSpec.from_points(points),
+                              element=element).value
+    expected = float(factor * (mp_rogers_r(_r_value(x1))
+                               - mp_rogers_r(_r_value(x0))))
+    return abs(value + base - expected) / abs(expected)
+
+
+def test_degree_two_tate_is_twice_the_rogers_dilogarithm():
+    from grasspoly.elements import build_element, flip_first_term
+
+    tensor = build_element(2).tensor
+    factor = degree_two_factor(tensor)
+    assert factor == 2
+    paths = real_paths_by_chamber(20, seed=614)
+    assert any(len(p) == 3 for chamber in paths.values() for p in chamber)
+    for chamber, chamber_paths in paths.items():
+        worst = max(degree_two_defect(p, tensor, factor)
+                    for p in chamber_paths)
+        assert worst <= 1e-11, chamber
+        # the identity pins the element: a scaled or sign-flipped
+        # override breaks it
+        first = chamber_paths[0]
+        for wrong in (Fraction(3, 2) * tensor, flip_first_term(tensor)):
+            assert degree_two_defect(first, tensor, factor,
+                                     element=wrong) > 1e-6, chamber
