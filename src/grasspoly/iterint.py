@@ -146,17 +146,6 @@ def _quadrature():
     return tables
 
 
-_QUADRATURE_NAMES = ("_NODES", "_WEIGHTS", "_QMAT", "_PREFIX_AND_END")
-
-
-def __getattr__(name):
-    """The `_quadrature` tables under their names, such as
-    `from grasspoly.iterint import _NODES`."""
-    if name in _QUADRATURE_NAMES:
-        return _quadrature()[_QUADRATURE_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # paths
 
@@ -366,11 +355,6 @@ def normalize_letter(letter):
     """
     if _is_symbol(letter):
         return ((1, letter),)
-    if type(letter) is tuple and len(letter) == 1:
-        part = letter[0]
-        if (type(part) is tuple and len(part) == 2 and type(part[0]) is int
-                and _is_symbol(part[1])):
-            return letter
     parts = tuple(letter)
     if (len(parts) == 2 and isinstance(parts[0], _NUMBERS)
             and _is_symbol(parts[1])):

@@ -102,20 +102,19 @@ def _bernoulli_coefficients(count):
 # and the k-th term is about 2 (|u| / 2 pi)^(2k) |u| / (2k + 1), so ten
 # terms leave a tail under 1e-18.
 _LI2_BERNOULLI = _bernoulli_coefficients(10)
-_LI2_TAYLOR_RADIUS = 0.25
 _PI2_6 = math.pi ** 2 / 6
 
 
 def _li2_disk(z):
-    """Li2 on |z| <= 1, Re z <= 1/2.
+    """Li2 on |z| <= 1, Re z <= 1/2: the series
+    u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u = -log(1 - z).
 
-    Near zero the plain series sum z^k / k^2: there 1 - z rounds away
-    the low digits of z that u = -log(1 - z) needs.  Elsewhere the series
-    u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u.
+    Near zero, w = 1 - z rounds away low digits of z.  The quotient
+    log(w) / (w - 1) varies slowly in w, so u = z log(w) / (w - 1) with
+    the exact z keeps full relative accuracy (u = z when w rounds to 1).
     """
-    if abs(z) < _LI2_TAYLOR_RADIUS:
-        return li_series(2, z)
-    u = -cmath.log(1 - z)
+    w = 1 - z
+    u = z if w == 1 else cmath.log(w) * z / (w - 1)
     u2 = u * u
     acc = 0.0
     for c in _LI2_BERNOULLI:

@@ -527,7 +527,7 @@ PINNED = [
     (("verify", "--suite", "all", "--n", "2", "--n", "3", "--seed", "0"), 0,
      "f808f02e2d40a94f41b6685b75973cc69c308fcc01643e0eabcb96797a4f4faa"),
     (("verify", "--suite", "all", "--n", "2", "--mutate"), 1,
-     "35ee6047d94527e8be2d7c559ae8f5b34fb8707827dd17f9f55996b30044bef0"),
+     "678488d4c6b0b0dd126bd5cb07a130e201d65bd3f3faa7c6ea828bfc9b6e9b14"),
     (("verify", "--suite", "integrability", "--n", "3", "--mutate",
       "--seed", "0"), 1,
      "c81d40782a3193df672a24beabfdd27c4b1e5d6f7b978c01135b0f1ec3706528"),

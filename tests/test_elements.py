@@ -20,7 +20,8 @@ from grasspoly.elements import (GrassElement, Report, build_element,
                                 check_scale_invariance,
                                 check_steinberg_wedge, flip_first_term,
                                 integrability_residues, omission_residues,
-                                scale_label, steinberg_wedge_sides)
+                                scale_label, steinberg_wedge_sides,
+                                _residue_sample)
 from grasspoly.aomoto import pairing_element_labels
 from grasspoly.errors import ContractViolation
 from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
@@ -202,10 +203,17 @@ def test_comparison_detects_mutation():
     assert rep.residue_terms
 
 
-def test_comparison_report_constant_mode():
-    rep = check_comparison(2, mode="report-constant")
-    assert rep.passed
-    assert rep.details["matched_constant"] == "4"
+@pytest.mark.parametrize("n, c", [
+    (n, c) for n in (2, 3) for c in ("2", "1/2", "-1")] + [(4, "1/2")])
+def test_comparison_rejects_a_scaled_element(n, c):
+    """Only the one constant (-1)^n (n!)^2 passes: c times the element
+    leaves the residue (1 - c) lhs."""
+    e = build_element(n)
+    scaled = GrassElement(n, e.labels, (), e.tensor * Fraction(c))
+    rep = check_comparison(n, element=scaled)
+    assert not rep.passed
+    assert rep.details["matched_constant"] is None
+    assert rep.residue_terms
 
 
 def test_comparison_degree_four():
@@ -223,8 +231,6 @@ def test_comparison_contracts():
         check_comparison(1)
     with pytest.raises(ContractViolation):
         check_comparison(5)
-    with pytest.raises(ContractViolation):
-        check_comparison(2, mode="always")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +380,8 @@ def test_steinberg_check_passes_and_half_matters():
     bad = check_steinberg_wedge(num_points=4, half_coefficient=False)
     assert not bad.passed
     assert bad.details["symbolic_equal"] is False
+    lhs, rhs = steinberg_wedge_sides(half_coefficient=False)
+    assert bad.residue_terms == _residue_sample(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

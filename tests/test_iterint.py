@@ -21,10 +21,11 @@ import pytest
 from grasspoly import iterint
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
-from grasspoly.iterint import (_NODES, PHASE_JUMP_LIMIT, POLE_THRESHOLD,
+from grasspoly.iterint import (PHASE_JUMP_LIMIT, POLE_THRESHOLD,
                                IterIntResult, PathSpec, _Automaton,
                                _chebvander, _fit_brackets, _LetterTable,
-                               _letter_values, _PhaseJump, _WordBatch,
+                               _letter_values, _PhaseJump, _quadrature,
+                               _WordBatch,
                                dlog_letter, homotopy_test, iterate_element,
                                iterate_word, iterate_words, monodromy_probe,
                                normalize_letter, normalize_word,
@@ -409,7 +410,7 @@ def _det_solve_letter_values(seg, svals, letters):
 
 
 def _panel_nodes(sa, sb):
-    return 0.5 * (sa + sb) + 0.5 * (sb - sa) * _NODES
+    return 0.5 * (sa + sb) + 0.5 * (sb - sa) * _quadrature()[0]
 
 
 def _letter_table(dim, count):
@@ -548,18 +549,13 @@ def test_lazy_tables_and_constants_equal_their_eager_definitions():
     for mm in range(1, 16):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
     qmat = anti @ coef
-    eager = {"_NODES": x, "_WEIGHTS": w, "_QMAT": qmat,
-             "_PREFIX_AND_END": np.hstack([qmat.T, w[:, None]])}
-    for name, value in eager.items():
-        table = getattr(iterint, name)
-        assert table is getattr(iterint, name)  # built once
+    eager = (x, w, qmat, np.hstack([qmat.T, w[:, None]]))
+    assert _quadrature() is _quadrature()  # built once
+    for table, value in zip(_quadrature(), eager, strict=True):
         assert not table.flags.writeable
         assert table.dtype == value.dtype and np.array_equal(table, value)
-    assert _NODES is iterint._NODES
     assert PHASE_JUMP_LIMIT == np.pi / 2
     assert iterint._ROUNDING_FLOOR == 16 * np.finfo(float).eps
-    with pytest.raises(AttributeError):
-        iterint._NO_SUCH_TABLE
 
 
 # ---------------------------------------------------------------------------
