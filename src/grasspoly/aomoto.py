@@ -34,21 +34,28 @@ sorted, so each sub-generator is canonical with sign +1 once its new
 center joins the prefix; it vanishes when that center lies in the other
 simplex.
 
-Iterating the coproduct on the leftmost reducible factor and then turning
-every weight-1 generator into its projected cross-ratio monomial
+Iterating the coproduct down to weight 1 and then turning every weight-1
+generator into its projected cross-ratio monomial
 
     <p | l0,l1; m0,m1>  ->  D(p,l0,m0) D(p,l1,m1) / (D(p,l1,m0) D(p,l0,m1))
 
 expands an expression into a canonical MultTensor.  That composite is the
 maximal iterated coproduct of the coalgebra, realized purely in terms of
-the (w-1,1) components.
+the (w-1,1) components.  The face-deletion sums and the cross-ratio map
+are written in labels and alternate in each simplex, the prefix is a set,
+and every vanishing test compares label sets; so the expansion commutes
+with relabelling, up to the sign of canonicalisation.  Each generator is
+therefore expanded once per label pattern: renumbered 1..k in order of
+first appearance (its standard form), expanded and cached, and mapped back
+through its labels.  The 70 weight-3 generators of the degree-4 pairing
+element share one standard form, and the whole expansion needs three.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
@@ -58,6 +65,10 @@ from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
 
 GEN = "g"
 MONO = "m"
+
+# Entries kept by each memoised function of this module, so a long-lived
+# process holds bounded memory whatever it expands.
+CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -261,7 +272,7 @@ def _coproduct_terms(gen):
     return AomotoExpr(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def coproduct_weight2(gen):
     """Coproduct of a weight-2 generator into weight-1 (x) bracket terms,
     in both tensor orders."""
@@ -273,7 +284,7 @@ def coproduct_weight2(gen):
     return _coproduct_terms(gen)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def coproduct_higher(gen):
     """Coproduct component of a generator of weight >= 3 into
     weight-(w-1) (x) bracket terms, generator in the left slot."""
@@ -297,7 +308,7 @@ def coproduct(gen):
     raise ContractViolation("weight-1 generators have no reduced coproduct")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cross_ratio_monomial(gen):
     """The multiplicative monomial of a weight-1 generator.
 
@@ -319,19 +330,16 @@ def cross_ratio_monomial(gen):
 def expand_to_tensor(expr, arity):
     """Expand an expression into a canonical MultTensor of given arity.
 
-    Repeatedly applies the coproduct to the leftmost factor holding a
-    generator of weight >= 2 (splicing the two-factor image in place),
-    converts the surviving weight-1 generators to cross-ratio monomials,
-    and expands all slot monomials multi-additively.  A term whose final
-    factor count differs from `arity` is a contract violation: the
-    expression was not reducible to the requested depth.
+    Each term is the product of its factors' expansions: a monomial
+    factor gives its atoms, one slot, and a generator of weight w gives
+    its relabelled standard-form expansion (_standard_expansion), w slots.
+    A term whose slot count differs from `arity` is a contract violation:
+    the expression does not reduce to the requested depth.
 
-    Coefficients stay integers throughout: each term carries a numerator
-    and a denominator, the product of the denominators of the input and
-    of the coproduct images it went through (each image is held as
-    integer numerators over one denominator).  Numerators are summed per
-    key and denominator; a Fraction is made only for a key whose total is
-    not integral.
+    Coefficients stay integers throughout: every expansion is held as int
+    numerators over one denominator, numerators are summed per key and
+    denominator, and a Fraction is made only for a key whose total is not
+    integral.
     """
     if isinstance(expr, AomotoGen):
         expr = AomotoExpr.of_gen(expr)
@@ -339,54 +347,128 @@ def expand_to_tensor(expr, arity):
         raise ContractViolation("expand_to_tensor expects an expression")
     arity = int(arity)
 
-    by_den = {}
     den0, top = expr._over_denominator()
-    stack = [(factors, num, den0) for factors, num in top]
-    while stack:
-        factors, num, den = stack.pop()
-        idx = None
-        for i, f in enumerate(factors):
-            if f[0] == GEN and f[1].weight >= 2:
-                idx = i
-                break
-        if idx is not None:
-            cden, image = coproduct(factors[idx][1])._over_denominator()
-            head, tail = factors[:idx], factors[idx + 1:]
-            den *= cden
-            for cf, cn in image:
-                stack.append((head + cf + tail, num * cn, den))
-            continue
-        slots = []
-        for tag, payload in factors:
-            if tag == GEN:
-                slots.append(cross_ratio_monomial(payload))
-            else:
-                slots.append(payload)
-        if len(slots) != arity:
+    for factors, _ in top:
+        slots = sum(f[1].weight if f[0] == GEN else 1 for f in factors)
+        if slots != arity:
             raise ContractViolation(
-                f"term reduced to {len(slots)} slots, expected {arity}")
-        acc = by_den.get(den)
-        if acc is None:
-            acc = by_den[den] = {}
-        get = acc.get
-        for key, c in _expand_slots(slots, num):
-            acc[key] = get(key, 0) + c
+                f"term reduces to {slots} slots, expected {arity}")
+    by_den = _sum_products(den0, top)
     return MultTensor(arity, _over_common_denominator(by_den))
+
+
+def _standard_form(gen):
+    """(std, sign, order) with gen = sign * (std relabelled by order).
+
+    The labels are renumbered 1..k in order of first appearance (prefix,
+    left simplex, then the right simplex's own labels) and the result is
+    canonicalised by make_gen, which gives the sign; order[k - 1] is the
+    original label of k.  std is None when gen vanishes (a repeated label,
+    or a prefix label inside a simplex): those are label-set tests, so
+    they hold for gen exactly when for its renumbering.
+    """
+    order = tuple(dict.fromkeys(
+        int(i) for part in (gen.prefix, gen.left, gen.right) for i in part))
+    new = {label: k for k, label in enumerate(order, 1)}
+    std, sign = make_gen(*(tuple(new[int(i)] for i in part)
+                           for part in (gen.prefix, gen.left, gen.right)))
+    return std, sign, order
+
+
+class _Relabel(dict):
+    """Bracket symbols of a standard expansion, each mapped once through
+    `order` and re-sorted (brackets are mod 2, so no sign)."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, sym):
+        order = self.order
+        out = self[sym] = (sym[0], tuple(sorted(order[i - 1]
+                                                for i in sym[1])))
+        return out
+
+
+def _expand_factors(factors, relabels):
+    """(den, [(key, numerator), ...]): the product of the factors'
+    expansions.  relabels memoises each order's symbol map for one
+    expansion."""
+    den, items = 1, None
+    for tag, payload in factors:
+        if tag == GEN:
+            std, sign, order = _standard_form(payload)
+            if std is None:
+                return 1, ()
+            d, part = _standard_expansion(std)
+            relabel = relabels.get(order)
+            if relabel is None:
+                relabel = relabels[order] = _Relabel(order)
+            get = relabel.__getitem__
+            den *= d
+            part = [(tuple(map(get, key)), sign * c) for key, c in part]
+        else:
+            part = [((sym,), e) for sym, e in payload]
+        items = part if items is None else [
+            (k1 + k2, c1 * c2) for k1, c1 in items for k2, c2 in part]
+    return den, items
+
+
+def _sum_products(den0, terms):
+    """{den: {key: numerator}}: the sum over (factors, num) terms of
+    num / den0 times the product of the factors' expansions."""
+    by_den, relabels = {}, {}
+    for factors, num in terms:
+        den, items = _expand_factors(factors, relabels)
+        acc = by_den.setdefault(den * den0, {})
+        get = acc.get
+        for key, c in items:
+            acc[key] = get(key, 0) + c * num
+    return by_den
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _standard_expansion(std):
+    """(den, ((key, numerator), ...)): the depth-w expansion of a
+    standard-form generator, int numerators over one denominator in
+    lowest terms, zeros dropped.
+
+    Weight 1 is the cross-ratio monomial.  At weight w >= 2 each term of
+    coproduct(std) is the product of its factors' expansions, and each
+    generator factor recurses through its own standard form.
+    """
+    if std.weight == 1:
+        return 1, tuple(_expand_slots((cross_ratio_monomial(std),)))
+    den, totals = _sum_over_lcm(_sum_products(
+        *coproduct(std)._over_denominator()))
+    nums = [num for num in totals.values() if num]
+    g = gcd(den, *nums)
+    return den // g, tuple((key, num // g)
+                           for key, num in totals.items() if num)
+
+
+def _sum_over_lcm(by_den):
+    """(den, {key: numerator}) from {den: {key: numerator}}: numerators
+    summed over the lcm of the denominators."""
+    if len(by_den) == 1:
+        (den, totals), = by_den.items()
+        return den, totals
+    den = lcm(*by_den)
+    totals = {}
+    for d, acc in by_den.items():
+        scale = den // d
+        for key, num in acc.items():
+            totals[key] = totals.get(key, 0) + num * scale
+    return den, totals
 
 
 def _over_common_denominator(by_den):
     """Canonical terms from {den: {key: numerator}}: numerators summed over
     the lcm of the denominators, zeros dropped, a Fraction only where the
     total is not integral."""
-    if len(by_den) == 1:
-        (den, totals), = by_den.items()
-    else:
-        den = lcm(*by_den)
-        totals = {}
-        for d, acc in by_den.items():
-            scale = den // d
-            for key, num in acc.items():
-                totals[key] = totals.get(key, 0) + num * scale
+    den, totals = _sum_over_lcm(by_den)
     out = {}
     for key, num in totals.items():
         if num:

@@ -7,7 +7,8 @@ The load-bearing oracles:
 - the additivity relations, whose expansions must be exactly zero;
 - the former per-arrangement Fraction loops of the pairing element, the
   weight-2 coproduct and the expansion, and the former weight >= 3
-  coproduct loop, kept here as copies.
+  coproduct loop, kept here as copies;
+- equivariance: expanding a relabelled input relabels the output.
 """
 
 import itertools
@@ -662,3 +663,182 @@ def test_additivity_inputs_expand_as_the_fraction_loop(weight, dual, side):
     assert_same_terms(expand_to_tensor(one, weight),
                       old_expand_to_tensor(one, weight))
     assert not expand_to_tensor(one, weight).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# standard-form expansion: the stack loop as oracle, equivariance, bounds
+
+
+def random_gen(rng, weight):
+    """A directly constructed generator of `weight`: 0-2 prefix labels,
+    simplices sharing 0..weight+1 labels, every part in random order; now
+    and then a repeated label or a prefix label inside a simplex."""
+    labels = rng.sample(range(1, 3 * weight + 7), 2 * weight + 4)
+    prefix = labels[:rng.randrange(3)]
+    left = labels[2:weight + 3]
+    shared = rng.sample(left, rng.randrange(weight + 2))
+    right = shared + labels[weight + 3:2 * weight + 4 - len(shared)]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    roll = rng.random()
+    if roll < 0.06:
+        left[0] = left[-1]
+    elif roll < 0.12:
+        prefix.append(rng.choice(left + right))
+    elif roll < 0.18:
+        prefix = [labels[0], labels[0]]
+    return AomotoGen(tuple(prefix), tuple(left), tuple(right))
+
+
+def random_mono(rng):
+    atoms = {bracket_symbol(rng.sample(range(1, 12), rng.randrange(2, 4)))[0]
+             for _ in range(rng.randrange(1, 3))}
+    return MONO, tuple((sym, rng.choice((1, -1, 2))) for sym in atoms)
+
+
+def random_expr(rng, arity):
+    """Terms of one generator, two generators, or a generator and a
+    monomial in either order, with int and Fraction coefficients."""
+    pairs = []
+    for _ in range(rng.randrange(1, 4)):
+        shape = rng.choice(("gen", "gens", "gen-mono", "mono-gen")
+                           if arity > 1 else ("gen",))
+        if shape == "gen":
+            factors = ((GEN, random_gen(rng, arity)),)
+        elif shape == "gens":
+            w = rng.randrange(1, arity)
+            factors = ((GEN, random_gen(rng, w)),
+                       (GEN, random_gen(rng, arity - w)))
+        else:
+            factors = ((GEN, random_gen(rng, arity - 1)), random_mono(rng))
+            if shape == "mono-gen":
+                factors = factors[::-1]
+        pairs.append((factors, rng.choice(
+            (1, -2, 3, Fraction(1, 3), Fraction(-5, 7)))))
+    return AomotoExpr.from_terms(pairs)
+
+
+def vanishes(gen):
+    return make_gen(gen.prefix, gen.left, gen.right)[0] is None
+
+
+def stack_loop_expansion(expr, arity):
+    """old_expand_to_tensor of the terms whose generators do not vanish.
+    The old loop expanded a generator with a prefix label inside a simplex
+    (or, at weight 1, a repeated prefix label) into nonzero terms."""
+    live = AomotoExpr({factors: c for factors, c in expr.terms.items()
+                       if not any(tag == GEN and vanishes(payload)
+                                  for tag, payload in factors)})
+    return old_expand_to_tensor(live, arity)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_expansion_of_random_expressions_matches_stack_loop(arity):
+    rng = random.Random(1300 + arity)
+    count = {1: 80, 2: 80, 3: 60, 4: 8}[arity]
+    vanishing = fractional = 0
+    for _ in range(count):
+        expr = random_expr(rng, arity)
+        new = expand_to_tensor(expr, arity)
+        assert_same_terms(new, stack_loop_expansion(expr, arity))
+        vanishing += any(tag == GEN and vanishes(payload)
+                         for factors in expr.terms for tag, payload in factors)
+        fractional += any(type(c) is Fraction for c in new.terms.values())
+    assert vanishing >= count // 10
+    assert fractional >= count // 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expansion_of_relabelled_pairings_matches_stack_loop(n):
+    rng = random.Random(1310 + n)
+    for _ in range(3 if n < 4 else 1):
+        labels = rng.sample(range(1, 30), 2 * n + 2)
+        expr = pairing_element_labels(n, labels=labels[:2 * n],
+                                      prefix=labels[2 * n:][:rng.randrange(3)])
+        assert_same_terms(expand_to_tensor(expr, n),
+                          old_expand_to_tensor(expr, n))
+
+
+def relabel_expr(expr, sigma):
+    def factor(f):
+        tag, payload = f
+        if tag == GEN:
+            return GEN, AomotoGen(*(tuple(sigma[i] for i in part)
+                                    for part in (payload.prefix, payload.left,
+                                                 payload.right)))
+        return MONO, tuple((relabel_symbol(sym, sigma), e)
+                           for sym, e in payload)
+
+    return AomotoExpr({tuple(map(factor, factors)): c
+                       for factors, c in expr.terms.items()})
+
+
+def relabel_symbol(sym, sigma):
+    return bracket_symbol([sigma[i] for i in sym[1]])[0]
+
+
+def relabel_tensor(tensor, sigma):
+    return MultTensor(tensor.arity, {
+        tuple(relabel_symbol(sym, sigma) for sym in key): c
+        for key, c in tensor.terms.items()})
+
+
+def random_relabelling(rng, labels):
+    labels = sorted(set(labels))
+    return dict(zip(labels, rng.sample(range(1, 60), len(labels))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expansion_of_pairing_is_equivariant(n):
+    rng = random.Random(1320 + n)
+    for prefix in ((), (2 * n + 1,)):
+        expr = pairing_element_labels(n, prefix=prefix)
+        base = expand_to_tensor(expr, n)
+        for _ in range(2 if n < 4 else 1):
+            sigma = random_relabelling(rng, range(1, 2 * n + 2))
+            moved = expand_to_tensor(relabel_expr(expr, sigma), n)
+            assert moved.terms == relabel_tensor(base, sigma).terms
+
+
+@pytest.mark.parametrize("weight", [2, 3, 4])
+def test_expansion_of_a_generator_is_equivariant(weight):
+    rng = random.Random(1330 + weight)
+    for _ in range(12 if weight < 4 else 4):
+        gen = random_gen(rng, weight)
+        expr = AomotoExpr.of_gen(gen, rng.choice((1, Fraction(-2, 3))))
+        base = expand_to_tensor(expr, weight)
+        sigma = random_relabelling(rng, gen.prefix + gen.left + gen.right)
+        moved = expand_to_tensor(relabel_expr(expr, sigma), weight)
+        assert moved.terms == relabel_tensor(base, sigma).terms
+
+
+def test_caches_stay_bounded():
+    """Distinct generators past every cache's bound leave each cache at
+    or below it; the coproduct and monomial caches reach it."""
+    from grasspoly.aomoto import _standard_expansion
+
+    def gens(weight, count):
+        labels = range(1, {1: 13, 2: 10, 3: 9}[weight])
+        simplices = list(itertools.combinations(labels, weight + 1))
+        out = [gen for prefix in ((), (20,))
+               for left in simplices for right in simplices
+               for gen in [make_gen(prefix, left, right)[0]]]
+        return random.Random(1340 + weight).sample(out, count)
+
+    for weight in (2, 3):
+        for gen in gens(weight, 5000):
+            coproduct(gen)
+        for gen in gens(weight, 300):
+            expand_to_tensor(gen, weight)
+    for gen in gens(1, 5000):
+        cross_ratio_monomial(gen)
+        expand_to_tensor(gen, 1)
+    caches = (coproduct_weight2, coproduct_higher, cross_ratio_monomial,
+              _standard_expansion)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    for cache in caches[:3]:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
