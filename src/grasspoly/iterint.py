@@ -24,7 +24,8 @@ single state, the element's value (20 and 90 states at levels 1 and 2
 for the degree-3 element, 70, 1120 and 1260 for degree 4).  On a path
 segment every bracket is a polynomial P in the segment parameter; it is
 fitted once per segment as a Chebyshev series from one batched
-determinant, and the letters of every panel are P'/P of that fit at the
+determinant (the Chebyshev points and matrices of a fit are built once
+per degree), and the letters of every panel are P'/P of that fit at the
 nodes.
 
 Panels split adaptively by comparing a whole-panel sweep against two
@@ -33,13 +34,17 @@ accumulated estimate stays near the requested tolerance, but it never
 asks for a relative difference below _ROUNDING_FLOOR (16 ulp), which deep
 panels could not meet in double precision.  A split reuses what is
 already known: the left half becomes the left child's whole panel, and the
-right half's letter values serve the right child's whole panel.  The
-`panels` count of a result is the number of sweeps evaluated, and the
-budget limits the same count.  The acceptance test reads every state of
-the sweep: trie nodes for words, automaton states and the value for an
-element.  A word's reported error sums, over the accepted panels, the
-largest |whole - halves| among its prefix nodes; an element's sums its
-own value's |whole - halves|.
+right half's letter values serve the right child's whole panel.  Each
+step evaluates the letters of all the panels it sweeps (the whole panel
+unless it was handed down, and the two halves) in one call, then sweeps
+them in that order; a panel whose letters fail raises only in its turn,
+after the panels before it are swept and counted.  The `panels` count of
+a result is the number of sweeps evaluated, and the budget limits the
+same count.  The acceptance test reads every state of the sweep: trie
+nodes for words, automaton states and the value for an element.  A
+word's reported error sums, over the accepted panels, the largest
+|whole - halves| among its prefix nodes; an element's sums its own
+value's |whole - halves|.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
@@ -62,7 +67,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, pi
 
@@ -526,8 +531,7 @@ class _WordBatch:
         f_a, given the letter values at its nodes and its half width."""
         _, weights, qmat, _ = _quadrature()
         f_b = f_a.copy()
-        roots = self.levels[0][0].start
-        prev = np.broadcast_to(f_a[:roots, None], (roots, GAUSS_ORDER))
+        prev = f_a[:self.levels[0][0].start, None]
         for k, (nodes, parent, col) in enumerate(self.levels, start=1):
             g = lv[:, col].T * prev[parent]
             if k < len(self.levels):
@@ -714,6 +718,40 @@ def _chebvander(x, deg):
     return v.transpose((*range(1, v.ndim), 0))
 
 
+def _chebder(c):
+    """The derivative in s = (x + 1) / 2 of the Chebyshev series c along
+    its first axis: numpy's `chebder(c, scl=2.0)` recurrence, so the
+    coefficients are bit-identical, without its argument handling and
+    `np.moveaxis` calls."""
+    n = len(c) - 1
+    if n < 1:
+        return c[:1] * 0
+    c = c * 2.0
+    der = np.empty((n,) + c.shape[1:], dtype=c.dtype)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+@lru_cache(maxsize=64)
+def _fit_tables(top, deg):
+    """The fixed arrays of a fit of degree `top` to a segment of degree
+    `deg`: the powers s^0..s^deg at the top + 1 Chebyshev points (as
+    s = (x + 1) / 2), (deg + 1, top + 1), and the Chebyshev-Vandermonde
+    matrix at the points, (top + 1, top + 1).  The arrays are shared, so
+    they are read-only."""
+    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
+    tables = ((0.5 * (x + 1.0)) ** np.arange(deg + 1)[:, None],
+              _chebvander(x, top))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 def _fit_brackets(seg, letters):
     """Every bracket of the letter table on one segment as a Chebyshev
     series in x = 2s - 1, and its derivative in s: two (terms, brackets)
@@ -725,40 +763,45 @@ def _fit_brackets(seg, letters):
     near a zero; the Chebyshev-Vandermonde matrix at Chebyshev points is
     a scaled orthogonal one.)
     """
-    top = seg.shape[2] * (seg.shape[0] - 1)
-    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
-    powers = (0.5 * (x + 1.0)) ** np.arange(seg.shape[0])[:, None]
+    deg = seg.shape[0] - 1
+    powers, vander = _fit_tables(seg.shape[2] * deg, deg)
     m = np.einsum("dcx,du->ucx", seg, powers)
-    series = np.linalg.solve(_chebvander(x, top),
-                             np.linalg.det(m[:, letters.brackets, :]))
-    return series, np.polynomial.chebyshev.chebder(series, scl=2.0)
+    series = np.linalg.solve(vander, np.linalg.det(m[:, letters.brackets, :]))
+    return series, _chebder(series)
 
 
 def _letter_values(fit, svals, letters):
-    """Values of every letter at the given s positions: (nodes, letters).
+    """Values of every letter at the nodes of a run of panels.
 
-    `fit` is the segment's `_fit_brackets`; the d log of a bracket P is
-    P'/P, both read off the series at the nodes.  A bracket whose modulus
-    drops below POLE_THRESHOLD raises PoleError; one whose value turns by
-    more than PHASE_JUMP_LIMIT between adjacent nodes raises _PhaseJump.
-    Of several offending brackets the first in `letters.symbols` is
-    reported, and its modulus is checked before its phase.
+    `svals` holds the node positions in s, (panels, nodes), and `fit` is
+    the segment's `_fit_brackets`; the d log of a bracket P is P'/P, both
+    read off the series at the nodes.  A panel fails when a bracket's
+    modulus drops below POLE_THRESHOLD at one of its nodes (PoleError) or
+    its value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
+    (_PhaseJump); of several offending brackets the first in
+    `letters.symbols` is reported, and its modulus is checked before its
+    phase.  Returns the letter values of the panels before the first
+    failing one, (passed, nodes, letters), and that panel's index and
+    exception, unraised, or None when every panel passes.
     """
     series, slopes = fit
     vander = _chebvander(2.0 * svals - 1.0, len(series) - 1)
     vals = vander @ series
-    small = np.abs(vals).min(axis=0)
-    turns = np.abs(np.angle(vals[1:] / vals[:-1])).max(axis=0)
+    small = np.abs(vals).min(axis=1)
+    turns = np.abs(np.angle(vals[:, 1:] / vals[:, :-1])).max(axis=1)
     bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+    passed, failure = len(svals), None
     if bad.any():
-        b = int(bad.argmax())
+        passed, b = divmod(int(bad.argmax()), bad.shape[1])
         sym = letters.symbols[letters.bracket_syms[b]]
-        if small[b] < POLE_THRESHOLD:
-            raise PoleError(
-                f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
-                f"below {POLE_THRESHOLD:g} on the path")
-        raise _PhaseJump(sym, float(turns[b]))
-    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.bracket_coef
+        if small[passed, b] < POLE_THRESHOLD:
+            failure = passed, PoleError(
+                f"bracket {symbol_to_str(sym)} modulus "
+                f"{small[passed, b]:.3e} below {POLE_THRESHOLD:g} on the path")
+        else:
+            failure = passed, _PhaseJump(sym, float(turns[passed, b]))
+    values = vander[:passed, :, :len(slopes)] @ slopes / vals[:passed]
+    return values @ letters.bracket_coef, failure
 
 
 def _monomials(top):
@@ -835,35 +878,42 @@ class _Engine:
         self.segment = 0
         self.roots_checked = False
 
-    def _panel(self, fit, sa, sb, f_a, lv=None):
-        """One sweep over [sa, sb] from the states f_a: returns the states
-        at sb and the letter values used, which lv supplies when the
-        caller already has them.  Every sweep counts as a panel against
-        the budget."""
-        self.panels += 1
-        if self.panels > self.budget:
-            raise BudgetError(
-                f"panel budget {self.budget} exhausted; the path may pass "
-                "too close to a pole or the tolerance is too tight")
-        hh = 0.5 * (sb - sa)
-        if lv is None:
-            lv = _letter_values(fit, 0.5 * (sa + sb) + hh * _quadrature()[0],
-                                self.states.letters)
-        return self.states.sweep(lv, f_a, hh), lv
-
     def _advance(self, fit, sa, sb, f_a, depth, whole=None, lv=None):
         """Integrate [sa, sb] from f_a, comparing the whole panel with its
         two halves and splitting until they agree.  A split hands the left
         half down as the left child's whole panel (same interval, same
         start states) and the right half's letter values to the right
-        child, so no panel is evaluated twice."""
+        child, so no panel is evaluated twice.
+
+        The letters of every panel the step sweeps (the whole panel unless
+        it is handed down, and the two halves) are evaluated in one call.
+        The panels are then swept in that order, the right half from the
+        left half's end states; each counts against the budget before it
+        is swept, and a panel whose letters failed raises in its turn."""
         mid = 0.5 * (sa + sb)
-        left = None
+        spans = [(sa, mid), (mid, sb)]
+        if whole is None:
+            spans.insert(0, (sa, sb))
+        bounds = np.array(spans if lv is None else spans[1:])
+        hh = 0.5 * (bounds[:, 1] - bounds[:, 0])
+        svals = (0.5 * (bounds[:, 0] + bounds[:, 1]))[:, None] + (
+            hh[:, None] * _quadrature()[0])
+        lvs, failure = _letter_values(fit, svals, self.states.letters)
+        if lv is not None:
+            lvs = [lv, *lvs]
+        swept = []
         try:
-            if whole is None:
-                whole, _ = self._panel(fit, sa, sb, f_a, lv)
-            left, _ = self._panel(fit, sa, mid, f_a)
-            halves, lv_right = self._panel(fit, mid, sb, left)
+            for i, (a, b) in enumerate(spans):
+                self.panels += 1
+                if self.panels > self.budget:
+                    raise BudgetError(
+                        f"panel budget {self.budget} exhausted; the path "
+                        "may pass too close to a pole or the tolerance is "
+                        "too tight")
+                if i == len(lvs):  # the first panel whose letters failed
+                    raise failure[1]
+                start = swept[-1] if i == len(spans) - 1 else f_a
+                swept.append(self.states.sweep(lvs[i], start, 0.5 * (b - a)))
         except _PhaseJump as exc:
             if depth >= MAX_DEPTH:
                 raise PoleError(
@@ -875,8 +925,13 @@ class _Engine:
                 self.roots_checked = True
                 _check_segment_roots(fit, self.states.letters,
                                      self.segment)
+            # the left half, when it was swept before the right one failed
+            left = swept[-1] if len(swept) == len(spans) - 1 else None
             f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
             return self._advance(fit, mid, sb, f_mid, depth + 1)
+        *_, left, halves = swept
+        if whole is None:
+            whole = swept[0]
         diff = np.abs(whole - halves)
         scale = max(1.0, float(np.abs(halves).max()))
         limit = max(self.tol * (sb - sa), _ROUNDING_FLOOR) * scale
@@ -887,7 +942,7 @@ class _Engine:
             self.err += self.states.errors(diff)
             return halves
         f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
-        return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lv_right)
+        return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lvs[-1])
 
     def run(self):
         """Sweep the whole path; returns the end values of the results.

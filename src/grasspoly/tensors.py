@@ -104,14 +104,15 @@ def _sort_with_sign(seq):
     return tuple(sorted(lst)), (-1 if inv % 2 else 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def perms_with_signs(k):
     """All permutations of range(k) with their parities, lexicographic.
 
     In lexicographic order the permutations run in step with their
     factorial-base (Lehmer) codes, whose digit j counts the later entries
     smaller than entry j; the digits sum to the number of inversions, so
-    their sum's parity is the permutation's."""
+    their sum's parity is the permutation's.  The cache is bounded, and
+    holds the tables of every k <= 9 at once."""
     return tuple((perm, -1 if sum(code) % 2 else 1)
                  for perm, code in zip(
                      permutations(range(k)),

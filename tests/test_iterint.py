@@ -21,15 +21,15 @@ import pytest
 from grasspoly import iterint
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
-from grasspoly.iterint import (PHASE_JUMP_LIMIT, POLE_THRESHOLD,
-                               IterIntResult, PathSpec, _Automaton,
-                               _chebvander, _fit_brackets, _LetterTable,
+from grasspoly.iterint import (DEFAULT_BUDGET, PHASE_JUMP_LIMIT,
+                               POLE_THRESHOLD, IterIntResult, PathSpec,
+                               _Automaton, _chebder, _chebvander, _Engine,
+                               _fit_brackets, _fit_tables, _LetterTable,
                                _letter_values, _PhaseJump, _quadrature,
-                               _WordBatch,
-                               dlog_letter, homotopy_test, iterate_element,
-                               iterate_word, iterate_words, monodromy_probe,
-                               normalize_letter, normalize_word,
-                               shuffle_test, shuffles)
+                               _WordBatch, dlog_letter, homotopy_test,
+                               iterate_element, iterate_word, iterate_words,
+                               monodromy_probe, normalize_letter,
+                               normalize_word, shuffle_test, shuffles)
 from grasspoly.tensors import (MultTensor, bracket_symbol, scalar_symbol,
                                symbol_to_str)
 
@@ -413,23 +413,34 @@ def _panel_nodes(sa, sb):
     return 0.5 * (sa + sb) + 0.5 * (sb - sa) * _quadrature()[0]
 
 
-def _letter_table(dim, count):
-    """One-letter words over every bracket of `count` vectors in dimension
-    `dim`: each bracket alone, multi-part letters with int, Fraction and
-    complex coefficients, a scalar letter and a bracket-and-scalar
-    letter."""
+def _letters(dim, count):
+    """Letters over every bracket of `count` vectors in dimension `dim`:
+    each bracket alone, multi-part letters with int, Fraction and complex
+    coefficients, a scalar letter and a bracket-and-scalar letter."""
     brackets = [bracket_symbol(c)[0]
                 for c in combinations(range(1, count + 1), dim)]
     a, b, c = brackets[0], brackets[1], brackets[-1]
     t = scalar_symbol("t")
-    letters = [((1, sym),) for sym in brackets] + [
+    return [((1, sym),) for sym in brackets] + [
         ((2, a), (-1, b)),
         ((Fraction(1, 3), b), (Fraction(-5, 2), c)),
         ((0.5 - 1.5j, a), (2j, c), (-3, b)),
         ((1, t),),
         ((4, c), (Fraction(7, 2), t)),
     ]
-    return _LetterTable(letters, dim, count)
+
+
+def _letter_table(dim, count):
+    """The table of one-letter words over `_letters(dim, count)`."""
+    return _LetterTable(_letters(dim, count), dim, count)
+
+
+def _panel_letters(fit, svals, letters):
+    """`_letter_values` of one panel, raising the panel's failure."""
+    values, failure = _letter_values(fit, svals[None], letters)
+    if failure is not None:
+        raise failure[1]
+    return values[0]
 
 
 def _outcome(letters, *args):
@@ -443,7 +454,7 @@ def _assert_letters_match(seg, svals, letters):
     """The series letters agree with the det/solve letters to 1e-12 of
     each letter's size, or both refuse the panel for the same bracket."""
     old = _outcome(_det_solve_letter_values, seg, svals, letters)
-    new = _outcome(_letter_values, _fit_brackets(seg, letters), svals, letters)
+    new = _outcome(_panel_letters, _fit_brackets(seg, letters), svals, letters)
     if isinstance(old, tuple):
         assert new == old
         return None
@@ -509,14 +520,14 @@ def test_series_letters_report_the_same_offender():
             with pytest.raises(PoleError) as old:
                 _det_solve_letter_values(seg, svals, letters)
             with pytest.raises(PoleError) as new:
-                _letter_values(fit, svals, letters)
+                _panel_letters(fit, svals, letters)
             assert str(new.value) == str(old.value)
             assert str(new.value).startswith("bracket D[1,3] modulus 0.000e+00")
         else:
             with pytest.raises(_PhaseJump) as old:
                 _det_solve_letter_values(seg, svals, letters)
             with pytest.raises(_PhaseJump) as new:
-                _letter_values(fit, svals, letters)
+                _panel_letters(fit, svals, letters)
             assert new.value.sym == old.value.sym == jump
             assert new.value.jump == pytest.approx(old.value.jump, rel=1e-9)
 
@@ -534,6 +545,36 @@ def test_chebvander_is_numpys_bit_for_bit(deg):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.strides == want.strides
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("deg", range(13))
+def test_chebder_is_numpys_bit_for_bit(deg):
+    rng = np.random.default_rng(100 + deg)
+    real = rng.uniform(-1.0, 1.0, deg + 1)
+    series = {"real": real,
+              "complex": real + 1j * rng.uniform(-1.0, 1.0, deg + 1),
+              "matrix": rng.uniform(-1.0, 1.0, (deg + 1, 5))
+              + 1j * rng.uniform(-1.0, 1.0, (deg + 1, 5))}
+    for c in series.values():
+        kept = c.copy()
+        want = np.polynomial.chebyshev.chebder(c, scl=2.0)
+        got = _chebder(c)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(c, kept)  # the input is left as it was
+
+
+def test_fit_tables_are_shared_read_only_and_bounded():
+    assert 0 < _fit_tables.cache_info().maxsize < 1000
+    powers, vander = _fit_tables(6, 3)
+    assert _fit_tables(6, 3)[1] is vander  # built once
+    x = np.cos(np.pi * (np.arange(7) + 0.5) / 7)
+    assert np.array_equal(powers, (0.5 * (x + 1.0)) ** np.arange(4)[:, None])
+    assert np.array_equal(vander, np.polynomial.chebyshev.chebvander(x, 6))
+    for table in (powers, vander):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
 
 
 def test_lazy_tables_and_constants_equal_their_eager_definitions():
@@ -556,6 +597,338 @@ def test_lazy_tables_and_constants_equal_their_eager_definitions():
         assert table.dtype == value.dtype and np.array_equal(table, value)
     assert PHASE_JUMP_LIMIT == np.pi / 2
     assert iterint._ROUNDING_FLOOR == 16 * np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# the batched step against the serial engine
+#
+# _serial_fit_brackets, _serial_letter_values and _SerialEngine are the
+# engine's former segment fit, letter evaluation and adaptive step (one
+# letter evaluation per panel), kept verbatim as the oracle, but for the
+# names of the kept helpers.
+
+
+def _serial_fit_brackets(seg, letters):
+    """Every bracket of the letter table on one segment as a Chebyshev
+    series in x = 2s - 1, and its derivative in s: two (terms, brackets)
+    arrays.
+
+    A bracket is a polynomial in s of degree at most dim * deg, so its
+    values at that many plus one Chebyshev points, taken by one batched
+    det, fix the series.  (A monomial fit is ill-conditioned at degree 9
+    near a zero; the Chebyshev-Vandermonde matrix at Chebyshev points is
+    a scaled orthogonal one.)
+    """
+    top = seg.shape[2] * (seg.shape[0] - 1)
+    x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
+    powers = (0.5 * (x + 1.0)) ** np.arange(seg.shape[0])[:, None]
+    m = np.einsum("dcx,du->ucx", seg, powers)
+    series = np.linalg.solve(_chebvander(x, top),
+                             np.linalg.det(m[:, letters.brackets, :]))
+    return series, np.polynomial.chebyshev.chebder(series, scl=2.0)
+
+
+def _serial_letter_values(fit, svals, letters):
+    """Values of every letter at the given s positions: (nodes, letters).
+
+    `fit` is the segment's `_fit_brackets`; the d log of a bracket P is
+    P'/P, both read off the series at the nodes.  A bracket whose modulus
+    drops below POLE_THRESHOLD raises PoleError; one whose value turns by
+    more than PHASE_JUMP_LIMIT between adjacent nodes raises _PhaseJump.
+    Of several offending brackets the first in `letters.symbols` is
+    reported, and its modulus is checked before its phase.
+    """
+    series, slopes = fit
+    vander = _chebvander(2.0 * svals - 1.0, len(series) - 1)
+    vals = vander @ series
+    small = np.abs(vals).min(axis=0)
+    turns = np.abs(np.angle(vals[1:] / vals[:-1])).max(axis=0)
+    bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+    if bad.any():
+        b = int(bad.argmax())
+        sym = letters.symbols[letters.bracket_syms[b]]
+        if small[b] < POLE_THRESHOLD:
+            raise PoleError(
+                f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
+                f"below {POLE_THRESHOLD:g} on the path")
+        raise _PhaseJump(sym, float(turns[b]))
+    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.bracket_coef
+
+
+def test_fit_is_the_serial_fit_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3):
+        count = dim + 2
+        letters = _letter_table(dim, count)
+        for deg in (0, 1, 2, 3):
+            seg = (rng.standard_normal((deg + 1, count, dim))
+                   + 1j * rng.standard_normal((deg + 1, count, dim)))
+            for got, want in zip(_fit_brackets(seg, letters),
+                                 _serial_fit_brackets(seg, letters),
+                                 strict=True):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def _failure_key(exc):
+    return (type(exc), str(exc),
+            (exc.sym, exc.jump) if isinstance(exc, _PhaseJump) else None)
+
+
+def _assert_batch_matches_serial(fit, svals, letters):
+    """The batched letters of the panels at `svals` are the serial ones
+    bit for bit, up to the first panel that fails, whose exception is the
+    serial one; returns that panel's index, or None."""
+    values, failure = _letter_values(fit, svals, letters)
+    for i, panel in enumerate(svals):
+        try:
+            want = _serial_letter_values(fit, panel, letters)
+        except (PoleError, _PhaseJump) as exc:
+            assert len(values) == failure[0] == i
+            assert _failure_key(failure[1]) == _failure_key(exc)
+            return i
+        assert values[i].tobytes() == want.tobytes()
+    assert failure is None and len(values) == len(svals)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_batched_letters_match_panel_by_panel():
+    # runs of one to four panels on segments with a bracket zero near or
+    # on them, and a run whose second panel has a node on a zero of D[1,3]
+    rng = np.random.default_rng(5)
+    dim, count = 2, 4
+    letters = _letter_table(dim, count)
+    segments = [np.array([[[1, 0], [0, 1], [1, 0], [-1 + 0.01j, 1]],
+                          [[0, 0], [0, 0], [0, 0], [2, 0]]], dtype=complex)]
+    for im in (1.0, 1e-3, 0.0):
+        segments.append(rng.uniform(-2.0, 2.0, (3, count, dim))
+                        + im * 1j * rng.uniform(-2.0, 2.0, (3, count, dim)))
+    failed = []
+    for seg in segments:
+        fit = _fit_brackets(seg, letters)
+        for _ in range(30):
+            ends = np.sort(rng.uniform(0.0, 1.0, (rng.integers(1, 5), 2)))
+            svals = np.array([_panel_nodes(a, b) for a, b in ends])
+            failed.append(_assert_batch_matches_serial(fit, svals, letters))
+    assert sum(i is not None for i in failed) >= 10
+    assert any(i is not None and i > 0 for i in failed)
+    # vectors (1, 0), (0, 1), (1, s - s0), (1, 1): D[1,3] = s - s0 with s0
+    # a node of [0.5, 0.75]
+    svals = np.array([_panel_nodes(0.0, 0.5), _panel_nodes(0.5, 0.75),
+                      _panel_nodes(0.75, 1.0)])
+    s0 = svals[1, 5]
+    seg = np.array([[[1, 0], [0, 1], [1, -s0], [1, 1]],
+                    [[0, 0], [0, 0], [0, 1], [0, 0]]], dtype=complex)
+    fit = _fit_brackets(seg, letters)
+    assert _assert_batch_matches_serial(fit, svals, letters) == 1
+    _, (_, exc) = _letter_values(fit, svals, letters)
+    assert isinstance(exc, PoleError)
+    assert str(exc).startswith("bracket D[1,3] modulus")
+
+
+class _SerialEngine(_Engine):
+    """The engine with one letter evaluation per panel."""
+
+    def _panel(self, fit, sa, sb, f_a, lv=None):
+        """One sweep over [sa, sb] from the states f_a: returns the states
+        at sb and the letter values used, which lv supplies when the
+        caller already has them.  Every sweep counts as a panel against
+        the budget."""
+        self.panels += 1
+        if self.panels > self.budget:
+            raise BudgetError(
+                f"panel budget {self.budget} exhausted; the path may pass "
+                "too close to a pole or the tolerance is too tight")
+        hh = 0.5 * (sb - sa)
+        if lv is None:
+            lv = _serial_letter_values(
+                fit, 0.5 * (sa + sb) + hh * _quadrature()[0],
+                self.states.letters)
+        return self.states.sweep(lv, f_a, hh), lv
+
+    def _advance(self, fit, sa, sb, f_a, depth, whole=None, lv=None):
+        """Integrate [sa, sb] from f_a, comparing the whole panel with its
+        two halves and splitting until they agree.  A split hands the left
+        half down as the left child's whole panel (same interval, same
+        start states) and the right half's letter values to the right
+        child, so no panel is evaluated twice."""
+        mid = 0.5 * (sa + sb)
+        left = None
+        try:
+            if whole is None:
+                whole, _ = self._panel(fit, sa, sb, f_a, lv)
+            left, _ = self._panel(fit, sa, mid, f_a)
+            halves, lv_right = self._panel(fit, mid, sb, left)
+        except _PhaseJump as exc:
+            if depth >= iterint.MAX_DEPTH:
+                raise PoleError(
+                    f"bracket {symbol_to_str(exc.sym)} turns by "
+                    f"{exc.jump:.2f} rad between adjacent nodes at full "
+                    f"subdivision depth; the path crosses or grazes a "
+                    f"zero of the bracket") from None
+            if not self.roots_checked:
+                self.roots_checked = True
+                iterint._check_segment_roots(fit, self.states.letters,
+                                             self.segment)
+            f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
+            return self._advance(fit, mid, sb, f_mid, depth + 1)
+        diff = np.abs(whole - halves)
+        scale = max(1.0, float(np.abs(halves).max()))
+        limit = max(self.tol * (sb - sa), iterint._ROUNDING_FLOOR) * scale
+        converged = bool(diff.max() <= limit)
+        if converged or depth >= iterint.MAX_DEPTH:
+            if not converged:
+                self.depth_exceeded = True
+            self.err += self.states.errors(diff)
+            return halves
+        f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
+        return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lv_right)
+
+    def run(self):
+        """Sweep the whole path; returns the end values of the results.
+        Each segment's brackets are fitted once and the fit serves all its
+        panels."""
+        f = self.states.f0
+        letters = self.states.letters
+        for index, seg in enumerate(self.path.segments):
+            self.segment, self.roots_checked = index, False
+            f = self._advance(_serial_fit_brackets(seg, letters), 0.0, 1.0,
+                              f, 0)
+        return self.states.ends(f)
+
+
+def _run_engine(engine_class, states, path, tol, budget):
+    """The ends, errors, panel count and depth flag of a run, or the type,
+    text and panel count of its failure; floats by repr, so bit for bit."""
+    engine = engine_class(states, path, tol, budget)
+    try:
+        ends = engine.run()
+    except (PoleError, BudgetError) as exc:
+        return type(exc).__name__, str(exc), engine.panels
+    return (repr(ends.tolist()), repr(np.asarray(engine.err).tolist()),
+            engine.panels, engine.depth_exceeded)
+
+
+def _random_path(rng, count, dim, segments, kind):
+    """A polyline through `segments` + 1 random configurations: complex,
+    real (its brackets are real and often change sign) or near-real
+    (imaginary parts of 1e-3, so zeros are grazed); deformed to degree 3
+    half of the time."""
+    def point():
+        re = rng.uniform(-2.0, 2.0, (count, dim))
+        im = {"complex": 1.0, "real": 0.0, "near-real": 1e-3}[kind]
+        return re + im * 1j * rng.uniform(-2.0, 2.0, (count, dim))
+
+    path = PathSpec.from_points([point() for _ in range(segments + 1)])
+    if rng.random() < 0.5:
+        path = path.deform(seed=int(rng.integers(1 << 30)), amplitude=0.3)
+    return path
+
+
+BUDGETS = (3, 4, 6, 10, 25, 64, 200, 1000, 16384)
+
+
+def _oracle_cases():
+    """(label, states, path, tol, budget) for the batched step."""
+    from grasspoly.elements import build_element
+
+    rng = np.random.default_rng(1414)
+    cases = []
+    for dim in (1, 2):
+        count = dim + 2
+        letters = _letters(dim, count)
+        for k in range(40):
+            words = [tuple(letters[i] for i in rng.integers(
+                len(letters), size=rng.integers(1, 4)))
+                for _ in range(rng.integers(1, 5))]
+            initial = None
+            if k % 3 == 0:
+                rows = rng.standard_normal((2, 4)) + 1j
+                width = max(map(len, words)) + 1
+                initial = rows[rng.integers(2, size=len(words)), :width]
+            path = _random_path(rng, count, dim, rng.integers(1, 5),
+                                ("complex", "real", "near-real")[k % 3])
+            cases.append((f"words {dim} {k}",
+                          _WordBatch(words, dim, count, initial), path,
+                          rng.choice((1e-12, 1e-8, 1e-4)),
+                          int(rng.choice(BUDGETS))))
+    automaton = _Automaton(build_element(2).tensor, 2, 4)
+    for k in range(24):
+        path = _random_path(rng, 4, 2, rng.integers(1, 5),
+                            ("complex", "real", "near-real")[k % 3])
+        cases.append((f"automaton {k}", automaton, path, 1e-12,
+                      int(rng.choice(BUDGETS))))
+    # straight crossings: z1 from -1 to 1 (dim 1) and the line of
+    # test_crossing_line_is_a_pole_not_a_budget_error, on which D[1,2]
+    # vanishes at s = 0.65 (dim 2), moved off the zero by i * offset
+    line_words = _WordBatch([[W1], [W1, W2], [W2, W1, W1]], 1, 2)
+    start = np.array([[-5, -2], [3, -4], [4, 5], [4, -2]], dtype=complex)
+    end = np.array([[2, 0], [-5, -4], [-2, -1], [-5, 4]], dtype=complex)
+    for offset in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4):
+        for budget in BUDGETS:
+            cases.append((f"line {offset} {budget}", line_words,
+                          PathSpec.line([[-1 + 1j * offset], [1]],
+                                        [[1 + 1j * offset], [2]]),
+                          1e-12, budget))
+            moved = start.copy()
+            moved[0, 0] += 1j * offset
+            cases.append((f"element line {offset} {budget}", automaton,
+                          PathSpec.line(moved, end + moved - start), 1e-12,
+                          budget))
+    return cases
+
+
+def _record_failures(monkeypatch):
+    """Make the engine's letter evaluation record each failing run of
+    panels as (failing panel, panels in the run, exception type name);
+    returns the record."""
+    failed_at = []
+
+    def letter_values(fit, svals, letters):
+        values, failure = _letter_values(fit, svals, letters)
+        if failure is not None:
+            failed_at.append((failure[0], len(svals),
+                              type(failure[1]).__name__))
+        return values, failure
+
+    monkeypatch.setattr(iterint, "_letter_values", letter_values)
+    return failed_at
+
+
+def test_batched_step_matches_the_serial_engine(monkeypatch):
+    # every outcome of the batched step is the serial engine's, bit for
+    # bit; the cases reach each ending and the failing right half
+    failed_at = _record_failures(monkeypatch)
+    endings = {}
+    for label, states, path, tol, budget in _oracle_cases():
+        want = _run_engine(_SerialEngine, states, path, tol, budget)
+        got = _run_engine(_Engine, states, path, tol, budget)
+        assert got == want, label
+        ending = want[0] if len(want) == 3 else (
+            "depth" if want[3] else "value")
+        endings[ending] = endings.get(ending, 0) + 1
+    assert set(endings) >= {"value", "PoleError", "BudgetError"}, endings
+    right_jumps = [f for f in failed_at
+                   if f[0] == f[1] - 1 and f[2] == "_PhaseJump"]
+    assert right_jumps, failed_at
+
+
+def test_a_failing_right_half_keeps_the_swept_left_half(monkeypatch):
+    # z = s - s0 - 1e-3 i with s0 = 0.729, a Gauss node of [0, 1]: the
+    # whole panel passes the zero's projection in two turns below pi/2
+    # and the left half stays away from it, but the right half's nodes
+    # straddle it, so the first step's right half jumps.  Its left half,
+    # swept before, must serve as the left child's whole panel: swept
+    # again, it would add one panel.
+    failed_at = _record_failures(monkeypatch)
+    s0 = 0.5 + 0.5 * _quadrature()[0][10]
+    path = zline(-s0 - 1e-3j, 1.0 - s0 - 1e-3j)
+    states = _WordBatch([[W1], [W1, W1]], 1, 1)
+    want = _run_engine(_SerialEngine, states, path, 1e-12, DEFAULT_BUDGET)
+    got = _run_engine(_Engine, states, path, 1e-12, DEFAULT_BUDGET)
+    assert failed_at[0] == (2, 3, "_PhaseJump")
+    assert got == want and len(got) == 4
 
 
 # ---------------------------------------------------------------------------

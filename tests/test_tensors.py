@@ -98,6 +98,14 @@ def test_perms_with_signs_matches_sort_with_sign():
             for perm in permutations(range(k)))
 
 
+def test_perms_with_signs_cache_is_bounded():
+    # finite, and large enough that the tables of k = 0..9 stay cached
+    maxsize = perms_with_signs.cache_info().maxsize
+    assert maxsize is not None and 10 <= maxsize <= 64
+    tables = [perms_with_signs(k) for k in range(8)]
+    assert all(perms_with_signs(k) is t for k, t in enumerate(tables))
+
+
 # ---------------------------------------------------------------------------
 # MultTensor algebra
 
