@@ -18,16 +18,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .elements import (COMPARISON_DEGREES, GrassElement, build_element,
-                       check_comparison, check_integrability,
-                       check_omission_relations, check_scale_invariance,
-                       check_steinberg_wedge, flip_first_term)
 from .errors import (BudgetError, ContractViolation, DegeneracyError,
                      PathError, PoleError)
-from .iterint import (DEFAULT_BUDGET, PathSpec, iterate_element,
-                      iterate_word)
-from .polylogs import bloch_wigner, l2g, li_n, rogers_l2
-from .tensors import MultTensor, parse_symbol
 
 SUITES = ("comparison", "relations", "scale", "integrability", "deltar")
 # a degree-n element streams (2n)! arrangements: 40320 at n = 4, 3628800
@@ -54,6 +46,8 @@ def _check_degrees(ns):
 
 
 def _mutated(element):
+    from .elements import GrassElement, flip_first_term
+
     return GrassElement(element.n, element.labels, element.prefix,
                         flip_first_term(element.tensor))
 
@@ -63,6 +57,8 @@ def _mutated(element):
 
 
 def _cmd_element(args):
+    from .elements import build_element
+
     _check_degrees([args.n])
     element = build_element(args.n)
     if args.mutate:
@@ -78,6 +74,10 @@ def _cmd_element(args):
 def _verify_one(suite, n, args, element):
     """One suite at one degree.  element(n, signed) returns the degree-n
     element of the run, built (and mutated, under --mutate) once."""
+    from .elements import (COMPARISON_DEGREES, build_element,
+                           check_comparison, check_integrability,
+                           check_omission_relations, check_scale_invariance)
+
     signed = args.mode == "strict"
     mutate = args.mutate
 
@@ -109,6 +109,8 @@ def _verify_one(suite, n, args, element):
 
 
 def _cmd_verify(args):
+    from .elements import build_element, check_steinberg_wedge
+
     ns = args.n if args.n else [2]
     _check_degrees(ns)
     suites = SUITES if args.suite == "all" else (args.suite,)
@@ -159,6 +161,8 @@ def _parse_coeff(c):
 
 
 def _parse_word_spec(spec):
+    from .tensors import parse_symbol
+
     if not isinstance(spec, list) or not spec:
         raise ContractViolation(
             "a word spec is a non-empty JSON list of letters")
@@ -178,19 +182,23 @@ def _parse_word_spec(spec):
 
 
 def _cmd_integrate(args):
+    from .iterint import (DEFAULT_BUDGET, PathSpec, iterate_element,
+                          iterate_word)
+    from .tensors import MultTensor
+
     if bool(args.element) == bool(args.word):
         raise ContractViolation(
             "integrate needs exactly one of --element or --word")
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     with open(args.path, encoding="utf-8") as fh:
         path = PathSpec.from_json_dict(json.load(fh))
     if args.element:
         with open(args.element, encoding="utf-8") as fh:
             tensor = MultTensor.from_json_dict(json.load(fh))
-        res = iterate_element(tensor, path, tol=args.tol,
-                              budget=args.budget)
+        res = iterate_element(tensor, path, tol=args.tol, budget=budget)
     else:
         word = _parse_word_spec(json.loads(args.word))
-        res = iterate_word(word, path, tol=args.tol, budget=args.budget)
+        res = iterate_word(word, path, tol=args.tol, budget=budget)
     _emit(res.to_json_dict(), args.out)
     return 5 if res.depth_exceeded else 0
 
@@ -214,6 +222,8 @@ def _parse_range(spec):
 
 def _cmd_table(args):
     import csv
+
+    from .polylogs import bloch_wigner, l2g, li_n, rogers_l2
 
     rows = []
     fn = args.function
@@ -316,7 +326,9 @@ def build_parser():
     pi.add_argument("--word",
                     help="JSON word: [[[coeff, \"D[1,2]\"], ...], ...]")
     pi.add_argument("--tol", type=float, default=1e-12)
-    pi.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    # None stands for iterint.DEFAULT_BUDGET, which the parser leaves
+    # unread so that building it does not load the numeric engine
+    pi.add_argument("--budget", type=int)
     pi.add_argument("--out")
 
     pt = sub.add_parser("table", help="emit CSV value tables")

@@ -48,10 +48,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .aomoto import expand_to_tensor, pairing_element_labels
-from .configurations import random_generic
 from .errors import ContractViolation
-from .forms import _DlogTable, _WedgeGroups, random_tangent
 from .tensors import (MultTensor, WedgeTensor, bracket_symbol,
                       perms_with_signs, scalar_symbol, symbol_to_str,
                       wedge_project, _combine, _expand_slots)
@@ -212,6 +209,8 @@ def check_comparison(n, element=None):
     Measured in a fresh process on a 2-core machine with Python 3.11,
     n = 4 (40320 terms on each side) takes about 0.4 s with a 42 MB peak.
     """
+    from .aomoto import expand_to_tensor, pairing_element_labels
+
     t0 = time.perf_counter()
     n = int(n)
     if n not in COMPARISON_DEGREES:
@@ -326,6 +325,8 @@ def check_scale_invariance(n, which=None, tensor=None):
 
 
 def _tangent_pair(tag, seed, p, cfg, bound):
+    from .forms import random_tangent
+
     rng = random.Random(repr((tag, seed, p)))
     return (random_tangent(len(cfg), cfg.dim, rng, bound),
             random_tangent(len(cfg), cfg.dim, rng, bound))
@@ -336,6 +337,9 @@ def _integrability_points(n, ks, tensor, num_points, seed, bound, gaussian):
     point: the point is drawn once, its d log table is built once and
     shared by every wedge position, and each projection's groups are
     prepared once for all points."""
+    from .configurations import random_generic
+    from .forms import _DlogTable, _WedgeGroups
+
     for k in ks:
         if not 1 <= k <= n - 1:
             raise ContractViolation(
@@ -476,6 +480,9 @@ def check_steinberg_wedge(num_points=10, seed=0, bound=13,
     are both multiples of dr, so their wedge vanishes.  Both sides
     evaluate to 0 at every point, whatever either side's scale, so the
     points never produce a witness."""
+    from .configurations import random_generic
+    from .forms import _DlogTable, _WedgeGroups
+
     t0 = time.perf_counter()
     lhs, rhs = steinberg_wedge_sides(half_coefficient=half_coefficient)
     residue = lhs - rhs

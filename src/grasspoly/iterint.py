@@ -62,7 +62,6 @@ not when the module is imported, and the quadrature tables are built on
 the first panel.
 """
 
-import importlib.util
 import random
 import sys
 from dataclasses import dataclass
@@ -71,31 +70,13 @@ from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, pi
 
+from . import _lazy_module
 from .configurations import Configuration
 from .errors import BudgetError, ContractViolation, PathError, PoleError
-from .tensors import (BRACKET, SCALAR, MultTensor, symbol_sort_key,
-                      symbol_to_str)
+from .tensors import (BRACKET, SCALAR, MultTensor, bracket_symbol,
+                      symbol_sort_key, symbol_to_str)
 
-
-def _lazy_numpy():
-    """numpy, loaded on its first attribute access (the standard-library
-    `importlib.util.LazyLoader` recipe), so that importing the package and
-    the exact layers never pay for it; a numpy already imported is
-    returned as it is."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("grasspoly needs numpy", name="numpy")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()
+np = _lazy_module("numpy")
 
 GAUSS_ORDER = 16
 POLE_THRESHOLD = 1e-8
@@ -385,8 +366,6 @@ def normalize_word(word):
 
 def dlog_letter(indices, coeff=1):
     """Letter coeff * d log of one bracket."""
-    from .tensors import bracket_symbol
-
     return ((coeff, bracket_symbol(indices)[0]),)
 
 
@@ -944,11 +923,12 @@ class _Engine:
         f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
         return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lvs[-1])
 
-    def run(self):
-        """Sweep the whole path; returns the end values of the results.
+    def run(self, start=None):
+        """Sweep the whole path from the start states `start` (default:
+        the states' own `f0`); returns the end values of the results.
         Each segment's brackets are fitted once and the fit serves all its
         panels."""
-        f = self.states.f0
+        f = self.states.f0 if start is None else np.array(start, complex)
         letters = self.states.letters
         for index, seg in enumerate(self.path.segments):
             self.segment, self.roots_checked = index, False
@@ -984,11 +964,12 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
                          initial=init)[0]
 
 
-def _iterate_automaton(automaton, path, tol, budget):
-    """The element value of a prepared `_Automaton`, one sweep; its error
-    is the element's own accumulated |whole - halves|."""
-    engine = _Engine(automaton, path, tol, budget)
-    value, = engine.run()
+def _iterate_prepared(states, path, tol, budget, start=None):
+    """The one value of prepared states (an `_Automaton`, or a `_WordBatch`
+    of one word), one sweep from `start` (default: their own start
+    states); its error is that value's own accumulated |whole - halves|."""
+    engine = _Engine(states, path, tol, budget)
+    value, = engine.run(start)
     error, = engine.err
     return IterIntResult(value=complex(value), error=float(error),
                          panels=engine.panels,
@@ -1002,8 +983,8 @@ def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
     a sum of per-word errors."""
     if not isinstance(path, PathSpec):
         raise PathError("iterate_element needs a PathSpec")
-    return _iterate_automaton(_Automaton(t, path.dim, path.count), path,
-                              tol, budget)
+    return _iterate_prepared(_Automaton(t, path.dim, path.count), path,
+                             tol, budget)
 
 
 def _integrate_any(obj, path, tol, budget):

@@ -33,8 +33,8 @@ from fractions import Fraction
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
-from .iterint import (DEFAULT_BUDGET, PathSpec, _Automaton, _iterate_automaton,
-                      dlog_letter, iterate_word)
+from .iterint import (DEFAULT_BUDGET, PathSpec, _Automaton, _iterate_prepared,
+                      _WordBatch, dlog_letter, iterate_word)
 from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
@@ -154,8 +154,12 @@ def li2(z):
 # the classical polylogarithm by iterated integral
 
 
-def _li_word(n):
-    return [dlog_letter((1, 2), coeff=-1)] + [dlog_letter((1, 3))] * (n - 1)
+@functools.lru_cache(maxsize=8)
+def _li_batch(n):
+    """The word (-d log(u-1), d log u, ..., d log u) of li_n, prepared once
+    per n for the three vectors in dimension 2 of `_li_config`."""
+    word = [dlog_letter((1, 2), coeff=-1)] + [dlog_letter((1, 3))] * (n - 1)
+    return _WordBatch([word], 2, 3)
 
 
 def _li_config(u):
@@ -188,8 +192,7 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     points.append(z)
     path = PathSpec.from_points([_li_config(u) for u in points])
     initial = [1.0 + 0j] + [li_series(k, start) for k in range(1, n + 1)]
-    res = iterate_word(_li_word(n), path, tol=tol, budget=budget,
-                       initial=initial)
+    res = _iterate_prepared(_li_batch(n), path, tol, budget, start=initial)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)
 
@@ -428,6 +431,6 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
         automaton = _Automaton(element, n, 2 * n)
     else:
         raise ContractViolation("element override must be a MultTensor")
-    res = _iterate_automaton(automaton, path, tol, budget)
+    res = _iterate_prepared(automaton, path, tol, budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import grasspoly
 from grasspoly import cli, elements, iterint
 from grasspoly.elements import build_element
 from grasspoly.iterint import PathSpec, iterate_element
@@ -167,7 +168,7 @@ def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("build_element called for a refused degree")
 
-    monkeypatch.setattr(cli, "build_element", no_build)
+    monkeypatch.setattr(elements, "build_element", no_build)
     for args, err in REFUSED_COMPARISONS:
         code = cli.main(["verify", "--suite", "comparison", *args,
                          "--mutate"])
@@ -190,7 +191,6 @@ def test_degree_above_four_refused_before_building(monkeypatch, capsys,
     def no_build(*args, **kwargs):
         raise AssertionError("build_element called for a refused degree")
 
-    monkeypatch.setattr(cli, "build_element", no_build)
     monkeypatch.setattr(elements, "build_element", no_build)
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -211,7 +211,6 @@ def test_verify_builds_each_element_once(monkeypatch, capsys, mode, builds):
             calls.append((args, kwargs.get("signed")))
         return build_element(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_element", counting)
     monkeypatch.setattr(elements, "build_element", counting)
     cli.main(["verify", "--suite", "all", "--n", "2", "--n", "3",
               "--mode", mode, "--points", "2"])
@@ -436,6 +435,35 @@ def test_import_registers_every_traced_layer():
     assert len(layers) == 7
     assert {f"grasspoly.{layer}" for layer in layers} <= set(
         proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["element", "--n", "2"], "elements tensors"),
+    (["verify", "--suite", "comparison", "--n", "2"],
+     "aomoto elements tensors"),
+    (["table", "--function", "rogers", "--grid=-1:2:7"],
+     "configurations iterint polylogs tensors"),
+    (["integrate", "--word", json.dumps([[[1, "D[1]"]]]), "--path", None],
+     "configurations iterint tensors"),
+])
+def test_each_command_runs_only_its_layers(tmp_path, argv, ran):
+    """A command runs the layer modules it uses and no other.  A module
+    that has not run is still the lazily loading subclass of ModuleType;
+    type() reads that without the attribute access that would run it."""
+    path_file = write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))
+    argv = [path_file if arg is None else arg for arg in argv]
+    code = (
+        "import contextlib, io, sys, types\n"
+        "import grasspoly.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert grasspoly.cli.main({argv!r}) == 0\n"
+        f"layers = {sorted(grasspoly._EXPORTS)!r}\n"
+        "print(*(m for m in layers if m != 'errors' and type(\n"
+        "    sys.modules['grasspoly.' + m]) is types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ran.split()
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,40 @@ def test_li_n_reports_branched_values():
     assert set(v.to_json_dict()) == {"value", "error", "panels"}
 
 
+def test_li_n_prepares_each_word_once(monkeypatch):
+    """li_n sweeps one cached word per n from each call's series values,
+    with the result of a word prepared for that call alone."""
+    from grasspoly import polylogs
+    from grasspoly.iterint import dlog_letter, iterate_word
+
+    rng = random.Random(165)
+    points = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+              for _ in range(4)]
+    results = {}
+    for n in (1, 2, 3):
+        word = ([dlog_letter((1, 2), coeff=-1)]
+                + [dlog_letter((1, 3))] * (n - 1))
+        for z in points:
+            got = li_n(n, z)
+            start = polylogs.LI_START_OFFSET * z
+            alone = iterate_word(
+                word, got.path, initial=[1.0 + 0j] + [
+                    li_series(k, start) for k in range(1, n + 1)])
+            assert (got.value, got.error, got.panels) == (
+                alone.value, alone.error, alone.panels)
+            results[n, z] = got
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the li_n word was prepared again")
+
+    monkeypatch.setattr(polylogs, "_WordBatch", rebuilt)
+    for (n, z), first in results.items():
+        again = li_n(n, z)
+        assert (again.value, again.error, again.panels) == (
+            first.value, first.error, first.panels)
+    assert polylogs._li_batch.cache_info().maxsize == 8
+
+
 # ---------------------------------------------------------------------------
 # the real dilogarithm variant
 
