@@ -105,18 +105,27 @@ def _sort_with_sign(seq):
 
 
 @lru_cache(maxsize=16)
-def perms_with_signs(k):
-    """All permutations of range(k) with their parities, lexicographic.
+def _parities(k):
+    """The signs of the permutations of range(k), in lexicographic order.
 
-    In lexicographic order the permutations run in step with their
-    factorial-base (Lehmer) codes, whose digit j counts the later entries
-    smaller than entry j; the digits sum to the number of inversions, so
-    their sum's parity is the permutation's.  The cache is bounded, and
-    holds the tables of every k <= 9 at once."""
-    return tuple((perm, -1 if sum(code) % 2 else 1)
-                 for perm, code in zip(
-                     permutations(range(k)),
-                     product(*(range(k - j) for j in range(k)))))
+    In that order the permutations come in k blocks, block j those that
+    lead with j.  A leading j precedes exactly j smaller entries, so
+    block j carries the signs of the k - 1 table, flipped when j is odd.
+    Zipped with itertools.permutations(range(k)), this streams the
+    signed permutations without keeping them."""
+    signs = [1]
+    for m in range(2, k + 1):
+        flipped = [-s for s in signs]
+        signs = (signs + flipped) * (m // 2) + (signs if m % 2 else [])
+    return tuple(signs)
+
+
+@lru_cache(maxsize=16)
+def perms_with_signs(k):
+    """All permutations of range(k) with their parities (_parities),
+    lexicographic.  The cache is bounded, and holds the tables of every
+    k <= 9 at once."""
+    return tuple(zip(permutations(range(k)), _parities(k)))
 
 
 def _norm_coeff(c):
@@ -226,8 +235,12 @@ class _LinearCombination:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return type(self)(*self._shape(), _combine(
-            (k, v * scalar) for k, v in self.terms.items()))
+        if not scalar:
+            return type(self)(*self._shape(), {})
+        # the keys are distinct and a nonzero scalar keeps every
+        # coefficient nonzero, so there is nothing to merge or drop
+        return type(self)(*self._shape(), {
+            k: _norm_coeff(v * scalar) for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 

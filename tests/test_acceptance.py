@@ -6,8 +6,9 @@ captured output of a failing run) and then asserts, so the checklist
 doubles as a regression gate.  Numeric tolerances are stated inline;
 symbolic criteria demand exact zeros in rational arithmetic.
 
-Criteria 1 and 2 include a degree-4 leg, a few seconds of exact tensor
-algebra over 40320 terms.
+Criteria 1, 2 and 3 include a degree-4 leg of exact tensor algebra over
+40320 terms: about 0.3 s, 3 s and 0.6 s on a 2-core machine with
+Python 3.11.
 """
 
 import cmath
@@ -94,13 +95,18 @@ def test_criterion_02_omission_relations_vanish():
 
 def test_criterion_03_scale_invariance():
     ok = True
-    for n in (2, 3):
+    times = []
+    for n in (2, 3, 4):
+        t0 = time.perf_counter()
         rep = check_scale_invariance(n)
+        times.append(time.perf_counter() - t0)
         ok = (ok and rep.passed
               and rep.details["labels_checked"] == list(range(1, 2 * n + 1))
               and rep.details["failing_labels"] == [])
+    ok = ok and times[-1] < 60.0
+    stamp = "/".join(f"{dt:.2f}s" for dt in times)
     conclude(3, "rescaling any one of the 2n vectors leaves the element "
-                "fixed mod 2-torsion at degrees 2 and 3", ok)
+                f"fixed mod 2-torsion at degrees 2, 3 and 4 ({stamp})", ok)
 
 
 def test_criterion_04_integrability_certificate():

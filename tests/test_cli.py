@@ -228,6 +228,15 @@ def test_verify_mutate_fails_every_suite():
     assert statuses == {"fail"}
 
 
+def test_verify_mutate_fails_the_degree_4_scale_suite():
+    proc = run_cli("verify", "--suite", "scale", "--n", "4", "--mutate")
+    assert proc.returncode == 1
+    (report,) = json.loads(proc.stdout)["reports"]
+    assert report["status"] == "fail"
+    assert report["details"]["failing_labels"]
+    assert report["residue_terms"]
+
+
 def test_verify_thread_count_does_not_change_bytes():
     lone = run_cli("verify", "--suite", "integrability", "--n", "2",
                    "--points", "5", threads=1)

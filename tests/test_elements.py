@@ -21,7 +21,7 @@ from grasspoly.elements import (GrassElement, Report, build_element,
                                 check_steinberg_wedge, flip_first_term,
                                 integrability_residues, omission_residues,
                                 scale_label, steinberg_wedge_sides,
-                                _residue_sample)
+                                _residue_sample, _scale_failures)
 from grasspoly.aomoto import pairing_element_labels
 from grasspoly.errors import ContractViolation
 from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
@@ -106,10 +106,10 @@ def old_build_element(n, labels=None, prefix=(), signed=False):
     return MultTensor(n, _combine(arrangements()))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("signed", [False, True])
-@pytest.mark.parametrize("case", ["default", "prefix", "labels"])
-def test_build_element_matches_window_loop(n, signed, case):
+@pytest.mark.parametrize("case,signed,n", [
+    *itertools.product(["default", "prefix", "labels"], [False, True], [2, 3]),
+    ("default", False, 4), ("default", True, 4)])
+def test_build_element_matches_window_loop(case, signed, n):
     kwargs = {
         "default": {},
         "prefix": {"prefix": (9, 0)},
@@ -161,6 +161,9 @@ def test_scale_label_multi_additive_expansion():
     assert scale_label(t, 9, "a") == t
     with pytest.raises(ContractViolation):
         scale_label("tensor", 1, "a")
+    for bad in ("tensor", build_element(2)):
+        with pytest.raises(ContractViolation):
+            check_scale_invariance(2, tensor=bad)
 
 
 def test_flip_first_term_is_an_involution_on_the_value():
@@ -307,6 +310,79 @@ def test_signed_mode_breaks_scale_invariance():
     rep = check_scale_invariance(2, tensor=signed)
     assert not rep.passed
     assert rep.details["failing_labels"] == [1, 2, 3, 4]
+
+
+def scale_oracle(tensor, which):
+    """(failing labels, residue sample of the first failing label in the
+    order of which) from the expanded residue of every label."""
+    residues = {lab: scale_label(tensor, lab, "a") - tensor for lab in which}
+    bad = [lab for lab, r in residues.items() if not r.is_zero()]
+    return sorted(bad), _residue_sample(residues[bad[0]]) if bad else []
+
+
+def assert_scale_matches_oracle(n, tensor, which):
+    rep = check_scale_invariance(n, which=which, tensor=tensor)
+    failing, sample = scale_oracle(tensor, which)
+    assert rep.details["labels_checked"] == list(which)
+    assert rep.details["failing_labels"] == failing
+    assert rep.residue_terms == sample
+    assert rep.passed == (not failing)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("mutate", [False, True])
+def test_scale_contractions_match_the_residue_on_elements(n, signed, mutate):
+    t = build_element(n, signed=signed).tensor
+    if mutate:
+        t = flip_first_term(t)
+    assert_scale_matches_oracle(n, t, list(range(1, 2 * n + 1)))
+
+
+def test_scale_contractions_match_the_residue_on_random_tensors():
+    """Seeded random sub-tensors of the element, with random integer
+    coefficients, random label orders and, in some, the scalar b in a
+    slot.  A term lacks the labels outside its windows, so some labels
+    pass and some fail."""
+    rng = random.Random(1717)
+    b = scalar_symbol("b")
+    outcomes = set()
+    for trial in range(20):
+        n = rng.choice((2, 3))
+        keys = rng.sample(sorted(build_element(n).tensor.terms),
+                          rng.randint(1, 8))
+        pairs = []
+        for key in keys:
+            if trial % 3 == 0:
+                j = rng.randrange(n)
+                key = key[:j] + (b,) + key[j + 1:]
+            pairs.append((key, rng.randint(-3, 3)))
+        which = rng.sample(range(1, 2 * n + 1), rng.randint(1, 2 * n))
+        t = MultTensor.from_terms(n, pairs)
+        assert_scale_matches_oracle(n, t, which)
+        outcomes.update(lab in check_scale_invariance(
+            n, which=which, tensor=t).details["failing_labels"]
+            for lab in which)
+    assert outcomes == {False, True}
+
+
+def test_scale_check_falls_back_when_the_tensor_holds_a():
+    # D[1] (x) a - a (x) D[1] is fixed by rescaling 1, because the two
+    # a (x) a terms of the expansion cancel; its contraction at slot 1
+    # is a, not zero.  Holding a, the tensor goes the residue way.
+    a = scalar_symbol("a")
+    t = MultTensor.from_terms(2, [((D1, a), 1), ((a, D1), -1)])
+    assert _scale_failures(t) == {1}
+    assert check_scale_invariance(1, which=[1], tensor=t).passed
+    assert_scale_matches_oracle(1, t, [1, 2])
+    assert_scale_matches_oracle(1, t + MultTensor.from_terms(
+        2, [((D1, D2), 2)]), [2, 1])
+
+
+def test_scale_contractions_match_the_residue_at_degree_4():
+    e = build_element(4).tensor
+    for t in (e, flip_first_term(e)):
+        assert_scale_matches_oracle(4, t, [1, 8])
 
 
 # ---------------------------------------------------------------------------

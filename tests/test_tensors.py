@@ -91,8 +91,8 @@ def test_perms_with_signs_oracle():
 
 
 def test_perms_with_signs_matches_sort_with_sign():
-    # the Lehmer-code parities against the inversion count, same order
-    for k in range(-1, 7):
+    # the block-recurrence parities against the inversion count, same order
+    for k in range(-1, 9):
         assert perms_with_signs(k) == tuple(
             (perm, _sort_with_sign(perm)[1])
             for perm in permutations(range(k)))
@@ -384,3 +384,32 @@ def test_linear_combination_contract(kind):
         with pytest.raises(ContractViolation):
             a + c
         assert a != c
+
+
+@pytest.mark.parametrize("kind", [MultTensor, WedgeTensor, AomotoExpr])
+def test_scalar_multiples_keep_coefficient_types(kind):
+    a, b, _, _ = combination_values(kind)
+    t = a + b
+    ints = {k: v for k, v in t.terms.items() if type(v) is int}
+    fracs = {k: v for k, v in t.terms.items() if type(v) is Fraction}
+    assert ints and fracs
+    for product in (2 * t, t * 2, -3 * t):
+        scale = product.terms[next(iter(ints))] // ints[next(iter(ints))]
+        assert product.terms == {k: v * scale for k, v in t.terms.items()}
+        assert all(type(product.terms[k]) is int for k in ints)
+    # a Fraction coefficient that an integer clears becomes an int
+    assert {type(v) for v in (t * (6 * max(
+        v.denominator for v in fracs.values()))).terms.values()} == {int}
+    half = kind.from_terms(*t._shape(), [(next(iter(t.terms)),
+                                          Fraction(1, 2))])
+    for scalar, value in ((2, 1), (4, 2)):
+        (coeff,) = (half * scalar).terms.values()
+        assert coeff == value and type(coeff) is int
+    assert (0 * t).is_zero() and (t * 0).is_zero()
+    # Fraction scalars: exact products, integral ones made int, zeros gone
+    third = t * Fraction(1, 3)
+    assert third.terms == {k: Fraction(v) / 3 for k, v in t.terms.items()}
+    assert 3 * third == t
+    assert Fraction(0) * t == (t - t)
+    assert {type(v) for v in (Fraction(2) * t).terms.values()} == {
+        type(v) for v in (2 * t).terms.values()}
