@@ -181,6 +181,15 @@ def _parse_word_spec(spec):
     return word
 
 
+def _load_json(source, error, what):
+    """The JSON value of `source`, a string or a text file; `error` names
+    `what` when there is none (a file that is not UTF-8 has none)."""
+    try:
+        return json.loads(source if isinstance(source, str) else source.read())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"the {what} is not JSON: {exc}") from exc
+
+
 def _cmd_integrate(args):
     from .iterint import (DEFAULT_BUDGET, PathSpec, iterate_element,
                           iterate_word)
@@ -191,13 +200,15 @@ def _cmd_integrate(args):
             "integrate needs exactly one of --element or --word")
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     with open(args.path, encoding="utf-8") as fh:
-        path = PathSpec.from_json_dict(json.load(fh))
+        path = PathSpec.from_json_dict(_load_json(fh, PathError, "path"))
     if args.element:
         with open(args.element, encoding="utf-8") as fh:
-            tensor = MultTensor.from_json_dict(json.load(fh))
+            tensor = MultTensor.from_json_dict(
+                _load_json(fh, ContractViolation, "element"))
         res = iterate_element(tensor, path, tol=args.tol, budget=budget)
     else:
-        word = _parse_word_spec(json.loads(args.word))
+        word = _parse_word_spec(
+            _load_json(args.word, ContractViolation, "word spec"))
         res = iterate_word(word, path, tol=args.tol, budget=budget)
     _emit(res.to_json_dict(), args.out)
     return 5 if res.depth_exceeded else 0

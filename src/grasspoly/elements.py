@@ -33,8 +33,9 @@ Checks provided here:
   outside the wedge pair.
 * check_steinberg_wedge: the wedge decomposition of (1 - r) ^ r for the
   bracket cross-ratio r, against one half of the alternation of
-  D(v1,v2) ^ D(v1,v3); both the canonical identity and its exact numeric
-  evaluation at random generic configurations.
+  D(v1,v2) ^ D(v1,v3), decided by symbolic_equal alone: the exact numeric
+  evaluation at random generic configurations is identically zero, since
+  d log(1 - r) and d log r are both multiples of dr.
 
 All reports carry a machine-readable dict (status, residue sample,
 witness) and can be serialized with or without timing, since byte-stable

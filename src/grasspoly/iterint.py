@@ -7,26 +7,28 @@ symbols; a word is a sequence of letters.  The iterated integral of a word
 (w_1, ..., w_n) is F_n(1) where F_0 = 1 and F_k' = F_{k-1} * (pullback of
 w_k), so the first letter of a word is the innermost integration.
 
-The quadrature engine advances all prefixes F_1..F_n panel by panel: on
+The quadrature engine advances the states of a sweep panel by panel: on
 each panel the letter values at the Gauss nodes are combined with a
-spectral prefix-antiderivative matrix, so one lower-triangular sweep per
-panel yields every F_k at every node.  Many words are integrated in a
+spectral prefix-antiderivative matrix, so one level-by-level sweep per
+panel yields every state at every node.  Many words are integrated in a
 single sweep, sharing panels and letter evaluations; this is how elements
-with hundreds of terms stay cheap.  Words integrated for their own values
-(`iterate_words`) keep one state per distinct prefix, not per word: the
-words form a prefix trie (the 720 words of the degree-3 element have 20,
-180 and 720 distinct prefixes of length 1, 2 and 3), and words with
-different initial values never share a node.  An element, whose words
-are wanted only in the sum sum_w c_w It(w) (`iterate_element`), is swept
-as the minimal weighted automaton of its words: prefixes whose weighted
-suffixes are proportional share one state, and the full words end in a
-single state, the element's value (20 and 90 states at levels 1 and 2
-for the degree-3 element, 70, 1120 and 1260 for degree 4).  On a path
-segment every bracket is a polynomial P in the segment parameter; it is
-fitted once per segment as a Chebyshev series from one batched
-determinant (the Chebyshev points and matrices of a fit are built once
-per degree), and the letters of every panel are P'/P of that fit at the
-nodes.
+with hundreds of terms stay cheap.  One sweep (`_Sweep`) serves two
+layouts, in both of which a level's states follow from the previous
+level's through weighted edges.  Words integrated for their own values
+(`iterate_words`) form a prefix trie (`_WordBatch`): one state per
+distinct prefix, each with one edge of weight 1 (the 720 words of the
+degree-3 element have 20, 180 and 720 distinct prefixes of length 1, 2
+and 3), and words with different initial values never share a node.  An
+element, whose words are wanted only in the sum sum_w c_w It(w)
+(`iterate_element`), is the minimal weighted automaton of its words
+(`_Automaton`): prefixes whose weighted suffixes are proportional share
+one state, and the full words end in a single state, the element's value
+(20 and 90 states at levels 1 and 2 for the degree-3 element, 70, 1120
+and 1260 for degree 4).  On a path segment every bracket is a polynomial
+P in the segment parameter; it is fitted once per segment as a Chebyshev
+series from one batched determinant (the Chebyshev points and matrices of
+a fit are built once per degree), and the letters of every panel are
+P'/P of that fit at the nodes.
 
 Panels split adaptively by comparing a whole-panel sweep against two
 half-panel sweeps.  Acceptance is proportional to the interval, so the
@@ -40,11 +42,10 @@ unless it was handed down, and the two halves) in one call, then sweeps
 them in that order; a panel whose letters fail raises only in its turn,
 after the panels before it are swept and counted.  The `panels` count of
 a result is the number of sweeps evaluated, and the budget limits the
-same count.  The acceptance test reads every state of the sweep: trie
-nodes for words, automaton states and the value for an element.  A
-word's reported error sums, over the accepted panels, the largest
-|whole - halves| among its prefix nodes; an element's sums its own
-value's |whole - halves|.
+same count.  The acceptance test reads every state of the sweep.  An
+output's reported error sums, over the accepted panels, |scale| times
+the largest |whole - halves| among its states: a word's prefix nodes,
+with scale 1, or an element's value, with the element's scale.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
@@ -448,19 +449,72 @@ class _LetterTable:
         self.bracket_coef = self.coef[self.bracket_syms]
 
 
-class _WordBatch:
-    """The words of one sweep as a prefix trie: one state per prefix.
+class _Sweep:
+    """The states of one sweep and how a panel moves them.
 
-    Nodes are numbered level by level, the roots (empty prefixes) first,
-    and `f0` holds their start values.  `levels[k-1]` is (slice of the
-    level-k nodes, index of each one's parent among the level-(k-1)
-    nodes, its letter column in `letters`).  Words share a node
-    while they agree in their letters and in their initial values, so
-    words whose initial rows differ never merge.  `word_nodes[i, k]` is
-    the node of the first k letters of word i; past the word's length it
-    repeats the word's last node, so the last column holds every word's
-    full node.
+    The `roots` start states come first, then the states level by level,
+    then, when `final` is not None, the one state E of `_Automaton`; `f0`
+    holds the start values.  `levels[k-1]` takes level k - 1 to level k:
+    (slice of the level-k states, letter and weight of each of the level's
+    distinct (letter, weight) pairs, slots).  A state's derivative sums
+    weight * letter * source over its incoming edges.  Slot j holds the
+    j-th incoming edge of every state with more than j of them, as (number
+    of such states, source of each edge among the previous level's states,
+    its pair); a level's states are numbered by falling in-degree, so each
+    slot covers a leading run of them.  Output i has the value
+    scale * f[outputs[i, -1]], and |scale| times the largest
+    |whole - halves| over the states outputs[i] is its share of a panel's
+    error.
     """
+
+    def sweep(self, lv, f_a, hh):
+        """The states at the end of a panel from those at its start f_a,
+        given the letter values at its nodes and its half width.  Each
+        slot's products are made and summed one slot at a time (a level's
+        edges at once would be a large temporary at degree 4)."""
+        _, weights, _, prefix_and_end = _quadrature()
+        f_b = f_a.copy()
+        lv_t = lv.T.copy()
+        prev = f_a[:self.roots, None]
+        for nodes, letter, weight, slots in self.levels:
+            weighted = lv_t.take(letter, axis=0)
+            weighted *= weight
+            (_, src, pair), *rest = slots
+            g = weighted.take(pair, axis=0)
+            g *= prev.take(src, axis=0)
+            for size, src, pair in rest:
+                term = weighted.take(pair, axis=0)
+                term *= prev.take(src, axis=0)
+                g[:size] += term
+            out = g @ prefix_and_end
+            out *= hh
+            out += f_a[nodes, None]
+            prev = out[:, :GAUSS_ORDER]
+            f_b[nodes] = out[:, GAUSS_ORDER]
+        if self.final is not None:
+            # E' at the nodes: sum over a of L_a * (final @ G)[a], with the
+            # real matrix `final` applied to G's real and imaginary parts
+            e = np.einsum("ua,au->u", lv,
+                          (self.final @ prev.view(float)).view(complex))
+            f_b[-1] = f_a[-1] + hh * (e @ weights)
+        return f_b
+
+    def errors(self, diff):
+        """Each output's share of a panel's |whole - halves|."""
+        return abs(self.scale) * diff[self.outputs].max(axis=1)
+
+    def ends(self, f):
+        """Each output's value from the states."""
+        return self.scale * f[self.outputs[:, -1]]
+
+
+class _WordBatch(_Sweep):
+    """The words of one sweep as a prefix trie: one state per prefix, and
+    one output per word.  Words share a node while they agree in their
+    letters and initial values, so the roots are the distinct initial
+    values.  Each node has one edge of weight 1, from its parent along its
+    letter, so a level is one slot.  `outputs[i, k]` is the node of the
+    first k letters of word i, repeating its full node past its length."""
 
     def __init__(self, words, dim, count, initial=None):
         if not words:
@@ -484,6 +538,7 @@ class _WordBatch:
         start = start.tolist()
         roots = {}
         nodes = [roots.setdefault(row[0], len(roots)) for row in start]
+        self.roots = len(roots)
         values = list(roots)
         columns = [list(nodes)]
         self.levels = []
@@ -497,35 +552,19 @@ class _WordBatch:
                     nodes[w] = keys.setdefault(key, base + len(keys))
             columns.append(list(nodes))
             parent, col, value = zip(*keys)
-            self.levels.append((slice(base, base + len(keys)),
-                                np.array(parent, dtype=int) - lower,
-                                np.array(col, dtype=int)))
+            letter = sorted(set(col))
+            index = {a: i for i, a in enumerate(letter)}
+            self.levels.append((
+                slice(base, base + len(keys)), np.array(letter, dtype=int),
+                np.ones((len(letter), 1)),
+                [(len(keys), np.array(parent, dtype=int) - lower,
+                  np.array([index[a] for a in col], dtype=int))]))
             values.extend(value)
             lower = base
         self.f0 = np.array(values, dtype=complex)
-        self.word_nodes = np.array(columns, dtype=int).T
-
-    def sweep(self, lv, f_a, hh):
-        """The node states at the end of a panel from those at its start
-        f_a, given the letter values at its nodes and its half width."""
-        _, weights, qmat, _ = _quadrature()
-        f_b = f_a.copy()
-        prev = f_a[:self.levels[0][0].start, None]
-        for k, (nodes, parent, col) in enumerate(self.levels, start=1):
-            g = lv[:, col].T * prev[parent]
-            if k < len(self.levels):
-                prev = f_a[nodes, None] + hh * (g @ qmat.T)
-            f_b[nodes] = f_a[nodes] + hh * (g @ weights)
-        return f_b
-
-    def errors(self, diff):
-        """Each word's share of a panel's |whole - halves|: the largest
-        over its prefix nodes."""
-        return diff[self.word_nodes].max(axis=1)
-
-    def ends(self, f):
-        """Each word's value from the node states."""
-        return f[self.word_nodes[:, -1]]
+        self.final = None
+        self.outputs = np.array(columns, dtype=int).T
+        self.scale = 1.0
 
 
 def _ratio(w, lead):
@@ -536,7 +575,7 @@ def _ratio(w, lead):
     return q.numerator if q.denominator == 1 else q
 
 
-class _Automaton:
+class _Automaton(_Sweep):
     """The minimal weighted automaton of an element's words, for a sweep
     that yields only the element's value sum_w c_w It(w).
 
@@ -552,7 +591,8 @@ class _Automaton:
     the root.  The last letter ends every word, so the level of full
     words is a single state E with E' = sum_q G_q (L @ final)[q], where
     the (letters, last-level states) matrix `final` holds the combined
-    last letter of each state.  The element's value is scale * E(1).
+    last letter of each state.  The element's value is scale * E(1), its
+    one output.
 
     The automaton is computed exactly, with int and Fraction arithmetic,
     from the longest prefixes down.  A prefix's edges (letter, next state,
@@ -564,16 +604,8 @@ class _Automaton:
     element alone.  The 720 words of the degree-3 element need 20 and 90
     states at levels 1 and 2 and 360 entries of `final` (the prefix trie
     has 20, 180 and 720 nodes); the 40320 words of degree 4 need 70, 1120
-    and 1260 states and 5040 entries.
-
-    The sweep's states are the root, then level by level, then E.
-    `levels[k-1]` takes level k - 1 to level k: (slice of the level-k
-    states, letter and weight of each of the level's distinct (letter,
-    weight) pairs, slots).  Slot j holds the j-th incoming edge of every
-    state with more than j of them, as (number of such states, source
-    state of each edge, its pair); the states of a level are numbered by
-    falling in-degree (then as above), so each slot covers a leading run
-    of them.
+    and 1260 states and 5040 entries.  A level's states are numbered by
+    falling in-degree, then as above.
     """
 
     def __init__(self, t, dim, count):
@@ -640,45 +672,8 @@ class _Automaton:
                 self.final[a, order[q]] = float(w)
         self.f0 = np.zeros(base + 1, dtype=complex)
         self.f0[0] = 1.0
-
-    def sweep(self, lv, f_a, hh):
-        """The states at the end of a panel from those at its start f_a,
-        given the letter values at its nodes and its half width.  Each
-        slot's products are made and summed one slot at a time (a level's
-        edges at once would be a large temporary at degree 4)."""
-        _, weights, _, prefix_and_end = _quadrature()
-        f_b = f_a.copy()
-        lv_t = lv.T.copy()
-        prev = f_a[:1, None]
-        for nodes, pair_letter, pair_weight, slots in self.levels:
-            weighted = lv_t.take(pair_letter, axis=0)
-            weighted *= pair_weight
-            (_, src, pair), *rest = slots
-            g = weighted.take(pair, axis=0)
-            g *= prev.take(src, axis=0)
-            for size, src, pair in rest:
-                term = weighted.take(pair, axis=0)
-                term *= prev.take(src, axis=0)
-                g[:size] += term
-            out = g @ prefix_and_end
-            out *= hh
-            out += f_a[nodes, None]
-            prev = out[:, :GAUSS_ORDER]
-            f_b[nodes] = out[:, GAUSS_ORDER]
-        # E' at the nodes: sum over a of L_a * (final @ G)[a], with the
-        # real matrix `final` applied to G's real and imaginary parts
-        e = np.einsum("ua,au->u", lv,
-                      (self.final @ prev.view(float)).view(complex))
-        f_b[-1] = f_a[-1] + hh * (e @ weights)
-        return f_b
-
-    def errors(self, diff):
-        """The element's share of a panel's |whole - halves|."""
-        return abs(self.scale) * diff[-1:]
-
-    def ends(self, f):
-        """The element's value from the states."""
-        return self.scale * f[-1:]
+        self.roots = 1
+        self.outputs = np.array([[base]])
 
 
 def _chebvander(x, deg):
@@ -839,12 +834,9 @@ def _check_segment_roots(fit, letters, index):
 
 
 class _Engine:
-    """The adaptive panel control of one path for a `_WordBatch` (one
-    result per word) or an `_Automaton` (the element's value alone).
-    Either one holds its letter table, its start states `f0`, and says how
-    one panel moves its states (`sweep`), how a panel's |whole - halves|
-    becomes its results' errors (`errors`) and how the final states
-    become its values (`ends`)."""
+    """The adaptive panel control of one path for the states of a `_Sweep`:
+    their letter table and start states `f0`, how a panel moves them
+    (`sweep`), and their outputs' errors and values (`errors`, `ends`)."""
 
     def __init__(self, states, path, tol, budget):
         self.states = states
@@ -945,12 +937,8 @@ def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """
     if not isinstance(path, PathSpec):
         raise PathError("iterate_words needs a PathSpec")
-    engine = _Engine(_WordBatch(words, path.dim, path.count, initial), path,
-                     tol, budget)
-    return [IterIntResult(value=complex(value), error=float(err),
-                          panels=engine.panels,
-                          depth_exceeded=engine.depth_exceeded)
-            for value, err in zip(engine.run(), engine.err)]
+    return _iterate_prepared(_WordBatch(words, path.dim, path.count, initial),
+                             path, tol, budget)
 
 
 def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -965,15 +953,13 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
 
 
 def _iterate_prepared(states, path, tol, budget, start=None):
-    """The one value of prepared states (an `_Automaton`, or a `_WordBatch`
-    of one word), one sweep from `start` (default: their own start
-    states); its error is that value's own accumulated |whole - halves|."""
+    """One result per output of prepared states, from one sweep that starts
+    at `start` (default: their own `f0`), all with the shared panel count."""
     engine = _Engine(states, path, tol, budget)
-    value, = engine.run(start)
-    error, = engine.err
-    return IterIntResult(value=complex(value), error=float(error),
-                         panels=engine.panels,
-                         depth_exceeded=engine.depth_exceeded)
+    return [IterIntResult(value=complex(value), error=float(err),
+                          panels=engine.panels,
+                          depth_exceeded=engine.depth_exceeded)
+            for value, err in zip(engine.run(start), engine.err)]
 
 
 def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
@@ -984,7 +970,7 @@ def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
     if not isinstance(path, PathSpec):
         raise PathError("iterate_element needs a PathSpec")
     return _iterate_prepared(_Automaton(t, path.dim, path.count), path,
-                             tol, budget)
+                             tol, budget)[0]
 
 
 def _integrate_any(obj, path, tol, budget):

@@ -192,7 +192,7 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     points.append(z)
     path = PathSpec.from_points([_li_config(u) for u in points])
     initial = [1.0 + 0j] + [li_series(k, start) for k in range(1, n + 1)]
-    res = _iterate_prepared(_li_batch(n), path, tol, budget, start=initial)
+    res, = _iterate_prepared(_li_batch(n), path, tol, budget, start=initial)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)
 
@@ -431,6 +431,6 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
         automaton = _Automaton(element, n, 2 * n)
     else:
         raise ContractViolation("element override must be a MultTensor")
-    res = _iterate_prepared(automaton, path, tol, budget)
+    res, = _iterate_prepared(automaton, path, tol, budget)
     return BranchedValue(value=res.value, path=path, error=res.error,
                          panels=res.panels)

@@ -1,7 +1,8 @@
 """Shared test set-up.
 
-`per_word_sum` integrates an element through the per-word prefix-trie
-sweep, the oracle of the element's automaton sweep.
+`per_word_sum` integrates an element word by word, through the prefix
+trie of `iterate_words`: the oracle of the element's automaton, which the
+same sweep runs on the other layout.
 
 The command line tests run ``python -m grasspoly.cli`` in subprocesses.
 They must import the same package as the tests themselves, also when

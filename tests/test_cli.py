@@ -356,6 +356,37 @@ def test_integrate_malformed_path_is_a_path_error(tmp_path):
     assert "path error" in proc.stderr
 
 
+def test_integrate_payloads_that_are_not_json(tmp_path):
+    # a path that is not JSON is a malformed path (exit 2); an element or
+    # word that is not JSON is a malformed spec (exit 1); neither escapes
+    # as a traceback
+    not_json = tmp_path / "not.json"
+    not_json.write_text("not json", encoding="utf-8")
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    path_file = write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))
+    word = json.dumps([[[1, "D[1]"]]])
+    cases = [
+        (["--word", word, "--path", str(not_json)], 2,
+         "path error: the path is not JSON"),
+        (["--word", word, "--path", os.devnull], 2,
+         "path error: the path is not JSON"),
+        (["--word", word, "--path", str(not_utf8)], 2,
+         "path error: the path is not JSON"),
+        (["--element", str(not_json), "--path", path_file], 1,
+         "error: the element is not JSON"),
+        (["--word", "not json", "--path", path_file], 1,
+         "error: the word spec is not JSON"),
+    ]
+    for args, code, message in cases:
+        proc = run_cli("integrate", *args)
+        assert proc.returncode == code, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 def test_integrate_missing_path_file_is_an_io_error(tmp_path):
     proc = run_cli("integrate", "--word", json.dumps([[[1, "D[1]"]]]),
                    "--path", str(tmp_path / "absent.json"))

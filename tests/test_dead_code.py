@@ -1,6 +1,7 @@
 """Every public top-level function or class of the package is either used
-somewhere in the package or exported in grasspoly.__all__, and every
-command line option is read by the command line module."""
+somewhere in the package or exported in grasspoly.__all__, every private
+one is used somewhere in the package, and every command line option is
+read by the command line module."""
 
 import argparse
 import ast
@@ -10,13 +11,14 @@ import grasspoly
 from grasspoly import cli
 
 
-def test_no_unreferenced_public_helpers():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in pathlib.Path(grasspoly.__file__).parent.glob("*.py")}
+def _package_trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in pathlib.Path(grasspoly.__file__).parent.glob("*.py")}
+
+
+def _names_used(trees):
     used = set()
-    for name, tree in trees.items():
-        if name == "__init__.py":
-            continue  # its imports are checked through __all__
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -24,12 +26,38 @@ def test_no_unreferenced_public_helpers():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    dead = [f"{name}:{node.name}"
+    return used
+
+
+def _top_level_definitions(trees):
+    return [(name, node.name)
             for name, tree in sorted(trees.items()) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in used
-            and node.name not in grasspoly.__all__]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_no_unreferenced_public_helpers():
+    trees = _package_trees()
+    # the imports of __init__.py are checked through __all__
+    used = _names_used(tree for name, tree in trees.items()
+                       if name != "__init__.py")
+    dead = [f"{name}:{definition}"
+            for name, definition in _top_level_definitions(trees)
+            if not definition.startswith("_")
+            and definition not in used
+            and definition not in grasspoly.__all__]
+    assert dead == []
+
+
+def test_no_unreferenced_private_helpers():
+    # every underscored top-level function or class is referenced somewhere
+    # in the package; module hooks such as __getattr__ are Python's to call
+    trees = _package_trees()
+    used = _names_used(trees.values())
+    dead = [f"{name}:{definition}"
+            for name, definition in _top_level_definitions(trees)
+            if definition.startswith("_")
+            and not definition.endswith("__")
+            and definition not in used]
     assert dead == []
 
 

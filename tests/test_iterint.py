@@ -932,6 +932,78 @@ def test_a_failing_right_half_keeps_the_swept_left_half(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the single sweep against the prefix trie's own sweep
+#
+# _TrieSweep.sweep, errors and ends are the prefix trie's former sweep and
+# outputs, kept verbatim as the oracle, on the trie's former level layout.
+
+
+class _TrieSweep:
+    """The states of a `_WordBatch` in the trie's former layout:
+    `levels[k-1]` is (slice of the level-k nodes, index of each one's
+    parent among the level-(k-1) nodes, its letter column in `letters`),
+    and `word_nodes` is the batch's `outputs`."""
+
+    def __init__(self, batch):
+        self.letters = batch.letters
+        self.f0 = batch.f0
+        self.levels = [(nodes, src, letter[pair])
+                       for nodes, letter, _, [(_, src, pair)] in batch.levels]
+        self.word_nodes = batch.outputs
+
+    def sweep(self, lv, f_a, hh):
+        """The node states at the end of a panel from those at its start
+        f_a, given the letter values at its nodes and its half width."""
+        _, weights, qmat, _ = _quadrature()
+        f_b = f_a.copy()
+        prev = f_a[:self.levels[0][0].start, None]
+        for k, (nodes, parent, col) in enumerate(self.levels, start=1):
+            g = lv[:, col].T * prev[parent]
+            if k < len(self.levels):
+                prev = f_a[nodes, None] + hh * (g @ qmat.T)
+            f_b[nodes] = f_a[nodes] + hh * (g @ weights)
+        return f_b
+
+    def errors(self, diff):
+        """Each word's share of a panel's |whole - halves|: the largest
+        over its prefix nodes."""
+        return diff[self.word_nodes].max(axis=1)
+
+    def ends(self, f):
+        """Each word's value from the node states."""
+        return f[self.word_nodes[:, -1]]
+
+
+def test_word_sweep_matches_the_trie_sweep():
+    # the one sweep rounds the trie's end values differently (a column of
+    # one product in place of a second product), so the values agree to
+    # rounding; the panels, the failures and their texts are the same
+    outcomes = set()
+    for label, states, path, tol, budget in _oracle_cases():
+        if not isinstance(states, _WordBatch):
+            continue
+        want = _Engine(_TrieSweep(states), path, tol, budget)
+        got = _Engine(states, path, tol, budget)
+        try:
+            want_ends = want.run()
+        except (PoleError, BudgetError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                got.run()
+            assert str(raised.value) == str(exc), label
+            assert got.panels == want.panels, label
+            outcomes.add(type(exc).__name__)
+            continue
+        ends = got.run()
+        assert (got.panels, got.depth_exceeded) == (
+            want.panels, want.depth_exceeded), label
+        size = np.abs(want_ends).max()
+        assert np.abs(ends - want_ends).max() <= 1e-14 * size, label
+        assert np.abs(got.err - want.err).max() <= 1e-14 * size, label
+        outcomes.add("value")
+    assert outcomes == {"value", "PoleError", "BudgetError"}
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
