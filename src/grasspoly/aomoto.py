@@ -148,12 +148,11 @@ def parse_gen(s):
 class AomotoExpr(_LinearCombination):
     """Linear combination of factor tuples (generators and monomials)."""
 
-    __slots__ = ("_integral",)
+    __slots__ = ()
     _sort_key = staticmethod(repr)
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", dict(terms or {}))
-        object.__setattr__(self, "_integral", None)
 
     @classmethod
     def zero(cls):
@@ -177,15 +176,10 @@ class AomotoExpr(_LinearCombination):
 
     def _over_denominator(self):
         """(den, ((factors, numerator), ...)): the terms as integer
-        numerators over the lcm of the coefficients' denominators.
-        Computed once per expression, so a cached coproduct image carries
-        it in the coproduct's own cache entry."""
-        if self._integral is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            object.__setattr__(self, "_integral", (den, tuple(
-                (factors, c.numerator * (den // c.denominator))
-                for factors, c in self.terms.items())))
-        return self._integral
+        numerators over the lcm of the coefficients' denominators."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, tuple((factors, c.numerator * (den // c.denominator))
+                          for factors, c in self.terms.items())
 
     @staticmethod
     def _factor_strs(factors):

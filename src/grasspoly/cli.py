@@ -101,8 +101,7 @@ def _verify_one(suite, n, args, element):
     if suite == "integrability":
         # degrees below 2 are refused by the check, with nothing built
         return check_integrability(
-            n, num_points=args.points if args.points else 20,
-            seed=args.seed,
+            n, num_points=args.points, seed=args.seed,
             tensor=element(n, False).tensor if n >= 2 else None)
 
     raise ContractViolation(f"unknown suite {suite!r}")
@@ -125,10 +124,8 @@ def _cmd_verify(args):
     reports = []
     for suite in suites:
         if suite == "deltar":
-            reports.append(check_steinberg_wedge(
-                num_points=args.points if args.points else 10,
-                seed=args.seed,
-                half_coefficient=not args.mutate))
+            reports.append(
+                check_steinberg_wedge(half_coefficient=not args.mutate))
             continue
         for n in ns:
             reports.append(_verify_one(suite, n, args, element))
@@ -242,7 +239,11 @@ def _cmd_table(args):
         order = int(fn[2])
         header = ["z_re", "z_im", "value_re", "value_im", "error_estimate"]
         for x in _parse_range(args.grid):
-            bv = li_n(order, x, tol=args.tol)
+            try:
+                bv = li_n(order, x, tol=args.tol)
+            except ContractViolation:
+                rows.append([repr(x), repr(0.0), "nan", "nan", "nan"])
+                continue
             rows.append([repr(x), repr(0.0), repr(bv.value.real),
                          repr(bv.value.imag), repr(bv.error)])
     elif fn == "rogers":
@@ -316,8 +317,9 @@ def build_parser():
     pv.add_argument("--n", type=int, action="append",
                     help="degree, repeatable (default 2)")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--points", type=int, default=None,
-                    help="evaluation points for the numeric certificates")
+    pv.add_argument("--points", type=int, default=20,
+                    help="evaluation points for the integrability "
+                         "certificate")
     pv.add_argument("--mode", default="mod2", choices=("mod2", "strict"),
                     help="strict keeps bracket sorting signs in the "
                          "relations and scale suites")

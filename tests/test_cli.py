@@ -228,6 +228,17 @@ def test_verify_mutate_fails_every_suite():
     assert statuses == {"fail"}
 
 
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_verify_refuses_an_empty_integrability_sample(points):
+    # no point at all would pass the mutated element
+    proc = run_cli("verify", "--suite", "integrability", "--n", "3",
+                   "--points", points, "--mutate")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: integrability needs at least one point, not {points}\n")
+
+
 def test_verify_mutate_fails_the_degree_4_scale_suite():
     proc = run_cli("verify", "--suite", "scale", "--n", "4", "--mutate")
     assert proc.returncode == 1
@@ -485,6 +496,7 @@ def test_import_registers_every_traced_layer():
      "configurations iterint polylogs tensors"),
     (["integrate", "--word", json.dumps([[[1, "D[1]"]]]), "--path", None],
      "configurations iterint tensors"),
+    (["verify", "--suite", "deltar"], "elements tensors"),
 ])
 def test_each_command_runs_only_its_layers(tmp_path, argv, ran):
     """A command runs the layer modules it uses and no other.  A module
@@ -535,6 +547,30 @@ def test_table_li2_values():
     expected = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
     assert abs(float(half[2]) - expected) < 1e-9
     assert float(half[3]) == 0.0
+
+
+@pytest.mark.parametrize("fn, grid, refused", [
+    ("li3", "--grid=-2:0:3", 0.0),
+    ("li1", "--grid=0.5:1:2", 1.0),
+])
+def test_table_li_marks_refused_points(fn, grid, refused):
+    proc = run_cli("table", "--function", fn, grid)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    rows = {float(line.split(",")[0]): line.split(",")[1:]
+            for line in lines[1:]}
+    assert len(rows) == len(lines) - 1
+    assert rows[refused] == ["0.0", "nan", "nan", "nan"]
+    for x, cells in rows.items():
+        if x != refused:
+            assert math.isfinite(float(cells[1]))
+
+
+def test_table_li_stops_at_a_pole():
+    # li2 on real z >= 1 meets the branch point on its path
+    proc = run_cli("table", "--function", "li2", "--grid=0.5:1.5:3")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("pole error: ")
 
 
 def test_table_bloch_wigner_grid():
@@ -593,9 +629,9 @@ PINNED = [
     (("element", "--n", "3"), 0,
      "cf8ed21672522e6076b032608324f5ecc05e5cc202fefa514a61239671ea40f7"),
     (("verify", "--suite", "all", "--n", "2", "--n", "3", "--seed", "0"), 0,
-     "f808f02e2d40a94f41b6685b75973cc69c308fcc01643e0eabcb96797a4f4faa"),
+     "d4a7a902521eb50e13bce5c33019b60506a90206387845e1e1039d19966f5d2d"),
     (("verify", "--suite", "all", "--n", "2", "--mutate"), 1,
-     "678488d4c6b0b0dd126bd5cb07a130e201d65bd3f3faa7c6ea828bfc9b6e9b14"),
+     "0df41ea0b5c65b8fcb7e74cc8baf4809cf7d17e9c24c23914eeb97f61ee30178"),
     (("verify", "--suite", "integrability", "--n", "3", "--mutate",
       "--seed", "0"), 1,
      "c81d40782a3193df672a24beabfdd27c4b1e5d6f7b978c01135b0f1ec3706528"),

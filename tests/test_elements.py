@@ -437,6 +437,28 @@ def test_integrability_contracts():
         list(integrability_residues(2, 0))
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_integrability_refuses_an_empty_sample(points):
+    # no point at all would certify a mutated element
+    bad = flip_first_term(build_element(2).tensor)
+    with pytest.raises(ContractViolation, match="at least one point"):
+        check_integrability(2, tensor=bad, num_points=points)
+    with pytest.raises(ContractViolation, match="at least one point"):
+        integrability_residues(2, 1, tensor=bad, num_points=points)
+
+
+def test_integrability_refuses_no_position():
+    bad = flip_first_term(build_element(3).tensor)
+    with pytest.raises(ContractViolation, match="wedge position"):
+        check_integrability(3, ks=[], tensor=bad)
+
+
+def test_scale_refuses_no_label():
+    bad = flip_first_term(build_element(3).tensor)
+    with pytest.raises(ContractViolation, match="needs a label"):
+        check_scale_invariance(3, which=[], tensor=bad)
+
+
 # ---------------------------------------------------------------------------
 # the cross-ratio wedge identity
 
@@ -449,11 +471,13 @@ def test_steinberg_sides_are_canonically_equal():
 
 
 def test_steinberg_check_passes_and_half_matters():
-    rep = check_steinberg_wedge(num_points=4)
+    rep = check_steinberg_wedge()
     assert rep.passed
-    assert rep.details["symbolic_equal"] is True
+    assert rep.details == {"symbolic_equal": True, "lhs_terms": 12,
+                           "rhs_terms": 12}
+    assert rep.residue_terms == []
 
-    bad = check_steinberg_wedge(num_points=4, half_coefficient=False)
+    bad = check_steinberg_wedge(half_coefficient=False)
     assert not bad.passed
     assert bad.details["symbolic_equal"] is False
     lhs, rhs = steinberg_wedge_sides(half_coefficient=False)
