@@ -51,11 +51,11 @@ through its labels.  The 70 weight-3 generators of the degree-4 pairing
 element share one standard form, and the whole expansion needs three.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
@@ -71,8 +71,7 @@ MONO = "m"
 CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class AomotoGen:
+class AomotoGen(NamedTuple):
     """Canonical simplex-pair generator <prefix | left; right>."""
 
     prefix: tuple

@@ -44,10 +44,10 @@ output is part of the command line contract.
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ContractViolation
 from .tensors import (BRACKET, MultTensor, WedgeTensor, bracket_symbol,
@@ -55,8 +55,7 @@ from .tensors import (BRACKET, MultTensor, WedgeTensor, bracket_symbol,
                       wedge_project, _combine, _expand_slots, _parities)
 
 
-@dataclass(frozen=True)
-class GrassElement:
+class GrassElement(NamedTuple):
     """A built element: degree, ambient labels, optional projection
     centers (prepended to every bracket), and the canonical tensor."""
 
@@ -147,13 +146,12 @@ def flip_first_term(tensor):
 # reports
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check: str
     n: int | None
     status: str
-    details: dict = field(default_factory=dict)
-    residue_terms: list = field(default_factory=list)
+    details: dict
+    residue_terms: list
     witness: dict | None = None
     elapsed_ms: float = 0.0
 
@@ -225,7 +223,7 @@ def check_comparison(n, element=None):
     constant = (-1) ** n * factorial(n) ** 2
     residue = lhs - constant * rhs
     ok = residue.is_zero()
-    rep = Report(
+    return Report(
         check="comparison",
         n=n,
         status="pass" if ok else "fail",
@@ -236,9 +234,8 @@ def check_comparison(n, element=None):
             "element_terms": rhs.term_count,
         },
         residue_terms=_residue_sample(residue),
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,7 @@ def check_omission_relations(n, element_builder=build_element):
     t0 = time.perf_counter()
     plain, projected = omission_residues(n, element_builder)
     ok = plain.is_zero() and projected.is_zero()
-    rep = Report(
+    return Report(
         check="relations",
         n=int(n),
         status="pass" if ok else "fail",
@@ -285,9 +282,8 @@ def check_omission_relations(n, element_builder=build_element):
         },
         residue_terms=(_residue_sample(plain)
                        + _residue_sample(projected)),
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +366,15 @@ def check_scale_invariance(n, which=None, tensor=None):
     else:
         failing = _scale_failures(base)
     bad = [lab for lab in labels if int(lab) in failing]
-    rep = Report(
+    return Report(
         check="scale",
         n=n,
         status="pass" if not bad else "fail",
         details={"labels_checked": list(which),
                  "failing_labels": sorted(bad)},
         residue_terms=_residue_sample(residue(bad[0])) if bad else [],
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,7 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
             }
             residue = _wedge_residue_sample(graded)
             break
-    rep = Report(
+    return Report(
         check="integrability",
         n=n,
         status="pass" if witness is None else "fail",
@@ -485,9 +480,8 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
                  "bound": int(bound), "gaussian": bool(gaussian)},
         residue_terms=residue,
         witness=witness,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +538,12 @@ def check_steinberg_wedge(half_coefficient=True, *, num_points=None,
     lhs, rhs = steinberg_wedge_sides(half_coefficient=half_coefficient)
     residue = lhs - rhs
     symbolic_ok = residue.is_zero()
-    rep = Report(
+    return Report(
         check="deltar",
         n=None,
         status="pass" if symbolic_ok else "fail",
         details={"symbolic_equal": symbolic_ok,
                  "lhs_terms": len(lhs.terms), "rhs_terms": len(rhs.terms)},
         residue_terms=_residue_sample(residue),
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep

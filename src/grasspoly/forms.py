@@ -36,9 +36,9 @@ exact binary values, and each value is rounded once; that is how the
 finite-difference checks use it.
 """
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .configurations import (Configuration, _bareiss, _integer_rows,
                              _quotient, _reciprocal, as_scalar)
@@ -46,19 +46,19 @@ from .errors import ContractViolation, PoleError
 from .tensors import BRACKET, SCALAR, MultTensor, WedgeTensor, symbol_to_str
 
 
-@dataclass(frozen=True)
-class TangentAssignment:
+class TangentAssignment(NamedTuple("_Tangent", [("base", tuple),
+                                                ("tangent", tuple)])):
     """A base point of configuration space together with one tangent."""
 
-    base: tuple
-    tangent: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.base) != len(self.tangent):
+    def __new__(cls, base, tangent):
+        if len(base) != len(tangent):
             raise ContractViolation("base/tangent row count mismatch")
-        for b, t in zip(self.base, self.tangent):
+        for b, t in zip(base, tangent):
             if len(b) != len(t):
                 raise ContractViolation("base/tangent width mismatch")
+        return super().__new__(cls, base, tangent)
 
     @classmethod
     def make(cls, base, tangent):

@@ -65,11 +65,11 @@ the first panel.
 
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, pi
+from typing import NamedTuple
 
 from . import _lazy_module
 from .configurations import Configuration
@@ -389,12 +389,15 @@ def shuffles(word_a, word_b):
         yield tuple(out)
 
 
-@dataclass(frozen=True)
-class IterIntResult:
+class IterIntResult(NamedTuple):
+    """A value with its error estimate, panel count and convergence flag,
+    and the path that selects its branch (not serialised)."""
+
     value: complex
     error: float
     panels: int
     depth_exceeded: bool = False
+    path: PathSpec | None = None
 
     def to_json_dict(self):
         return {"value": [self.value.real, self.value.imag],
@@ -956,9 +959,8 @@ def _iterate_prepared(states, path, tol, budget, start=None):
     """One result per output of prepared states, from one sweep that starts
     at `start` (default: their own `f0`), all with the shared panel count."""
     engine = _Engine(states, path, tol, budget)
-    return [IterIntResult(value=complex(value), error=float(err),
-                          panels=engine.panels,
-                          depth_exceeded=engine.depth_exceeded)
+    return [IterIntResult(complex(value), float(err), engine.panels,
+                          engine.depth_exceeded, path)
             for value, err in zip(engine.run(start), engine.err)]
 
 

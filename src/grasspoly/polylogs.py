@@ -27,33 +27,20 @@ bloch_wigner values vanishes identically.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
-from .iterint import (DEFAULT_BUDGET, PathSpec, _Automaton, _iterate_prepared,
-                      _WordBatch, dlog_letter, iterate_word)
+from .iterint import (DEFAULT_BUDGET, IterIntResult, PathSpec, _Automaton,
+                      _iterate_prepared, _WordBatch, dlog_letter, iterate_word)
 from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
 
-
-@dataclass(frozen=True)
-class BranchedValue:
-    """A multivalued-function value together with the path that selects
-    its branch."""
-
-    value: complex
-    path: PathSpec
-    error: float = 0.0
-    panels: int = 0
-
-    def to_json_dict(self):
-        return {"value": [self.value.real, self.value.imag],
-                "error": self.error,
-                "panels": self.panels}
+# A multivalued-function value: the engine's result, whose `path` selects
+# its branch.
+BranchedValue = IterIntResult
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,8 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     `via` in between, straight otherwise), with the exact series supplying
     the prefix values at the start; the word is (-d log(u-1), d log u,
     ..., d log u).  For |z| below 0.01 the series alone is used, since the
-    offset start would sit inside the pole monitor's guard.  The branch is
+    offset start would sit inside the pole monitor's guard (so li_n(n, 0)
+    is an exact 0, with error 0 and no panels).  The branch is
     the one selected by the path; the straight default gives the principal
     branch off [1, oo).
     """
@@ -181,20 +169,17 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     if n < 1:
         raise ContractViolation("li_n needs n >= 1")
     z = complex(z)
-    if z == 0:
-        raise ContractViolation("li_n(0) is trivially 0; pass z != 0")
     if abs(z - 1.0) < 1e-9 and n == 1:
         raise ContractViolation("li_1 is singular at z = 1")
     if abs(z) < 1e-2 and via is None:
-        return BranchedValue(value=li_series(n, z), path=None)
+        return IterIntResult(li_series(n, z), 0.0, 0)
     start = LI_START_OFFSET * z
     points = [start] + ([] if via is None else [complex(w) for w in via])
     points.append(z)
     path = PathSpec.from_points([_li_config(u) for u in points])
     initial = [1.0 + 0j] + [li_series(k, start) for k in range(1, n + 1)]
     res, = _iterate_prepared(_li_batch(n), path, tol, budget, start=initial)
-    return BranchedValue(value=res.value, path=path, error=res.error,
-                         panels=res.panels)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +375,7 @@ def aomoto_a1(l1, l2, m1, m2, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
 
     path = PathSpec.from_points([config(z) for z in zs])
     word = [dlog_letter((1, 3)) + dlog_letter((1, 2), coeff=-1)]
-    res = iterate_word(word, path, tol=tol, budget=budget)
-    return BranchedValue(value=res.value, path=path, error=res.error,
-                         panels=res.panels)
+    return iterate_word(word, path, tol=tol, budget=budget)
 
 
 @functools.lru_cache(maxsize=3)
@@ -432,5 +415,4 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
     else:
         raise ContractViolation("element override must be a MultTensor")
     res, = _iterate_prepared(automaton, path, tol, budget)
-    return BranchedValue(value=res.value, path=path, error=res.error,
-                         panels=res.panels)
+    return res

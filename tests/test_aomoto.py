@@ -87,6 +87,14 @@ def test_gen_str_and_parse_round_trip():
         parse_gen("A_1[|2,1;3,4]")
 
 
+def test_gen_repr_and_hash_are_those_of_its_fields():
+    # the repr is the sort key of AomotoExpr terms, so it fixes term order
+    gen, _ = make_gen((5,), (1, 2), (3, 4))
+    assert repr(gen) == "AomotoGen(prefix=(5,), left=(1, 2), right=(3, 4))"
+    assert hash(gen) == hash(((5,), (1, 2), (3, 4)))
+    assert gen.weight == 1
+
+
 def test_expr_algebra_laws():
     rng = random.Random(303)
 

@@ -426,7 +426,8 @@ def test_mpmath_never_loads():
     """The library evaluates every dilogarithm itself, so mpmath never
     loads; numpy loads when the numeric engine first runs, and the exact
     commands, the real tables and the dilogarithm functions do not load
-    it."""
+    it.  No step loads `dataclasses` (its third column stays at its
+    start value, so an interpreter whose start-up imports it passes)."""
     commands = [["element", "--n", "2"],
                 ["verify", "--suite", "comparison", "--n", "2"],
                 ["table", "--function", "rogers", "--grid=-1:2:7"],
@@ -438,7 +439,8 @@ def test_mpmath_never_loads():
         "def loaded(step):\n"
         # a lazily loaded numpy registers `numpy` alone until first used
         "    numpy = any(name.startswith('numpy.') for name in sys.modules)\n"
-        "    print(step, 'mpmath' in sys.modules, numpy)\n"
+        "    print(step, 'mpmath' in sys.modules, numpy,\n"
+        "          'dataclasses' in sys.modules)\n"
         "loaded('start')\n"
         "import grasspoly\n"
         "loaded('grasspoly')\n"
@@ -459,13 +461,15 @@ def test_mpmath_never_loads():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    steps = [line.rsplit(" ", 1) for line in proc.stdout.splitlines()]
+    assert [line for line, _ in steps] == [
         "start False False", "grasspoly False False", "cli False False",
         "element_2 False False", "verify_comparison False False",
         "table_rogers False False", "table_bloch_wigner False False",
         "table_l2g False False", "li2 False False",
         "bloch_wigner_five_term False False",
         "rogers_five_term False False", "li_n False True"]
+    assert {dataclasses for _, dataclasses in steps} == {steps[0][1]}
 
 
 def test_import_registers_every_traced_layer():
@@ -550,7 +554,6 @@ def test_table_li2_values():
 
 
 @pytest.mark.parametrize("fn, grid, refused", [
-    ("li3", "--grid=-2:0:3", 0.0),
     ("li1", "--grid=0.5:1:2", 1.0),
 ])
 def test_table_li_marks_refused_points(fn, grid, refused):
@@ -564,6 +567,16 @@ def test_table_li_marks_refused_points(fn, grid, refused):
     for x, cells in rows.items():
         if x != refused:
             assert math.isfinite(float(cells[1]))
+
+
+def test_table_li_at_zero_is_an_exact_zero():
+    proc = run_cli("table", "--function", "li3", "--grid=-2:0:3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert len(lines) == 4
+    assert lines[-1] == "0.0,0.0,0.0,0.0,0.0"
+    for line in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
 
 def test_table_li_stops_at_a_pole():

@@ -498,3 +498,14 @@ def test_report_json_shape():
     assert isinstance(timed["elapsed_ms"], float)
     assert rep.passed is True
     assert isinstance(rep, Report)
+
+
+def test_records_are_immutable_and_built_positionally():
+    e = build_element(2)
+    again = GrassElement(e.n, e.labels, e.prefix, e.tensor)
+    assert again == e and again.tensor is e.tensor
+    rep = check_scale_invariance(2)
+    with pytest.raises(AttributeError):
+        rep.status = "fail"
+    with pytest.raises(AttributeError):
+        e.n = 3

@@ -82,6 +82,12 @@ def test_tangent_assignment_construction():
         TangentAssignment.make(cfg, tan[:3])
     with pytest.raises(ContractViolation):
         TangentAssignment.make(cfg, [row[:1] for row in tan])
+    # direct construction validates too
+    assert TangentAssignment(at.base, at.tangent) == at
+    with pytest.raises(ContractViolation):
+        TangentAssignment(((1, 2),), ())
+    with pytest.raises(ContractViolation):
+        TangentAssignment(((1, 2),), ((3,),))
 
 
 def test_random_tangent_shape_and_determinism():

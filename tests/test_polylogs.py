@@ -15,10 +15,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from grasspoly import iterint
 from grasspoly.configurations import GaussianRational, cross_ratio
 from grasspoly.errors import (ContractViolation, DegeneracyError, PathError,
                               PoleError)
-from grasspoly.iterint import PathSpec
+from grasspoly.iterint import IterIntResult, PathSpec
 from grasspoly.polylogs import (BranchedValue, aomoto_a1, bloch_wigner,
                                 bloch_wigner_five_term, epsilon_sign,
                                 grassmannian_tate, l2g, l2g_family_values,
@@ -200,9 +201,11 @@ def test_li_n_contracts():
     with pytest.raises(ContractViolation):
         li_n(0, 0.5)
     with pytest.raises(ContractViolation):
-        li_n(2, 0)
-    with pytest.raises(ContractViolation):
         li_n(1, 1.0 + 1e-12)
+    # Li_n(0) = 0 exactly: the series alone, with no error and no panels
+    zero = li_n(2, 0)
+    assert (zero.value, zero.error, zero.panels) == (0, 0.0, 0)
+    assert zero.depth_exceeded is False and zero.path is None
 
 
 def test_li_n_waypoints_select_branches():
@@ -215,9 +218,26 @@ def test_li_n_waypoints_select_branches():
 
 def test_li_n_reports_branched_values():
     v = li_n(2, 0.5)
-    assert isinstance(v, BranchedValue)
+    assert BranchedValue is IterIntResult
+    assert isinstance(v, IterIntResult)
     assert isinstance(v.path, PathSpec)
-    assert set(v.to_json_dict()) == {"value", "error", "panels"}
+    assert set(v.to_json_dict()) == {"value", "error", "panels",
+                                     "depth_exceeded"}
+
+
+def test_named_functions_keep_the_convergence_flag(monkeypatch):
+    # with no subdivision allowed, none of these integrals meets the
+    # tolerance in one panel; each named function returns the engine's
+    # result, flagged
+    monkeypatch.setattr(iterint, "MAX_DEPTH", 0)
+    path = PathSpec.line([[0.1, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 3.0]],
+                         [[3.0, 0.2], [0.1, 2.0], [1.0, 1.2], [2.0, 3.5]])
+    results = (li_n(2, 0.9), aomoto_a1(0, 1, -1, 2, via=[0.5 + 1j]),
+               grassmannian_tate(2, path))
+    for result in results:
+        assert result.depth_exceeded is True
+        assert result.to_json_dict()["depth_exceeded"] is True
+        assert isinstance(result.path, PathSpec)
 
 
 def test_li_n_prepares_each_word_once(monkeypatch):
