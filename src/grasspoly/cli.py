@@ -4,8 +4,9 @@ iterated integration, and function tables.
 Exit codes: 0 success, 1 verification failure or contract error, 2 path
 error (also used by argparse for usage errors), 3 pole proximity, 4 panel
 budget exhausted, 5 not converged (`integrate` printed a value flagged
-`depth_exceeded`).  `element` and `verify` take degrees up to 4; a larger
---n is refused with exit code 1 before anything is built.
+`depth_exceeded`).  `element` and each `verify` suite take the degrees
+that `elements.DEGREES` lists for them; any other --n is refused with exit
+code 1 before anything is built.
 
 All output is deterministic for a fixed command line: reports omit wall
 times unless --timings is given, JSON keys are sorted, and every random
@@ -15,6 +16,7 @@ GRASSPOLY_THREADS environment variable is accepted and ignored.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -22,9 +24,6 @@ from .errors import (BudgetError, ContractViolation, DegeneracyError,
                      PathError, PoleError)
 
 SUITES = ("comparison", "relations", "scale", "integrability", "deltar")
-# a degree-n element streams (2n)! arrangements: 40320 at n = 4, 3628800
-# at n = 5
-MAX_DEGREE = 4
 
 
 def _emit(data, out):
@@ -34,15 +33,6 @@ def _emit(data, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_degrees(ns):
-    """Refuse, before anything is built, a degree above MAX_DEGREE."""
-    for n in ns:
-        if n > MAX_DEGREE:
-            raise ContractViolation(
-                f"--n {n} refused: degrees above {MAX_DEGREE} are not "
-                "supported")
 
 
 def _mutated(element):
@@ -57,10 +47,9 @@ def _mutated(element):
 
 
 def _cmd_element(args):
-    from .elements import build_element
+    from .elements import build_element, require_degree
 
-    _check_degrees([args.n])
-    element = build_element(args.n)
+    element = build_element(require_degree("element", args.n))
     if args.mutate:
         element = _mutated(element)
     _emit(element.tensor.to_json_dict(), args.out)
@@ -74,17 +63,14 @@ def _cmd_element(args):
 def _verify_one(suite, n, args, element):
     """One suite at one degree.  element(n, signed) returns the degree-n
     element of the run, built (and mutated, under --mutate) once."""
-    from .elements import (COMPARISON_DEGREES, build_element,
-                           check_comparison, check_integrability,
-                           check_omission_relations, check_scale_invariance)
+    from .elements import (build_element, check_comparison,
+                           check_integrability, check_omission_relations,
+                           check_scale_invariance)
 
     signed = args.mode == "strict"
     mutate = args.mutate
 
     if suite == "comparison":
-        # an unsupported degree is refused by the check, with nothing built
-        if n not in COMPARISON_DEGREES:
-            return check_comparison(n)
         return check_comparison(n, element=element(n, False))
 
     if suite == "relations":
@@ -99,20 +85,21 @@ def _verify_one(suite, n, args, element):
         return check_scale_invariance(n, tensor=element(n, signed).tensor)
 
     if suite == "integrability":
-        # degrees below 2 are refused by the check, with nothing built
-        return check_integrability(
-            n, num_points=args.points, seed=args.seed,
-            tensor=element(n, False).tensor if n >= 2 else None)
+        return check_integrability(n, num_points=args.points, seed=args.seed,
+                                   tensor=element(n, False).tensor)
 
     raise ContractViolation(f"unknown suite {suite!r}")
 
 
 def _cmd_verify(args):
-    from .elements import build_element, check_steinberg_wedge
+    from .elements import (build_element, check_steinberg_wedge,
+                           require_degree)
 
     ns = args.n if args.n else [2]
-    _check_degrees(ns)
     suites = SUITES if args.suite == "all" else (args.suite,)
+    for suite in suites:
+        for n in ns:
+            require_degree(suite, n)
     built = {}
 
     def element(n, signed):
@@ -220,6 +207,8 @@ def _parse_range(spec):
     if len(parts) != 3:
         raise ContractViolation("a grid range is start:stop:count")
     a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ContractViolation("grid bounds must be finite")
     if count < 1:
         raise ContractViolation("grid count must be >= 1")
     if count == 1:
@@ -233,53 +222,58 @@ def _cmd_table(args):
 
     from .polylogs import bloch_wigner, l2g, li_n, rogers_l2
 
-    rows = []
+    # each function gives its coordinate header, its grid points and the
+    # (value_re, value_im, error_estimate) of a point; a point it refuses
+    # prints `refused` instead
     fn = args.function
+    refused = (math.nan, 0.0, 0.0)
     if fn in ("li1", "li2", "li3"):
         order = int(fn[2])
-        header = ["z_re", "z_im", "value_re", "value_im", "error_estimate"]
-        for x in _parse_range(args.grid):
-            try:
-                bv = li_n(order, x, tol=args.tol)
-            except ContractViolation:
-                rows.append([repr(x), repr(0.0), "nan", "nan", "nan"])
-                continue
-            rows.append([repr(x), repr(0.0), repr(bv.value.real),
-                         repr(bv.value.imag), repr(bv.error)])
+        header = ["z_re", "z_im"]
+        points = [(x, 0.0) for x in _parse_range(args.grid)]
+        refused = (math.nan,) * 3
+
+        def cells(x, y):
+            bv = li_n(order, complex(x, y), tol=args.tol)
+            return bv.value.real, bv.value.imag, bv.error
     elif fn == "rogers":
-        header = ["x", "value_re", "value_im", "error_estimate"]
-        for x in _parse_range(args.grid):
-            try:
-                val = repr(rogers_l2(x))
-            except ContractViolation:
-                val = "nan"
-            rows.append([repr(x), val, repr(0.0), repr(0.0)])
+        header = ["x"]
+        points = [(x,) for x in _parse_range(args.grid)]
+
+        def cells(x):
+            return rogers_l2(x), 0.0, 0.0
     elif fn == "bloch_wigner":
         specs = args.grid.split(",")
         if len(specs) != 2:
             raise ContractViolation(
                 "bloch_wigner grid is reA:reB:N,imA:imB:M")
-        header = ["z_re", "z_im", "value_re", "value_im", "error_estimate"]
-        for x in _parse_range(specs[0]):
-            for y in _parse_range(specs[1]):
-                try:
-                    val = repr(bloch_wigner(complex(x, y)))
-                except ContractViolation:
-                    val = "nan"
-                rows.append([repr(x), repr(y), val, repr(0.0), repr(0.0)])
+        header = ["z_re", "z_im"]
+        points = [(x, y) for x in _parse_range(specs[0])
+                  for y in _parse_range(specs[1])]
+
+        def cells(x, y):
+            return bloch_wigner(complex(x, y)), 0.0, 0.0
     elif fn == "l2g":
         base = [Fraction(b) for b in args.base.split(",")]
         if len(base) != 3:
             raise ContractViolation("l2g needs --base with three points")
-        header = ["x1", "x2", "x3", "x4", "value_re", "value_im",
-                  "error_estimate"]
-        for x in _parse_range(args.grid):
-            val = l2g(base[0], base[1], base[2],
-                      Fraction(x).limit_denominator(10 ** 9))
-            rows.append([str(base[0]), str(base[1]), str(base[2]), repr(x),
-                         repr(val), repr(0.0), repr(0.0)])
+        header = ["x1", "x2", "x3", "x4"]
+        points = [(*base, x) for x in _parse_range(args.grid)]
+
+        def cells(x1, x2, x3, x4):
+            return (l2g(x1, x2, x3, Fraction(x4).limit_denominator(10 ** 9)),
+                    0.0, 0.0)
     else:
         raise ContractViolation(f"unknown table function {fn!r}")
+
+    header += ["value_re", "value_im", "error_estimate"]
+    rows = []
+    for point in points:
+        try:
+            values = cells(*point)
+        except (ContractViolation, DegeneracyError):
+            values = refused
+        rows.append([str(c) for c in (*point, *values)])
 
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")

@@ -55,6 +55,23 @@ from .tensors import (BRACKET, MultTensor, WedgeTensor, bracket_symbol,
                       wedge_project, _combine, _expand_slots, _parities)
 
 
+# The degrees each command, verify suite and period supports.  A degree-n
+# element streams (2n)! arrangements: 40320 at n = 4, 3628800 at n = 5.
+DEGREES = {"element": range(1, 5), "relations": range(1, 5),
+           "scale": range(1, 5), "deltar": range(1, 5),
+           "comparison": range(2, 5), "integrability": range(2, 5),
+           "grassmannian_tate": range(2, 5)}
+
+
+def require_degree(name, n):
+    """n as an int, if DEGREES lists it for `name`; else ContractViolation."""
+    n, degrees = int(n), DEGREES[name]
+    if n not in degrees:
+        raise ContractViolation(f"{name} supports degrees {degrees[0]} to "
+                                f"{degrees[-1]}, not n = {n}")
+    return n
+
+
 class GrassElement(NamedTuple):
     """A built element: degree, ambient labels, optional projection
     centers (prepended to every bracket), and the canonical tensor."""
@@ -195,8 +212,6 @@ def _wedge_residue_sample(groups, limit=10):
 # ---------------------------------------------------------------------------
 # comparison of the coalgebra expansion with the element
 
-COMPARISON_DEGREES = (2, 3, 4)
-
 
 def check_comparison(n, element=None):
     """Expand the alternated simplex-pair element through the coproduct
@@ -205,19 +220,15 @@ def check_comparison(n, element=None):
 
     The report passes exactly when the residue lhs - (-1)^n (n!)^2 rhs is
     the zero tensor; it then names the constant in matched_constant, and
-    otherwise samples the residue.  n in {2, 3, 4} is the supported range.
-    Measured in a fresh process on a shared 2-core machine with Python
-    3.11, n = 4 (40320 terms on each side) takes 0.35-0.46 s with a
-    35 MB peak.
+    otherwise samples the residue.  The supported degrees, 2 to 4, are
+    DEGREES["comparison"].  Measured in a fresh process on a shared 2-core
+    machine with Python 3.11, n = 4 (40320 terms on each side) takes
+    0.35-0.46 s with a 35 MB peak.
     """
     from .aomoto import expand_to_tensor, pairing_element_labels
 
     t0 = time.perf_counter()
-    n = int(n)
-    if n not in COMPARISON_DEGREES:
-        raise ContractViolation(
-            "comparison check supports n in {"
-            + ", ".join(map(str, COMPARISON_DEGREES)) + "}")
+    n = require_degree("comparison", n)
     lhs = expand_to_tensor(pairing_element_labels(n), n)
     rhs = element.tensor if element is not None else build_element(n).tensor
     constant = (-1) ** n * factorial(n) ** 2

@@ -11,24 +11,26 @@ The quadrature engine advances the states of a sweep panel by panel: on
 each panel the letter values at the Gauss nodes are combined with a
 spectral prefix-antiderivative matrix, so one level-by-level sweep per
 panel yields every state at every node.  Many words are integrated in a
-single sweep, sharing panels and letter evaluations; this is how elements
-with hundreds of terms stay cheap.  One sweep (`_Sweep`) serves two
-layouts, in both of which a level's states follow from the previous
-level's through weighted edges.  Words integrated for their own values
-(`iterate_words`) form a prefix trie (`_WordBatch`): one state per
-distinct prefix, each with one edge of weight 1 (the 720 words of the
-degree-3 element have 20, 180 and 720 distinct prefixes of length 1, 2
-and 3), and words with different initial values never share a node.  An
-element, whose words are wanted only in the sum sum_w c_w It(w)
+single sweep, sharing panels and letter evaluations; this is how
+elements with hundreds of terms stay cheap.  One sweep (`_Sweep`) serves
+two layouts, in both of which a level's states follow from the previous
+level's through weighted edges, packed into slots by one function
+(`_level`).  Words integrated for their own values (`iterate_words`)
+form a prefix trie (`_WordBatch`): one state per distinct prefix, each
+with one edge of weight 1 (the 720 words of the degree-3 element have
+20, 180 and 720 distinct prefixes of length 1, 2 and 3).  An element,
+whose words are wanted only in the sum sum_w c_w It(w)
 (`iterate_element`), is the minimal weighted automaton of its words
 (`_Automaton`): prefixes whose weighted suffixes are proportional share
 one state, and the full words end in a single state, the element's value
 (20 and 90 states at levels 1 and 2 for the degree-3 element, 70, 1120
-and 1260 for degree 4).  On a path segment every bracket is a polynomial
-P in the segment parameter; it is fitted once per segment as a Chebyshev
-series from one batched determinant (the Chebyshev points and matrices of
-a fit are built once per degree), and the letters of every panel are
-P'/P of that fit at the nodes.
+and 1260 for degree 4).  A sweep starts from its layout's default states
+(1 at the empty prefix, 0 elsewhere) or from a start vector of the same
+shape, as `iterate_word(initial=)` and `li_n` pass.  On a path segment
+every bracket is a polynomial P in the segment parameter; it is fitted
+once per segment as a Chebyshev series from one batched determinant (the
+Chebyshev points and matrices of a fit are built once per degree), and
+the letters of every panel are P'/P of that fit at the nodes.
 
 Panels split adaptively by comparing a whole-panel sweep against two
 half-panel sweeps.  Acceptance is proportional to the interval, so the
@@ -154,8 +156,8 @@ def _freeze(arr):
 
 class PathSpec:
     """Piecewise-polynomial path: each segment maps s in [0,1] to a
-    (count, dim) complex matrix via coefficient stacks (degree+1, count,
-    dim), joined continuously."""
+    (count, dim) complex matrix via finite coefficient stacks (degree+1,
+    count, dim), joined continuously."""
 
     __slots__ = ("segments",)
 
@@ -166,6 +168,8 @@ class PathSpec:
             if arr.ndim != 3 or arr.shape[0] < 1:
                 raise PathError(
                     "segment coefficients must have shape (degree+1, count, dim)")
+            if not np.isfinite(arr).all():
+                raise PathError("segment coefficients must be finite")
             segs.append(_freeze(arr))
         if not segs:
             raise PathError("a path needs at least one segment")
@@ -425,49 +429,40 @@ def _check_bracket(sym, dim, count):
 class _LetterTable:
     """The letters of one sweep, prepared once for all its panels.
 
-    `symbols` are the distinct symbols in the order the letters first name
-    them, and `coef` is the (symbols, letters) matrix with letter
-    g = sum_j coef[j, g] d log symbols[j].  `brackets` holds the 0-based
-    vector indices of the bracket symbols, (brackets, dim), `bracket_syms`
-    their positions in `symbols` and `bracket_coef` their rows of `coef`;
-    a scalar symbol has zero d log along a path.
+    `symbols` are the distinct bracket symbols in the order the letters
+    first name them, and `coef` is the (symbols, letters) matrix with
+    letter g = sum_j coef[j, g] d log symbols[j]; a scalar symbol has zero
+    d log along a path, so it has no row.  `brackets` holds the 0-based
+    vector indices of the symbols, (symbols, dim).
     """
 
     def __init__(self, letters, dim, count):
         sym_rows = {}
         parts = [(sym_rows.setdefault(sym, len(sym_rows)), g, complex(c))
-                 for g, letter in enumerate(letters) for c, sym in letter]
+                 for g, letter in enumerate(letters) for c, sym in letter
+                 if sym[0] == BRACKET]
         self.symbols = list(sym_rows)
+        for sym in self.symbols:
+            _check_bracket(sym, dim, count)
         self.coef = np.zeros((len(self.symbols), len(letters)),
                              dtype=complex)
         for j, g, c in parts:
             self.coef[j, g] += c
-        self.bracket_syms = [j for j, sym in enumerate(self.symbols)
-                             if sym[0] == BRACKET]
-        for j in self.bracket_syms:
-            _check_bracket(self.symbols[j], dim, count)
         self.brackets = np.array(
-            [[i - 1 for i in self.symbols[j][1]] for j in self.bracket_syms],
-            dtype=int).reshape(len(self.bracket_syms), dim)
-        self.bracket_coef = self.coef[self.bracket_syms]
+            [[i - 1 for i in sym[1]] for sym in self.symbols],
+            dtype=int).reshape(len(self.symbols), dim)
 
 
 class _Sweep:
     """The states of one sweep and how a panel moves them.
 
-    The `roots` start states come first, then the states level by level,
-    then, when `final` is not None, the one state E of `_Automaton`; `f0`
-    holds the start values.  `levels[k-1]` takes level k - 1 to level k:
-    (slice of the level-k states, letter and weight of each of the level's
-    distinct (letter, weight) pairs, slots).  A state's derivative sums
-    weight * letter * source over its incoming edges.  Slot j holds the
-    j-th incoming edge of every state with more than j of them, as (number
-    of such states, source of each edge among the previous level's states,
-    its pair); a level's states are numbered by falling in-degree, so each
-    slot covers a leading run of them.  Output i has the value
-    scale * f[outputs[i, -1]], and |scale| times the largest
-    |whole - halves| over the states outputs[i] is its share of a panel's
-    error.
+    The start state comes first, then the states level by level, then,
+    when `final` is not None, the one state E of `_Automaton`; `f0` holds
+    the default start values, 1 at the start state and 0 elsewhere.
+    `levels[k-1]` takes level k - 1 to level k, as laid out by `_level`.
+    Output i has the value scale * f[outputs[i, -1]], and |scale| times
+    the largest |whole - halves| over the states outputs[i] is its share
+    of a panel's error.
     """
 
     def sweep(self, lv, f_a, hh):
@@ -478,7 +473,7 @@ class _Sweep:
         _, weights, _, prefix_and_end = _quadrature()
         f_b = f_a.copy()
         lv_t = lv.T.copy()
-        prev = f_a[:self.roots, None]
+        prev = f_a[:1, None]
         for nodes, letter, weight, slots in self.levels:
             weighted = lv_t.take(letter, axis=0)
             weighted *= weight
@@ -511,15 +506,36 @@ class _Sweep:
         return self.scale * f[self.outputs[:, -1]]
 
 
+def _level(base, edges_in):
+    """The `_Sweep` level of the states base, base + 1, ... by falling
+    in-degree, from each one's incoming edges (source among the previous
+    level's states, letter, weight): (slice of the states, letter and
+    weight of each distinct (letter, weight) pair, slots).  A state's
+    derivative sums weight * letter * source over its incoming edges.
+    Slot j holds the j-th incoming edge of every state with more than j
+    of them, as (number of such states, source of each edge, its pair),
+    so it covers a leading run of the states."""
+    slots = [[edges[j] for edges in edges_in if len(edges) > j]
+             for j in range(len(edges_in[0]))]
+    pairs = sorted({(a, w) for slot in slots for _, a, w in slot})
+    index = {pair: i for i, pair in enumerate(pairs)}
+    letter, weight = zip(*pairs)
+    return (slice(base, base + len(edges_in)),
+            np.array(letter, dtype=int),
+            np.array(weight, dtype=float)[:, None],
+            [(len(slot), np.array([q for q, _, _ in slot], dtype=int),
+              np.array([index[a, w] for _, a, w in slot], dtype=int))
+             for slot in slots])
+
+
 class _WordBatch(_Sweep):
     """The words of one sweep as a prefix trie: one state per prefix, and
     one output per word.  Words share a node while they agree in their
-    letters and initial values, so the roots are the distinct initial
-    values.  Each node has one edge of weight 1, from its parent along its
+    letters.  Each node has one edge of weight 1, from its parent along its
     letter, so a level is one slot.  `outputs[i, k]` is the node of the
     first k letters of word i, repeating its full node past its length."""
 
-    def __init__(self, words, dim, count, initial=None):
+    def __init__(self, words, dim, count):
         if not words:
             raise ContractViolation("no words to integrate")
         words = [normalize_word(w) for w in words]
@@ -527,44 +543,22 @@ class _WordBatch(_Sweep):
         rows = [[letter_cols.setdefault(l, len(letter_cols)) for l in w]
                 for w in words]
         self.letters = _LetterTable(list(letter_cols), dim, count)
-
-        start = np.zeros((len(words), max(map(len, words)) + 1),
-                         dtype=complex)
-        start[:, 0] = 1.0
-        if initial is not None:
-            init = np.asarray(initial, dtype=complex)
-            if init.shape != start.shape:
-                raise ContractViolation(
-                    f"initial prefix shape {init.shape} does not match "
-                    f"(words, max_len + 1) = {start.shape}")
-            start = init
-        start = start.tolist()
-        roots = {}
-        nodes = [roots.setdefault(row[0], len(roots)) for row in start]
-        self.roots = len(roots)
-        values = list(roots)
+        nodes = [0] * len(rows)
         columns = [list(nodes)]
         self.levels = []
-        lower = 0
-        for k in range(1, len(start[0])):
-            base = len(values)
-            keys = {}
+        lower, base = 0, 1
+        for k in range(1, max(map(len, rows)) + 1):
+            keys = {}  # (parent among the previous level's nodes, letter)
             for w, row in enumerate(rows):
                 if k <= len(row):
-                    key = (nodes[w], row[k - 1], start[w][k])
-                    nodes[w] = keys.setdefault(key, base + len(keys))
+                    nodes[w] = keys.setdefault((nodes[w] - lower, row[k - 1]),
+                                               base + len(keys))
             columns.append(list(nodes))
-            parent, col, value = zip(*keys)
-            letter = sorted(set(col))
-            index = {a: i for i, a in enumerate(letter)}
-            self.levels.append((
-                slice(base, base + len(keys)), np.array(letter, dtype=int),
-                np.ones((len(letter), 1)),
-                [(len(keys), np.array(parent, dtype=int) - lower,
-                  np.array([index[a] for a in col], dtype=int))]))
-            values.extend(value)
-            lower = base
-        self.f0 = np.array(values, dtype=complex)
+            self.levels.append(
+                _level(base, [[(src, a, 1)] for src, a in keys]))
+            lower, base = base, base + len(keys)
+        self.f0 = np.zeros(base, dtype=complex)
+        self.f0[0] = 1.0
         self.final = None
         self.outputs = np.array(columns, dtype=int).T
         self.scale = 1.0
@@ -655,27 +649,15 @@ class _Automaton(_Sweep):
             order = [0] * len(incoming)
             for pos, r in enumerate(by_degree):
                 order[r] = pos
-            edges_in = [sorted(incoming[r]) for r in by_degree]
-            slots = [[edges[j] for edges in edges_in if len(edges) > j]
-                     for j in range(len(edges_in[0]))]
-            pairs = sorted({(a, w) for slot in slots for _, a, w in slot})
-            index = {pair: i for i, pair in enumerate(pairs)}
-            letter, weight = zip(*pairs)
-            self.levels.append((
-                slice(base, base + len(edges_in)),
-                np.array(letter, dtype=int),
-                np.array(weight, dtype=float)[:, None],
-                [(len(slot), np.array([q for q, _, _ in slot], dtype=int),
-                  np.array([index[a, w] for _, a, w in slot], dtype=int))
-                 for slot in slots]))
-            base += len(edges_in)
+            self.levels.append(
+                _level(base, [sorted(incoming[r]) for r in by_degree]))
+            base += len(by_degree)
         self.final = np.zeros((len(symbols), len(order)))
         for q, key in enumerate(keys[-1]):
             for a, _, w in key:
                 self.final[a, order[q]] = float(w)
         self.f0 = np.zeros(base + 1, dtype=complex)
         self.f0[0] = 1.0
-        self.roots = 1
         self.outputs = np.array([[base]])
 
 
@@ -770,7 +752,7 @@ def _letter_values(fit, svals, letters):
     passed, failure = len(svals), None
     if bad.any():
         passed, b = divmod(int(bad.argmax()), bad.shape[1])
-        sym = letters.symbols[letters.bracket_syms[b]]
+        sym = letters.symbols[b]
         if small[passed, b] < POLE_THRESHOLD:
             failure = passed, PoleError(
                 f"bracket {symbol_to_str(sym)} modulus "
@@ -778,7 +760,7 @@ def _letter_values(fit, svals, letters):
         else:
             failure = passed, _PhaseJump(sym, float(turns[passed, b]))
     values = vander[:passed, :, :len(slopes)] @ slopes / vals[:passed]
-    return values @ letters.bracket_coef, failure
+    return values @ letters.coef, failure
 
 
 def _monomials(top):
@@ -805,7 +787,7 @@ def _check_segment_roots(fit, letters, index):
     """
     series = fit[0]
     top = len(series) - 1
-    if not letters.bracket_syms or top == 0:
+    if not letters.symbols or top == 0:
         return
     coef = (_monomials(top) @ series).T
     mag = np.abs(coef)
@@ -829,7 +811,7 @@ def _check_segment_roots(fit, letters, index):
     if hit.any():
         b = int(hit.argmax())
         r = int(mod[b].argmin())
-        sym = letters.symbols[letters.bracket_syms[live[b]]]
+        sym = letters.symbols[live[b]]
         raise PoleError(
             f"bracket {symbol_to_str(sym)} modulus {mod[b, r]:.3e} below "
             f"{POLE_THRESHOLD:g} at s = {0.5 * (x[b, r] + 1.0):.6f} of path "
@@ -920,10 +902,14 @@ class _Engine:
 
     def run(self, start=None):
         """Sweep the whole path from the start states `start` (default:
-        the states' own `f0`); returns the end values of the results.
-        Each segment's brackets are fitted once and the fit serves all its
-        panels."""
+        the states' own `f0`, whose shape it must have); returns the end
+        values of the results.  Each segment's brackets are fitted once
+        and the fit serves all its panels."""
         f = self.states.f0 if start is None else np.array(start, complex)
+        if f.shape != self.states.f0.shape:
+            raise ContractViolation(
+                f"start states of shape {f.shape} do not match the sweep's "
+                f"{self.states.f0.shape}")
         letters = self.states.letters
         for index, seg in enumerate(self.path.segments):
             self.segment, self.roots_checked = index, False
@@ -931,8 +917,7 @@ class _Engine:
         return self.states.ends(f)
 
 
-def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
-                  initial=None):
+def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET):
     """Integrate many words along one path in a single shared sweep.
 
     Returns a list of IterIntResult in the order given; all results carry
@@ -940,19 +925,20 @@ def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """
     if not isinstance(path, PathSpec):
         raise PathError("iterate_words needs a PathSpec")
-    return _iterate_prepared(_WordBatch(words, path.dim, path.count, initial),
-                             path, tol, budget)
+    return _iterate_prepared(_WordBatch(words, path.dim, path.count), path,
+                             tol, budget)
 
 
 def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
                  initial=None):
     """Iterated integral of one word; see the module docstring for the
-    nesting convention (first letter innermost)."""
-    init = None
-    if initial is not None:
-        init = np.asarray(initial, dtype=complex)[None, :]
-    return iterate_words([word], path, tol=tol, budget=budget,
-                         initial=init)[0]
+    nesting convention (first letter innermost).  `initial`, when given,
+    holds the start values of the word's prefixes of length 0, 1, ...,
+    len(word) (default 1, 0, ..., 0)."""
+    if not isinstance(path, PathSpec):
+        raise PathError("iterate_word needs a PathSpec")
+    return _iterate_prepared(_WordBatch([word], path.dim, path.count), path,
+                             tol, budget, start=initial)[0]
 
 
 def _iterate_prepared(states, path, tol, budget, start=None):

@@ -169,6 +169,8 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
     if n < 1:
         raise ContractViolation("li_n needs n >= 1")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ContractViolation("li_n needs a finite argument")
     if abs(z - 1.0) < 1e-9 and n == 1:
         raise ContractViolation("li_1 is singular at z = 1")
     if abs(z) < 1e-2 and via is None:
@@ -223,6 +225,8 @@ def bloch_wigner(z):
     """Single-valued dilogarithm Im(Li2(z) + log(1-z) log|z|); vanishes on
     the real line."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ContractViolation("bloch_wigner needs a finite argument")
     if z in (0, 1):
         raise ContractViolation("bloch_wigner is singular at 0 and 1")
     if z.imag == 0.0:
@@ -392,16 +396,17 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
     """Iterated integral of the degree-n window element along a path of
     2n-vector configurations: the general-n period as a function of the
     path.  Homotopy invariance (within the pole-free region) follows from
-    the integrability of the element.  Supported degrees are 2, 3 and 4.
-    The element is swept as the minimal weighted automaton of its words;
-    the default element's automaton is built on the first call of each
-    degree and kept, and an `element` override is used as given and
-    prepared on every call.  The error is the element's own accumulated
-    difference of whole and halved panels.
+    the integrability of the element.  The supported degrees, 2 to 4, are
+    `elements.DEGREES["grassmannian_tate"]`.  The element is swept as the
+    minimal weighted automaton of its words; the default element's
+    automaton is built on the first call of each degree and kept, and an
+    `element` override is used as given and prepared on every call.  The
+    error is the element's own accumulated difference of whole and halved
+    panels.
     """
-    n = int(n)
-    if n not in (2, 3, 4):
-        raise ContractViolation("supported degrees are 2, 3 and 4")
+    from .elements import require_degree
+
+    n = require_degree("grassmannian_tate", n)
     if not isinstance(path, PathSpec):
         raise PathError("grassmannian_tate needs a PathSpec")
     if path.count != 2 * n or path.dim != n:

@@ -71,8 +71,7 @@ def test_element_degree_five_refused():
     proc = run_cli("element", "--n", "5")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == (
-        "error: --n 5 refused: degrees above 4 are not supported\n")
+    assert proc.stderr == "error: element supports degrees 1 to 4, not n = 5\n"
 
 
 def test_element_degree_four(tmp_path):
@@ -134,12 +133,10 @@ def test_verify_comparison_constants():
 
 
 # (arguments, stderr) of comparison runs refused before anything is built:
-# a degree above the command line's limit, and one below the check's range
+# a degree above the suite's range, and one below it
 REFUSED_COMPARISONS = [
-    (("--n", "5"),
-     "error: --n 5 refused: degrees above 4 are not supported\n"),
-    (("--n", "1"),
-     "error: comparison check supports n in {2, 3, 4}\n"),
+    (("--n", "5"), "error: comparison supports degrees 2 to 4, not n = 5\n"),
+    (("--n", "1"), "error: comparison supports degrees 2 to 4, not n = 1\n"),
 ]
 
 
@@ -178,16 +175,45 @@ def test_verify_comparison_refuses_before_building(monkeypatch, capsys):
         assert captured.err == err
 
 
+# (command line, the text of its refusal up to the degree)
 @pytest.mark.parametrize("argv", [
-    ["element", "--n", "5"],
-    ["verify", "--suite", "scale", "--n", "5"],
-    ["verify", "--suite", "integrability", "--n", "5"],
-    ["verify", "--suite", "relations", "--n", "5"],
-    ["verify", "--suite", "all", "--n", "2", "--n", "5"],
+    (["element", "--n", "5"], "element supports degrees 1 to 4"),
+    (["verify", "--suite", "scale", "--n", "5"],
+     "scale supports degrees 1 to 4"),
+    (["verify", "--suite", "integrability", "--n", "5"],
+     "integrability supports degrees 2 to 4"),
+    (["verify", "--suite", "relations", "--n", "5"],
+     "relations supports degrees 1 to 4"),
+    (["verify", "--suite", "all", "--n", "2", "--n", "5"],
+     "comparison supports degrees 2 to 4"),
+    (["verify", "--suite", "deltar", "--n", "5"],
+     "deltar supports degrees 1 to 4"),
 ])
 def test_degree_above_four_refused_before_building(monkeypatch, capsys,
                                                    argv):
     # a degree-5 element would stream 10! arrangements
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_element called for a refused degree")
+
+    argv, refusal = argv
+    monkeypatch.setattr(elements, "build_element", no_build)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}, not n = 5\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["element", "--n", "0"], "element supports degrees 1 to 4, not n = 0"),
+    (["verify", "--suite", "integrability", "--n", "1"],
+     "integrability supports degrees 2 to 4, not n = 1"),
+    (["verify", "--suite", "all", "--n", "1"],
+     "comparison supports degrees 2 to 4, not n = 1"),
+])
+def test_degree_below_the_table_refused_before_building(monkeypatch, capsys,
+                                                        argv, err):
+    # every command and suite reads its degrees from elements.DEGREES
     def no_build(*args, **kwargs):
         raise AssertionError("build_element called for a refused degree")
 
@@ -196,8 +222,7 @@ def test_degree_above_four_refused_before_building(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == (
-        "error: --n 5 refused: degrees above 4 are not supported\n")
+    assert captured.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("mode, builds", [("mod2", 1), ("strict", 2)])
@@ -356,6 +381,24 @@ def test_integrate_requires_exactly_one_source(tmp_path):
     assert both.returncode == 1
     neither = run_cli("integrate", "--path", path_file)
     assert neither.returncode == 1
+
+
+@pytest.mark.parametrize("bad, literal", [(math.nan, "NaN"),
+                                          (-math.inf, "-Infinity")])
+def test_integrate_non_finite_path_is_a_path_error(tmp_path, bad, literal):
+    # a non-finite coefficient is refused when the path is read, not
+    # after the whole panel budget is spent on it
+    payload = PathSpec.line([[1.0]], [[3.0]]).to_json_dict()
+    payload["segments"][0]["coeffs"][1][0][0][1] = bad
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert literal in path_file.read_text(encoding="utf-8")
+    proc = run_cli("integrate", "--word", json.dumps([[[1, "D[1]"]]]),
+                   "--path", str(path_file))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "path error: segment coefficients must be finite\n")
 
 
 def test_integrate_malformed_path_is_a_path_error(tmp_path):
@@ -613,6 +656,34 @@ def test_table_l2g_uses_base_triple():
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[:4] == ["0", "1", "3", "0.2"]
+
+
+def test_table_l2g_marks_points_on_the_base(tmp_path):
+    # grid points 0, 1 and 3 meet the base triple: their cross-ratios are
+    # refused, and the rest of the table still prints
+    proc = run_cli("table", "--function", "l2g", "--grid=0:3:4",
+                   "--base", "0,1,3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert len(lines) == 5
+    rows = {line.split(",")[3]: line.split(",")[4:] for line in lines[1:]}
+    for x in ("0.0", "1.0", "3.0"):
+        assert rows[x] == ["nan", "0.0", "0.0"]
+    assert math.isfinite(float(rows["2.0"][0]))
+
+
+@pytest.mark.parametrize("args", [
+    ("--function", "bloch_wigner", "--grid=nan:1:2,0:1:2"),
+    ("--function", "bloch_wigner", "--grid=0:1:2,-inf:1:2"),
+    ("--function", "li2", "--grid=nan:1:2"),
+    ("--function", "rogers", "--grid=-1:inf:3"),
+    ("--function", "l2g", "--grid=nan:1:2"),
+])
+def test_table_refuses_non_finite_grid_bounds(args):
+    proc = run_cli("table", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: grid bounds must be finite\n"
 
 
 def test_table_out_file(tmp_path):

@@ -236,6 +236,24 @@ def test_comparison_contracts():
         check_comparison(5)
 
 
+def test_one_degree_table():
+    # the comparison, the period and the command line read one table
+    from grasspoly import cli
+    from grasspoly.elements import DEGREES
+    from grasspoly.polylogs import grassmannian_tate
+
+    assert set(DEGREES) == {"element", "grassmannian_tate", *cli.SUITES}
+    assert DEGREES["comparison"] == DEGREES["grassmannian_tate"] == range(2, 5)
+    for n in (1, 5):
+        with pytest.raises(ContractViolation,
+                           match=f"comparison supports degrees 2 to 4, "
+                                 f"not n = {n}"):
+            check_comparison(n)
+        with pytest.raises(ContractViolation,
+                           match="grassmannian_tate supports degrees 2 to 4"):
+            grassmannian_tate(n, None)
+
+
 # ---------------------------------------------------------------------------
 # the (2n+1)-term relations
 

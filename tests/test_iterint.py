@@ -78,6 +78,9 @@ def test_path_contracts():
                   np.array([[[5.0]], [[1.0]]])])
     with pytest.raises(PathError):
         zline(0, 1).then("not a path")
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(PathError, match="must be finite"):
+            PathSpec([np.array([[[1.0]], [[bad]]])])
     with pytest.raises(AttributeError):
         zline(0, 1).segments = ()
 
@@ -343,18 +346,33 @@ def test_shared_prefixes_match_words_integrated_alone():
         assert s.error == pytest.approx(a.error, rel=1e-9, abs=1e-15)
 
 
-def test_words_with_different_initial_rows_never_merge():
-    # the same word twice; the rows differ at level 1 and at level 2
+def test_initial_rows_seed_a_word_to_its_closed_form():
+    # d log z twice from 1 to 2, from rows that differ at level 1 and at
+    # level 2: a start row (1, u, v) ends at log2^2 / 2 + u log2 + v
     log2 = math.log(2)
-    word = (W1, W1)
-    initial = np.array([[1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.25]])
-    results = iterate_words([word] * 3, zline(1, 2), initial=initial)
-    expected = [log2 ** 2 / 2, log2 ** 2 / 2 + 0.5 * log2,
-                log2 ** 2 / 2 + 0.25]
-    for r, want, row in zip(results, expected, initial):
-        assert abs(r.value - want) < 1e-12
-        alone = iterate_word(word, zline(1, 2), initial=row)
-        assert abs(r.value - alone.value) < 1e-12
+    for u, v in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.25), (0.5j, -1.0)):
+        got = iterate_word((W1, W1), zline(1, 2), initial=[1.0, u, v])
+        assert abs(got.value - (log2 ** 2 / 2 + u * log2 + v)) < 1e-12
+    with pytest.raises(ContractViolation, match="start states of shape"):
+        iterate_word((W1, W1), zline(1, 2), initial=[[1.0, 0.0, 0.0]])
+
+
+def test_start_states_enter_every_layout_through_run():
+    # a start vector of the sweep's shape replaces `f0`; any other shape
+    # is refused before a panel is swept
+    from grasspoly.elements import build_element
+
+    path = PathSpec.line(SAFE_BASE, SAFE_TARGET)
+    automaton = _Automaton(build_element(2).tensor, 2, 4)
+    engine = _Engine(automaton, path, 1e-12, DEFAULT_BUDGET)
+    assert engine.run(automaton.f0.tolist()) == _Engine(
+        automaton, path, 1e-12, DEFAULT_BUDGET).run()
+    words = _WordBatch([[dlog_letter((1, 2))] * 2], 2, 4)
+    for states in (automaton, words):
+        engine = _Engine(states, path, 1e-12, DEFAULT_BUDGET)
+        with pytest.raises(ContractViolation, match="start states of shape"):
+            engine.run(np.ones(len(states.f0) + 1))
+        assert engine.panels == 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +408,7 @@ def _det_solve_letter_values(seg, svals, letters):
     else:
         mp = np.zeros_like(m)
     values = np.zeros((len(svals), len(letters.symbols)), dtype=complex)
-    if letters.bracket_syms:
+    if letters.symbols:
         a = m[:, letters.brackets, :]
         det = np.linalg.det(a)
         small = np.abs(det).min(axis=0)
@@ -398,13 +416,13 @@ def _det_solve_letter_values(seg, svals, letters):
         bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
         if bad.any():
             b = int(bad.argmax())
-            sym = letters.symbols[letters.bracket_syms[b]]
+            sym = letters.symbols[b]
             if small[b] < POLE_THRESHOLD:
                 raise PoleError(
                     f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                     f"below {POLE_THRESHOLD:g} on the path")
             raise _PhaseJump(sym, float(turns[b]))
-        values[:, letters.bracket_syms] = np.trace(
+        values = np.trace(
             np.linalg.solve(a, mp[:, letters.brackets, :]), axis1=2, axis2=3)
     return values @ letters.coef
 
@@ -646,13 +664,13 @@ def _serial_letter_values(fit, svals, letters):
     bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
     if bad.any():
         b = int(bad.argmax())
-        sym = letters.symbols[letters.bracket_syms[b]]
+        sym = letters.symbols[b]
         if small[b] < POLE_THRESHOLD:
             raise PoleError(
                 f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                 f"below {POLE_THRESHOLD:g} on the path")
         raise _PhaseJump(sym, float(turns[b]))
-    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.bracket_coef
+    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.coef
 
 
 def test_fit_is_the_serial_fit_bit_for_bit():
@@ -785,11 +803,11 @@ class _SerialEngine(_Engine):
         f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
         return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lv_right)
 
-    def run(self):
-        """Sweep the whole path; returns the end values of the results.
-        Each segment's brackets are fitted once and the fit serves all its
-        panels."""
-        f = self.states.f0
+    def run(self, start=None):
+        """Sweep the whole path from `start` (default: the states' own
+        `f0`); returns the end values of the results.  Each segment's
+        brackets are fitted once and the fit serves all its panels."""
+        f = self.states.f0 if start is None else start
         letters = self.states.letters
         for index, seg in enumerate(self.path.segments):
             self.segment, self.roots_checked = index, False
@@ -798,12 +816,13 @@ class _SerialEngine(_Engine):
         return self.states.ends(f)
 
 
-def _run_engine(engine_class, states, path, tol, budget):
-    """The ends, errors, panel count and depth flag of a run, or the type,
-    text and panel count of its failure; floats by repr, so bit for bit."""
+def _run_engine(engine_class, states, path, tol, budget, start=None):
+    """The ends, errors, panel count and depth flag of a run from `start`,
+    or the type, text and panel count of its failure; floats by repr, so
+    bit for bit."""
     engine = engine_class(states, path, tol, budget)
     try:
-        ends = engine.run()
+        ends = engine.run(start)
     except (PoleError, BudgetError) as exc:
         return type(exc).__name__, str(exc), engine.panels
     return (repr(ends.tolist()), repr(np.asarray(engine.err).tolist()),
@@ -830,7 +849,8 @@ BUDGETS = (3, 4, 6, 10, 25, 64, 200, 1000, 16384)
 
 
 def _oracle_cases():
-    """(label, states, path, tol, budget) for the batched step."""
+    """(label, states, path, tol, budget, start) for the batched step; a
+    third of the word cases start from random states, passed to `run`."""
     from grasspoly.elements import build_element
 
     rng = np.random.default_rng(1414)
@@ -842,23 +862,22 @@ def _oracle_cases():
             words = [tuple(letters[i] for i in rng.integers(
                 len(letters), size=rng.integers(1, 4)))
                 for _ in range(rng.integers(1, 5))]
-            initial = None
+            batch = _WordBatch(words, dim, count)
+            f0 = None  # the sweep's own start states
             if k % 3 == 0:
-                rows = rng.standard_normal((2, 4)) + 1j
-                width = max(map(len, words)) + 1
-                initial = rows[rng.integers(2, size=len(words)), :width]
+                f0 = (rng.standard_normal(batch.f0.shape)
+                      + 1j * rng.standard_normal(batch.f0.shape))
             path = _random_path(rng, count, dim, rng.integers(1, 5),
                                 ("complex", "real", "near-real")[k % 3])
-            cases.append((f"words {dim} {k}",
-                          _WordBatch(words, dim, count, initial), path,
+            cases.append((f"words {dim} {k}", batch, path,
                           rng.choice((1e-12, 1e-8, 1e-4)),
-                          int(rng.choice(BUDGETS))))
+                          int(rng.choice(BUDGETS)), f0))
     automaton = _Automaton(build_element(2).tensor, 2, 4)
     for k in range(24):
         path = _random_path(rng, 4, 2, rng.integers(1, 5),
                             ("complex", "real", "near-real")[k % 3])
         cases.append((f"automaton {k}", automaton, path, 1e-12,
-                      int(rng.choice(BUDGETS))))
+                      int(rng.choice(BUDGETS)), None))
     # straight crossings: z1 from -1 to 1 (dim 1) and the line of
     # test_crossing_line_is_a_pole_not_a_budget_error, on which D[1,2]
     # vanishes at s = 0.65 (dim 2), moved off the zero by i * offset
@@ -870,12 +889,12 @@ def _oracle_cases():
             cases.append((f"line {offset} {budget}", line_words,
                           PathSpec.line([[-1 + 1j * offset], [1]],
                                         [[1 + 1j * offset], [2]]),
-                          1e-12, budget))
+                          1e-12, budget, None))
             moved = start.copy()
             moved[0, 0] += 1j * offset
             cases.append((f"element line {offset} {budget}", automaton,
                           PathSpec.line(moved, end + moved - start), 1e-12,
-                          budget))
+                          budget, None))
     return cases
 
 
@@ -901,9 +920,9 @@ def test_batched_step_matches_the_serial_engine(monkeypatch):
     # bit; the cases reach each ending and the failing right half
     failed_at = _record_failures(monkeypatch)
     endings = {}
-    for label, states, path, tol, budget in _oracle_cases():
-        want = _run_engine(_SerialEngine, states, path, tol, budget)
-        got = _run_engine(_Engine, states, path, tol, budget)
+    for label, states, path, tol, budget, start in _oracle_cases():
+        want = _run_engine(_SerialEngine, states, path, tol, budget, start)
+        got = _run_engine(_Engine, states, path, tol, budget, start)
         assert got == want, label
         ending = want[0] if len(want) == 3 else (
             "depth" if want[3] else "value")
@@ -979,21 +998,21 @@ def test_word_sweep_matches_the_trie_sweep():
     # one product in place of a second product), so the values agree to
     # rounding; the panels, the failures and their texts are the same
     outcomes = set()
-    for label, states, path, tol, budget in _oracle_cases():
+    for label, states, path, tol, budget, start in _oracle_cases():
         if not isinstance(states, _WordBatch):
             continue
         want = _Engine(_TrieSweep(states), path, tol, budget)
         got = _Engine(states, path, tol, budget)
         try:
-            want_ends = want.run()
+            want_ends = want.run(start)
         except (PoleError, BudgetError) as exc:
             with pytest.raises(type(exc)) as raised:
-                got.run()
+                got.run(start)
             assert str(raised.value) == str(exc), label
             assert got.panels == want.panels, label
             outcomes.add(type(exc).__name__)
             continue
-        ends = got.run()
+        ends = got.run(start)
         assert (got.panels, got.depth_exceeded) == (
             want.panels, want.depth_exceeded), label
         size = np.abs(want_ends).max()

@@ -15,11 +15,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from grasspoly import iterint
+from grasspoly import iterint, polylogs
 from grasspoly.configurations import GaussianRational, cross_ratio
 from grasspoly.errors import (ContractViolation, DegeneracyError, PathError,
                               PoleError)
-from grasspoly.iterint import IterIntResult, PathSpec
+from grasspoly.iterint import DEFAULT_BUDGET, IterIntResult, PathSpec
 from grasspoly.polylogs import (BranchedValue, aomoto_a1, bloch_wigner,
                                 bloch_wigner_five_term, epsilon_sign,
                                 grassmannian_tate, l2g, l2g_family_values,
@@ -206,6 +206,27 @@ def test_li_n_contracts():
     zero = li_n(2, 0)
     assert (zero.value, zero.error, zero.panels) == (0, 0.0, 0)
     assert zero.depth_exceeded is False and zero.path is None
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), math.nan,
+                               complex(math.inf, 1.0),
+                               complex(0.5, -math.inf)])
+def test_non_finite_arguments_are_refused(z):
+    # before, bloch_wigner returned 0.0 at nan and inf, li_n(2, nan)
+    # raised a pole error and li_n(2, inf + 1j) blamed the series
+    with pytest.raises(ContractViolation, match="needs a finite argument"):
+        bloch_wigner(z)
+    with pytest.raises(ContractViolation, match="needs a finite argument"):
+        li_n(2, z)
+
+
+def test_li_n_refuses_start_states_of_another_shape():
+    # li_n seeds its cached word through the engine's one start path,
+    # which checks the shape of the start states
+    path = li_n(2, 0.5).path
+    with pytest.raises(ContractViolation, match="start states of shape"):
+        polylogs._iterate_prepared(polylogs._li_batch(2), path, 1e-12,
+                                   DEFAULT_BUDGET, start=[1.0, 0.0])
 
 
 def test_li_n_waypoints_select_branches():
