@@ -229,6 +229,8 @@ def _cmd_table(args):
     refused = (math.nan, 0.0, 0.0)
     if fn in ("li1", "li2", "li3"):
         order = int(fn[2])
+        if not math.isfinite(args.tol):
+            raise ContractViolation("--tol must be finite")
         header = ["z_re", "z_im"]
         points = [(x, 0.0) for x in _parse_range(args.grid)]
         refused = (math.nan,) * 3

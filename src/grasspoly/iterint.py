@@ -60,6 +60,19 @@ subdivision.  Evaluation is single-threaded and results are deterministic
 for fixed inputs; the GRASSPOLY_THREADS environment variable is accepted
 and ignored.
 
+A panel carries GAUSS_ORDER = 24 Gauss-Legendre nodes.  The error of
+Gauss quadrature falls geometrically with the node count on analytic
+integrands, while a sweep over the 112 states of a degree-3 element,
+bound by the number of numpy calls rather than their size, costs little
+more at 24 nodes than at 16 (64 against 56 us).  Against 16 nodes, one
+pass of the benchmark's `tate_integrals` workload (seed 3) sweeps 1964
+panels instead of 2857, and its split steps fall from 526 of 1136 to
+344 of 772.  Timed in one process, order 20 was slower than 24 on every
+kind of integral, and order 28 was faster only on `li_n` (by 9%).  At
+28 and 32 nodes degree-4 integrals took 1.6 and 1.7 times as long as at
+24: their sweep over 2450 states is bound by arithmetic, which grows
+with states x N^2.
+
 numpy is bound lazily: it loads when a path is built or an integral runs,
 not when the module is imported, and the quadrature tables are built on
 the first panel.
@@ -67,6 +80,7 @@ the first panel.
 
 import random
 import sys
+from cmath import isfinite
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
@@ -81,7 +95,9 @@ from .tensors import (BRACKET, SCALAR, MultTensor, bracket_symbol,
 
 np = _lazy_module("numpy")
 
-GAUSS_ORDER = 16
+# Nodes per panel: see the module docstring for the measured trade of
+# fewer panels against the cost of a degree-4 sweep.
+GAUSS_ORDER = 24
 POLE_THRESHOLD = 1e-8
 PHASE_JUMP_LIMIT = pi / 2
 DEFAULT_BUDGET = 16384
@@ -111,9 +127,9 @@ class _PhaseJump(Exception):
 def _quadrature():
     """The panel quadrature, built on first use: the Gauss nodes and
     weights on [-1, 1], the node-to-node prefix integration matrix Q, and
-    [Q.T | weights], which takes a panel's integrand values to its prefix
-    values at the nodes and at its end in one product.  The arrays are
-    shared, so they are read-only.
+    Q.T stored contiguously, which takes the integrand values of a
+    panel's states (one row each) to their prefix values at the nodes.
+    The arrays are shared, so they are read-only.
 
     With f expanded in Legendre polynomials from its values at the nodes,
     the antiderivative vanishing at -1 is exact for the expansion, giving
@@ -129,7 +145,7 @@ def _quadrature():
     for mm in range(1, GAUSS_ORDER):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
     qmat = anti @ coef
-    tables = (x, w, qmat, np.hstack([qmat.T, w[:, None]]))
+    tables = (x, w, qmat, np.ascontiguousarray(qmat.T))
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -437,6 +453,11 @@ class _LetterTable:
     """
 
     def __init__(self, letters, dim, count):
+        for letter in letters:
+            for c, _ in letter:
+                if not isfinite(c):
+                    raise ContractViolation(
+                        f"letter coefficient {c!r} is not finite")
         sym_rows = {}
         parts = [(sym_rows.setdefault(sym, len(sym_rows)), g, complex(c))
                  for g, letter in enumerate(letters) for c, sym in letter
@@ -469,11 +490,16 @@ class _Sweep:
         """The states at the end of a panel from those at its start f_a,
         given the letter values at its nodes and its half width.  Each
         slot's products are made and summed one slot at a time (a level's
-        edges at once would be a large temporary at degree 4)."""
-        _, weights, _, prefix_and_end = _quadrature()
+        edges at once would be a large temporary at degree 4).  A level's
+        end values are their own product with the weights, not a column
+        of a wider product, so they round as `g @ weights` does (at the
+        rounding floor a last-bit difference moves panel counts).  The
+        last level's prefix values are needed only through `final`, and
+        the last level of a trie needs none."""
+        _, weights, _, prefix = _quadrature()
         f_b = f_a.copy()
         lv_t = lv.T.copy()
-        prev = f_a[:1, None]
+        prev, nodes = f_a[:1, None], slice(0, 1)
         for nodes, letter, weight, slots in self.levels:
             weighted = lv_t.take(letter, axis=0)
             weighted *= weight
@@ -484,17 +510,24 @@ class _Sweep:
                 term = weighted.take(pair, axis=0)
                 term *= prev.take(src, axis=0)
                 g[:size] += term
-            out = g @ prefix_and_end
-            out *= hh
-            out += f_a[nodes, None]
-            prev = out[:, :GAUSS_ORDER]
-            f_b[nodes] = out[:, GAUSS_ORDER]
+            f_b[nodes] += hh * (g @ weights)
+            if nodes is not self.levels[-1][0]:
+                prev = g @ prefix
+                prev *= hh
+                prev += f_a[nodes, None]
         if self.final is not None:
-            # E' at the nodes: sum over a of L_a * (final @ G)[a], with the
-            # real matrix `final` applied to G's real and imaginary parts
-            e = np.einsum("ua,au->u", lv,
-                          (self.final @ prev.view(float)).view(complex))
-            f_b[-1] = f_a[-1] + hh * (e @ weights)
+            # E' at the nodes: sum over a of L_a * (final @ G)[a], where G
+            # holds the last level's values f_a + hh * (g @ prefix) (the
+            # start state alone when there is no level).  The real matrix
+            # `final` acts on real and imaginary parts at once, and before
+            # the prefix product, which then has a row per letter instead
+            # of one per state.
+            at_nodes = _real_matmul(self.final, f_a[nodes, None])
+            if self.levels:
+                at_nodes = at_nodes + hh * (_real_matmul(self.final, g)
+                                            @ prefix)
+            e = np.einsum("ua,au->u", lv, at_nodes)
+            f_b[-1] += hh * (e @ weights)
         return f_b
 
     def errors(self, diff):
@@ -504,6 +537,12 @@ class _Sweep:
     def ends(self, f):
         """Each output's value from the states."""
         return self.scale * f[self.outputs[:, -1]]
+
+
+def _real_matmul(real, z):
+    """real @ z for a real matrix and a complex array whose last axis is
+    contiguous, without a complex copy of the real matrix."""
+    return (real @ z.view(float)).view(complex)
 
 
 def _level(base, edges_in):
@@ -818,6 +857,18 @@ def _check_segment_roots(fit, letters, index):
             f"segment {index}; the path crosses a zero of the bracket")
 
 
+def _controls(tol, budget):
+    """The tolerance and panel budget as the engine reads them.  A NaN
+    tolerance would accept no panel and an infinite one any, so both are
+    refused, and so is a budget below one panel."""
+    tol, budget = float(tol), int(budget)
+    if not isfinite(tol):
+        raise ContractViolation(f"tolerance {tol!r} is not finite")
+    if budget < 1:
+        raise ContractViolation(f"panel budget {budget!r} is below one panel")
+    return tol, budget
+
+
 class _Engine:
     """The adaptive panel control of one path for the states of a `_Sweep`:
     their letter table and start states `f0`, how a panel moves them
@@ -826,8 +877,7 @@ class _Engine:
     def __init__(self, states, path, tol, budget):
         self.states = states
         self.path = path
-        self.tol = float(tol)
-        self.budget = int(budget)
+        self.tol, self.budget = _controls(tol, budget)
         self.panels = 0
         self.depth_exceeded = False
         self.err = 0.0

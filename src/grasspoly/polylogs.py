@@ -33,7 +33,8 @@ from .configurations import (GaussianRational, _as_point, as_scalar,
                              cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
 from .iterint import (DEFAULT_BUDGET, IterIntResult, PathSpec, _Automaton,
-                      _iterate_prepared, _WordBatch, dlog_letter, iterate_word)
+                      _controls, _iterate_prepared, _WordBatch, dlog_letter,
+                      iterate_word)
 from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
@@ -173,6 +174,7 @@ def li_n(n, z, via=None, tol=1e-12, budget=DEFAULT_BUDGET):
         raise ContractViolation("li_n needs a finite argument")
     if abs(z - 1.0) < 1e-9 and n == 1:
         raise ContractViolation("li_1 is singular at z = 1")
+    _controls(tol, budget)  # refused here too, though the series uses neither
     if abs(z) < 1e-2 and via is None:
         return IterIntResult(li_series(n, z), 0.0, 0)
     start = LI_START_OFFSET * z

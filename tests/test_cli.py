@@ -353,16 +353,16 @@ def test_integrate_element_file_matches_library(tmp_path):
 
 
 def test_integrate_reports_depth_exceeded(tmp_path, monkeypatch, capsys):
-    # with no subdivision allowed, one panel of d log z from z = 0.1
+    # with no subdivision allowed, one panel of d log z from z = 0.02
     # cannot meet the tolerance; the value is still printed, flagged, and
     # the exit code says it did not converge
     monkeypatch.setattr(iterint, "MAX_DEPTH", 0)
     word = json.dumps([[[1, "D[1]"]]])
-    word_path = write_path(tmp_path, PathSpec.line([[0.1]], [[3.0]]))
+    word_path = write_path(tmp_path, PathSpec.line([[0.02]], [[3.0]]))
     element_file = tmp_path / "element.json"
     element_file.write_text(json.dumps(build_element(1).tensor.to_json_dict()),
                             encoding="utf-8")
-    element_path = write_path(tmp_path, PathSpec.line([[0.1], [0.2]],
+    element_path = write_path(tmp_path, PathSpec.line([[0.02], [0.04]],
                                                       [[3.0], [5.0]]),
                               name="element_path.json")
     for source in (["--word", word, "--path", word_path],
@@ -454,6 +454,26 @@ def test_integrate_pole_exit_code(tmp_path):
                    "--path", path_file)
     assert proc.returncode == 3
     assert "pole error" in proc.stderr
+
+
+@pytest.mark.parametrize("word, extra, message", [
+    ([[[1, "D[1]"]]], ["--tol", "nan"], "tolerance nan is not finite"),
+    ([[[1, "D[1]"]]], ["--tol", "inf"], "tolerance inf is not finite"),
+    ([[[1, "D[1]"]]], ["--budget", "0"], "panel budget 0 is below one panel"),
+    ([[[math.nan, "D[1]"]]], [], "letter coefficient nan is not finite"),
+])
+def test_integrate_refuses_non_finite_controls_and_coefficients(
+        tmp_path, capsys, word, extra, message):
+    # before, NaN spent the whole panel budget (exit 4), an infinite
+    # tolerance printed a one-panel value (exit 0) and a zero budget was
+    # reported as exhausted (exit 4)
+    path_file = write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))
+    code = cli.main(["integrate", "--word", json.dumps(word),
+                     "--path", path_file, *extra])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 def test_integrate_budget_exit_code(tmp_path):
@@ -684,6 +704,17 @@ def test_table_refuses_non_finite_grid_bounds(args):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: grid bounds must be finite\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_table_li_refuses_a_non_finite_tolerance(capsys, tol):
+    # the whole table is refused, not each point as a nan row
+    code = cli.main(["table", "--function", "li2", "--grid=0.1:0.9:3",
+                     f"--tol={tol}"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == "error: --tol must be finite\n"
 
 
 def test_table_out_file(tmp_path):

@@ -21,8 +21,9 @@ import pytest
 from grasspoly import iterint
 from grasspoly.errors import (BudgetError, ContractViolation, PathError,
                               PoleError)
-from grasspoly.iterint import (DEFAULT_BUDGET, PHASE_JUMP_LIMIT,
-                               POLE_THRESHOLD, IterIntResult, PathSpec,
+from grasspoly.iterint import (DEFAULT_BUDGET, GAUSS_ORDER,
+                               PHASE_JUMP_LIMIT, POLE_THRESHOLD,
+                               IterIntResult, PathSpec,
                                _Automaton, _chebder, _chebvander, _Engine,
                                _fit_brackets, _fit_tables, _LetterTable,
                                _letter_values, _PhaseJump, _quadrature,
@@ -295,6 +296,35 @@ def test_near_pole_path_converges_at_rounding_level():
 def test_budget_exhaustion():
     with pytest.raises(BudgetError):
         iterate_word([W1], zline(1, 3), budget=2)
+
+
+@pytest.mark.parametrize("controls, message", [
+    ({"tol": math.nan}, "tolerance nan is not finite"),
+    ({"tol": math.inf}, "tolerance inf is not finite"),
+    ({"budget": 0}, "panel budget 0 is below one panel"),
+])
+def test_engine_refuses_non_finite_tolerances_and_empty_budgets(controls,
+                                                                 message):
+    # before, a NaN tolerance accepted no panel and spent the whole
+    # budget, an infinite one took a one-panel value as converged, and a
+    # zero budget was reported as exhausted
+    t = MultTensor.from_terms(1, [((bracket_symbol((1,))[0],), 1)])
+    for run in (lambda: iterate_word([W1], zline(1, 3), **controls),
+                lambda: iterate_words([[W1], [W1, W1]], zline(1, 3),
+                                      **controls),
+                lambda: iterate_element(t, zline(1, 3), **controls)):
+        with pytest.raises(ContractViolation, match=message):
+            run()
+
+
+@pytest.mark.parametrize("letter", [
+    ((math.nan, bracket_symbol((1,))[0]),),
+    ((complex(1.0, math.inf), bracket_symbol((1,))[0]),),
+    ((1, bracket_symbol((1,))[0]), (-math.inf, scalar_symbol("t"))),
+])
+def test_non_finite_letter_coefficients_are_refused(letter):
+    with pytest.raises(ContractViolation, match="is not finite"):
+        iterate_word([W1, letter], zline(1, 3))
 
 
 def test_word_and_path_mismatches():
@@ -598,23 +628,43 @@ def test_fit_tables_are_shared_read_only_and_bounded():
 def test_lazy_tables_and_constants_equal_their_eager_definitions():
     """The quadrature tables, built on first use, and the scalar
     constants, written without numpy, are the exact values of the former
-    import-time numpy definitions (reproduced here)."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    vander = np.polynomial.legendre.legvander(x, 16)
-    m = np.arange(16)
-    coef = ((2 * m[:, None] + 1) / 2.0) * w[None, :] * vander[:, :16].T
-    anti = np.empty((16, 16))
+    import-time numpy definitions (reproduced here) at GAUSS_ORDER."""
+    order = GAUSS_ORDER
+    x, w = np.polynomial.legendre.leggauss(order)
+    vander = np.polynomial.legendre.legvander(x, order)
+    m = np.arange(order)
+    coef = ((2 * m[:, None] + 1) / 2.0) * w[None, :] * vander[:, :order].T
+    anti = np.empty((order, order))
     anti[:, 0] = x + 1.0
-    for mm in range(1, 16):
+    for mm in range(1, order):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
     qmat = anti @ coef
-    eager = (x, w, qmat, np.hstack([qmat.T, w[:, None]]))
+    eager = (x, w, qmat, np.ascontiguousarray(qmat.T))
     assert _quadrature() is _quadrature()  # built once
     for table, value in zip(_quadrature(), eager, strict=True):
         assert not table.flags.writeable
         assert table.dtype == value.dtype and np.array_equal(table, value)
     assert PHASE_JUMP_LIMIT == np.pi / 2
     assert iterint._ROUNDING_FLOOR == 16 * np.finfo(float).eps
+
+
+def test_quadrature_is_exact_on_polynomials_of_its_degree():
+    # on [-1, 1], Q takes x^k at the nodes to its antiderivative vanishing
+    # at -1 for every degree k below the node count (and no further), and
+    # the weights integrate x^k exactly up to degree 2 * GAUSS_ORDER - 1
+    x, w, qmat, prefix = _quadrature()
+    assert len(x) == len(w) == GAUSS_ORDER
+    assert np.array_equal(prefix, qmat.T)
+
+    def antiderivative(k):
+        return (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+
+    for k in range(GAUSS_ORDER):
+        assert np.abs(qmat @ x ** k - antiderivative(k)).max() < 1e-14, k
+    assert np.abs(qmat @ x ** GAUSS_ORDER
+                  - antiderivative(GAUSS_ORDER)).max() > 1e-12
+    for k in range(2 * GAUSS_ORDER):
+        assert abs(w @ x ** k - (1 - (-1.0) ** (k + 1)) / (k + 1)) < 1e-14, k
 
 
 # ---------------------------------------------------------------------------
@@ -934,14 +984,14 @@ def test_batched_step_matches_the_serial_engine(monkeypatch):
 
 
 def test_a_failing_right_half_keeps_the_swept_left_half(monkeypatch):
-    # z = s - s0 - 1e-3 i with s0 = 0.729, a Gauss node of [0, 1]: the
+    # z = s - s0 - 1e-3 i with s0 = 0.717, a Gauss node of [0, 1]: the
     # whole panel passes the zero's projection in two turns below pi/2
     # and the left half stays away from it, but the right half's nodes
     # straddle it, so the first step's right half jumps.  Its left half,
     # swept before, must serve as the left child's whole panel: swept
     # again, it would add one panel.
     failed_at = _record_failures(monkeypatch)
-    s0 = 0.5 + 0.5 * _quadrature()[0][10]
+    s0 = 0.5 + 0.5 * _quadrature()[0][15]
     path = zline(-s0 - 1e-3j, 1.0 - s0 - 1e-3j)
     states = _WordBatch([[W1], [W1, W1]], 1, 1)
     want = _run_engine(_SerialEngine, states, path, 1e-12, DEFAULT_BUDGET)
