@@ -6,7 +6,7 @@ error (also used by argparse for usage errors), 3 pole proximity, 4 panel
 budget exhausted, 5 not converged (`integrate` printed a value flagged
 `depth_exceeded`).  `element` and each `verify` suite take the degrees
 that `elements.DEGREES` lists for them; any other --n is refused with exit
-code 1 before anything is built.
+code 1 before anything is built.  So is a negative or non-finite --tol.
 
 All output is deterministic for a fixed command line: reports omit wall
 times unless --timings is given, JSON keys are sorted, and every random
@@ -15,6 +15,7 @@ GRASSPOLY_THREADS environment variable is accepted and ignored.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,8 +27,7 @@ from .errors import (BudgetError, ContractViolation, DegeneracyError,
 SUITES = ("comparison", "relations", "scale", "integrability", "deltar")
 
 
-def _emit(data, out):
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -35,11 +35,14 @@ def _emit(data, out):
         sys.stdout.write(text)
 
 
-def _mutated(element):
-    from .elements import GrassElement, flip_first_term
+def _emit(data, out):
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", out)
 
-    return GrassElement(element.n, element.labels, element.prefix,
-                        flip_first_term(element.tensor))
+
+def _mutated(element):
+    from .elements import flip_first_term
+
+    return element._replace(tensor=flip_first_term(element.tensor))
 
 
 # ---------------------------------------------------------------------------
@@ -60,39 +63,10 @@ def _cmd_element(args):
 # verify
 
 
-def _verify_one(suite, n, args, element):
-    """One suite at one degree.  element(n, signed) returns the degree-n
-    element of the run, built (and mutated, under --mutate) once."""
+def _cmd_verify(args):
     from .elements import (build_element, check_comparison,
                            check_integrability, check_omission_relations,
-                           check_scale_invariance)
-
-    signed = args.mode == "strict"
-    mutate = args.mutate
-
-    if suite == "comparison":
-        return check_comparison(n, element=element(n, False))
-
-    if suite == "relations":
-        def builder(k, labels=None, prefix=()):
-            el = build_element(k, labels=labels, prefix=prefix,
-                               signed=signed)
-            return _mutated(el) if mutate else el
-
-        return check_omission_relations(n, element_builder=builder)
-
-    if suite == "scale":
-        return check_scale_invariance(n, tensor=element(n, signed).tensor)
-
-    if suite == "integrability":
-        return check_integrability(n, num_points=args.points, seed=args.seed,
-                                   tensor=element(n, False).tensor)
-
-    raise ContractViolation(f"unknown suite {suite!r}")
-
-
-def _cmd_verify(args):
-    from .elements import (build_element, check_steinberg_wedge,
+                           check_scale_invariance, check_steinberg_wedge,
                            require_degree)
 
     ns = args.n if args.n else [2]
@@ -100,22 +74,33 @@ def _cmd_verify(args):
     for suite in suites:
         for n in ns:
             require_degree(suite, n)
-    built = {}
+    strict = args.mode == "strict"
 
-    def element(n, signed):
-        if (n, signed) not in built:
-            el = build_element(n, signed=signed)
-            built[n, signed] = _mutated(el) if args.mutate else el
-        return built[n, signed]
+    def build(n, labels=None, prefix=(), signed=False):
+        el = build_element(n, labels=labels, prefix=prefix, signed=signed)
+        return _mutated(el) if args.mutate else el
 
+    # one element per degree and sign setting, shared by all but relations;
+    # calls pass signed= by keyword, so equal settings share a cache key
+    element = functools.cache(build)
+    per_degree = {
+        "comparison": lambda n: check_comparison(
+            n, element=element(n, signed=False)),
+        "relations": lambda n: check_omission_relations(
+            n, element_builder=functools.partial(build, signed=strict)),
+        "scale": lambda n: check_scale_invariance(
+            n, tensor=element(n, signed=strict).tensor),
+        "integrability": lambda n: check_integrability(
+            n, num_points=args.points, seed=args.seed,
+            tensor=element(n, signed=False).tensor),
+    }
     reports = []
     for suite in suites:
-        if suite == "deltar":
+        if suite == "deltar":  # degree-free: one report, whatever the --n
             reports.append(
                 check_steinberg_wedge(half_coefficient=not args.mutate))
-            continue
-        for n in ns:
-            reports.append(_verify_one(suite, n, args, element))
+        else:
+            reports.extend(per_degree[suite](n) for n in ns)
     status = "pass" if all(r.passed for r in reports) else "fail"
     _emit({
         "command": "verify",
@@ -218,8 +203,6 @@ def _parse_range(spec):
 
 
 def _cmd_table(args):
-    import csv
-
     from .polylogs import bloch_wigner, l2g, li_n, rogers_l2
 
     # each function gives its coordinate header, its grid points and the
@@ -231,6 +214,8 @@ def _cmd_table(args):
         order = int(fn[2])
         if not math.isfinite(args.tol):
             raise ContractViolation("--tol must be finite")
+        if args.tol < 0:
+            raise ContractViolation("--tol must not be negative")
         header = ["z_re", "z_im"]
         points = [(x, 0.0) for x in _parse_range(args.grid)]
         refused = (math.nan,) * 3
@@ -265,28 +250,17 @@ def _cmd_table(args):
         def cells(x1, x2, x3, x4):
             return (l2g(x1, x2, x3, Fraction(x4).limit_denominator(10 ** 9)),
                     0.0, 0.0)
-    else:
-        raise ContractViolation(f"unknown table function {fn!r}")
 
     header += ["value_re", "value_im", "error_estimate"]
-    rows = []
+    # no cell holds a comma, a quote or a line break, so none is quoted
+    lines = [header]
     for point in points:
         try:
             values = cells(*point)
         except (ContractViolation, DegeneracyError):
             values = refused
-        rows.append([str(c) for c in (*point, *values)])
-
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+        lines.append([str(c) for c in (*point, *values)])
+    _write("".join(",".join(line) + "\n" for line in lines), args.out)
     return 0
 
 

@@ -280,12 +280,15 @@ def omission_residues(n, element_builder=build_element):
 
 
 def check_omission_relations(n, element_builder=build_element):
+    """Both (2n+1)-term relations of omission_residues, at a degree that
+    DEGREES["relations"] lists; any other n is refused before a build."""
     t0 = time.perf_counter()
+    n = require_degree("relations", n)
     plain, projected = omission_residues(n, element_builder)
     ok = plain.is_zero() and projected.is_zero()
     return Report(
         check="relations",
-        n=int(n),
+        n=n,
         status="pass" if ok else "fail",
         details={
             "plain_residue_terms": plain.term_count,
@@ -353,10 +356,11 @@ def check_scale_invariance(n, which=None, tensor=None):
     a.  failing_labels lists the failing labels in order, and
     residue_terms samples the expanded residue of the first failing label
     in the order of which; on the contraction path that is the only
-    residue built.  An empty which is refused.
+    residue built.  An empty which is refused, and so is an n that
+    DEGREES["scale"] does not list.
     """
     t0 = time.perf_counter()
-    n = int(n)
+    n = require_degree("scale", n)
     base = tensor if tensor is not None else build_element(n).tensor
     if not isinstance(base, MultTensor):
         raise ContractViolation("check_scale_invariance expects a MultTensor")
@@ -452,11 +456,10 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
     positions in the order of ks and points in index order, and
     residue_terms samples that point's nonzero pieces.  An empty ks or a
     num_points below 1 is refused: an empty sample would pass anything.
+    So is an n that DEGREES["integrability"] does not list.
     """
     t0 = time.perf_counter()
-    n = int(n)
-    if n < 2:
-        raise ContractViolation("integrability needs degree >= 2")
+    n = require_degree("integrability", n)
     if ks is None:
         ks = list(range(1, n))
     elif isinstance(ks, int):

@@ -859,11 +859,14 @@ def _check_segment_roots(fit, letters, index):
 
 def _controls(tol, budget):
     """The tolerance and panel budget as the engine reads them.  A NaN
-    tolerance would accept no panel and an infinite one any, so both are
-    refused, and so is a budget below one panel."""
+    tolerance would accept no panel, an infinite one any, and a negative
+    one would act as 0 (which asks for the rounding floor), so all three
+    are refused, and so is a budget below one panel."""
     tol, budget = float(tol), int(budget)
     if not isfinite(tol):
         raise ContractViolation(f"tolerance {tol!r} is not finite")
+    if tol < 0:
+        raise ContractViolation(f"tolerance {tol!r} is negative")
     if budget < 1:
         raise ContractViolation(f"panel budget {budget!r} is below one panel")
     return tol, budget
@@ -1026,8 +1029,16 @@ def homotopy_test(obj, path, deformations=5, amplitude=0.1, seed=0,
     resampling a deformation (fresh seed) when it collides with a pole,
     and reports the maximal deviation from the undeformed value.  Integrable
     elements must show spread below tol; a generic non-integrable word will
-    not.
+    not.  Fewer than one deformation, or a zero amplitude (every
+    deformation is the path itself), is refused: such a test compares
+    nothing and would pass anything.
     """
+    if int(deformations) < 1:
+        raise ContractViolation(
+            f"homotopy_test needs at least one deformation, not "
+            f"{deformations}")
+    if amplitude == 0:
+        raise ContractViolation("homotopy_test needs a nonzero amplitude")
     base = _integrate_any(obj, path, tol=quad_tol, budget=budget)
 
     def trial(i):

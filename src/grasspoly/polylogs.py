@@ -38,6 +38,8 @@ from .iterint import (DEFAULT_BUDGET, IterIntResult, PathSpec, _Automaton,
 from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
+# The most terms li_series sums before it gives up short of its tolerance.
+LI_SERIES_TERMS = 4000
 
 # A multivalued-function value: the engine's result, whose `path` selects
 # its branch.
@@ -48,8 +50,14 @@ BranchedValue = IterIntResult
 # series and principal branches
 
 
-def li_series(n, z, tol=1e-17, max_terms=4000):
-    """Taylor series sum_{m>=1} z^m / m^n; needs |z| < 1."""
+def li_series(n, z, tol=1e-17):
+    """Taylor series sum_{m>=1} z^m / m^n; needs |z| < 1.
+
+    Sums until a term falls below tol relative to the sum.  If
+    LI_SERIES_TERMS terms do not get there (|z| near 1, e.g. 0.999 at
+    n = 1), the truncated sum is refused with ContractViolation rather
+    than returned.
+    """
     n = int(n)
     if n < 1:
         raise ContractViolation("series order must be >= 1")
@@ -58,13 +66,15 @@ def li_series(n, z, tol=1e-17, max_terms=4000):
         raise ContractViolation("the series needs |z| < 1")
     acc = 0j
     power = 1.0 + 0j
-    for m in range(1, max_terms + 1):
+    for m in range(1, LI_SERIES_TERMS + 1):
         power *= z
         term = power / m ** n
         acc += term
         if abs(term) < tol * (1.0 + abs(acc)):
-            break
-    return acc
+            return acc
+    raise ContractViolation(
+        f"the series at |z| = {abs(z)!r} does not reach its tolerance "
+        f"within {LI_SERIES_TERMS} terms")
 
 
 def _bernoulli_coefficients(count):

@@ -461,12 +461,13 @@ def test_integrate_pole_exit_code(tmp_path):
     ([[[1, "D[1]"]]], ["--tol", "inf"], "tolerance inf is not finite"),
     ([[[1, "D[1]"]]], ["--budget", "0"], "panel budget 0 is below one panel"),
     ([[[math.nan, "D[1]"]]], [], "letter coefficient nan is not finite"),
+    ([[[1, "D[1]"]]], ["--tol", "-1"], "tolerance -1.0 is negative"),
 ])
 def test_integrate_refuses_non_finite_controls_and_coefficients(
         tmp_path, capsys, word, extra, message):
     # before, NaN spent the whole panel budget (exit 4), an infinite
-    # tolerance printed a one-panel value (exit 0) and a zero budget was
-    # reported as exhausted (exit 4)
+    # tolerance printed a one-panel value (exit 0), a zero budget was
+    # reported as exhausted (exit 4) and a negative tolerance ran as 0
     path_file = write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))
     code = cli.main(["integrate", "--word", json.dumps(word),
                      "--path", path_file, *extra])
@@ -706,15 +707,19 @@ def test_table_refuses_non_finite_grid_bounds(args):
     assert proc.stderr == "error: grid bounds must be finite\n"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-def test_table_li_refuses_a_non_finite_tolerance(capsys, tol):
-    # the whole table is refused, not each point as a nan row
+@pytest.mark.parametrize("tol, err", [
+    ("nan", "--tol must be finite"), ("inf", "--tol must be finite"),
+    ("-inf", "--tol must be finite"), ("-1", "--tol must not be negative"),
+], ids=["nan", "inf", "-inf", "-1"])
+def test_table_li_refuses_a_non_finite_tolerance(capsys, tol, err):
+    # the whole table is refused, not each point as a nan row; before, a
+    # negative tolerance printed the table of tolerance 0
     code = cli.main(["table", "--function", "li2", "--grid=0.1:0.9:3",
                      f"--tol={tol}"])
     out = capsys.readouterr()
     assert code == 1
     assert out.out == ""
-    assert out.err == "error: --tol must be finite\n"
+    assert out.err == f"error: {err}\n"
 
 
 def test_table_out_file(tmp_path):
@@ -750,6 +755,12 @@ PINNED = [
     (("verify", "--suite", "integrability", "--n", "3", "--mutate",
       "--seed", "0"), 1,
      "c81d40782a3193df672a24beabfdd27c4b1e5d6f7b978c01135b0f1ec3706528"),
+    (("table", "--function", "rogers", "--grid=-1:2:7"), 0,
+     "ab21cc7f1f4ec83a3ea89285c0a10ec0a418d8315c3c4c4da02efbbd4498f4f7"),
+    (("table", "--function", "bloch_wigner", "--grid=-1:1:3,-1:1:3"), 0,
+     "49131f849c5f2029c1c5baf43cc7f7d219b2a8e64ce121606d3a748c4c1828f1"),
+    (("table", "--function", "l2g", "--grid=0:3:4"), 0,
+     "3bd795a58d61f2896e35fb4561cb73a2efee52640b440ce9fdc691d77dc49303"),
 ]
 
 
@@ -759,6 +770,17 @@ def test_output_bytes_are_pinned(args, code, digest):
     proc = run_cli(*args)
     assert proc.returncode == code
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, code, digest", [PINNED[3], PINNED[-1]],
+                         ids=["verify", "table"])
+def test_out_file_bytes_are_pinned(tmp_path, args, code, digest):
+    # JSON and CSV reach an --out file through the same writer as stdout
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ in both directions: they pass on the honest element and fail on a
 single-term mutation.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from grasspoly import elements
 from grasspoly.elements import (GrassElement, Report, build_element,
                                 check_comparison, check_integrability,
                                 check_omission_relations,
@@ -469,6 +471,26 @@ def test_integrability_refuses_no_position():
     bad = flip_first_term(build_element(3).tensor)
     with pytest.raises(ContractViolation, match="wedge position"):
         check_integrability(3, ks=[], tensor=bad)
+
+
+def _refuse_build(*args, **kwargs):
+    raise AssertionError("build_element called for a refused degree")
+
+
+@pytest.mark.parametrize("check, n", [
+    (functools.partial(check_omission_relations,
+                       element_builder=_refuse_build), 5),
+    (check_scale_invariance, 5),
+    (check_integrability, 5),
+    (check_integrability, 1),
+], ids=["relations-5", "scale-5", "integrability-5", "integrability-1"])
+def test_checks_refuse_degrees_outside_their_table_before_building(
+        monkeypatch, check, n):
+    # before, each degree-5 check started building elements of 10! terms,
+    # and integrability refused n = 1 in words of its own
+    monkeypatch.setattr(elements, "build_element", _refuse_build)
+    with pytest.raises(ContractViolation, match="supports degrees"):
+        check(n)
 
 
 def test_scale_refuses_no_label():

@@ -302,12 +302,14 @@ def test_budget_exhaustion():
     ({"tol": math.nan}, "tolerance nan is not finite"),
     ({"tol": math.inf}, "tolerance inf is not finite"),
     ({"budget": 0}, "panel budget 0 is below one panel"),
+    ({"tol": -1.0}, "tolerance -1.0 is negative"),
 ])
 def test_engine_refuses_non_finite_tolerances_and_empty_budgets(controls,
                                                                  message):
     # before, a NaN tolerance accepted no panel and spent the whole
-    # budget, an infinite one took a one-panel value as converged, and a
-    # zero budget was reported as exhausted
+    # budget, an infinite one took a one-panel value as converged, a
+    # zero budget was reported as exhausted, and a negative tolerance
+    # ran as 0
     t = MultTensor.from_terms(1, [((bracket_symbol((1,))[0],), 1)])
     for run in (lambda: iterate_word([W1], zline(1, 3), **controls),
                 lambda: iterate_words([[W1], [W1, W1]], zline(1, 3),
@@ -315,6 +317,12 @@ def test_engine_refuses_non_finite_tolerances_and_empty_budgets(controls,
                 lambda: iterate_element(t, zline(1, 3), **controls)):
         with pytest.raises(ContractViolation, match=message):
             run()
+
+
+def test_a_zero_tolerance_asks_for_the_rounding_floor():
+    res = iterate_word([W1], zline(1, 3), tol=0.0)
+    assert abs(res.value - math.log(3)) < 1e-14
+    assert not res.depth_exceeded
 
 
 @pytest.mark.parametrize("letter", [
@@ -1222,6 +1230,19 @@ def test_homotopy_of_single_letters_is_exact():
     report = homotopy_test([W1], path, deformations=3)
     assert report["status"] == "pass"
     assert report["spread"] < 1e-12
+
+
+@pytest.mark.parametrize("controls, message", [
+    ({"deformations": 0}, "at least one deformation, not 0"),
+    ({"deformations": -3}, "at least one deformation, not -3"),
+    ({"amplitude": 0.0}, "nonzero amplitude"),
+])
+def test_homotopy_refuses_a_test_that_compares_nothing(controls, message):
+    # before, each reported "pass" with spread 0: no deformation, or
+    # deformations that are the path itself
+    path = PathSpec.line([[1.0], [2.0]], [[3.0], [5.0]])
+    with pytest.raises(ContractViolation, match=message):
+        homotopy_test((W1, W2), path, **controls)
 
 
 def test_shuffle_identity():

@@ -53,6 +53,16 @@ def test_li_series_matches_mpmath():
         li_series(2, 1.0)
 
 
+def test_li_series_refuses_a_truncated_sum():
+    # before, the sum of the first 4000 terms came back as the value:
+    # 3.8e-3 off -log(0.001) at z = 0.999, and 0.70 off at 0.9999
+    assert abs(li_series(1, 0.99) + math.log(0.01)) < 1e-13
+    for z in (0.999, 0.9999):
+        with pytest.raises(ContractViolation,
+                           match=f"{z!r} .* within 4000 terms"):
+            li_series(1, z)
+
+
 def test_li_n_small_arguments_use_the_series():
     v = li_n(3, 0.004)
     assert v.path is None
@@ -221,10 +231,11 @@ def test_non_finite_arguments_are_refused(z):
 
 
 @pytest.mark.parametrize("controls", [{"tol": math.inf}, {"tol": math.nan},
-                                      {"budget": 0}])
+                                      {"budget": 0}, {"tol": -5.0}])
 def test_li_n_refuses_non_finite_tolerances_and_empty_budgets(controls):
-    # li_n(2, 0.5, tol=inf) used to return a one-panel value as converged;
-    # a point small enough for the series alone is refused the same way
+    # li_n(2, 0.5, tol=inf) used to return a one-panel value as converged,
+    # and tol=-5 the value of tol=0; a point small enough for the series
+    # alone is refused the same way
     for z in (0.5, 1e-3):
         with pytest.raises(ContractViolation):
             li_n(2, z, **controls)
