@@ -173,13 +173,6 @@ class AomotoExpr(_LinearCombination):
     def of_gen(cls, gen, coeff=1):
         return cls.from_terms([(((GEN, gen),), coeff)])
 
-    def _over_denominator(self):
-        """(den, ((factors, numerator), ...)): the terms as integer
-        numerators over the lcm of the coefficients' denominators."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, tuple((factors, c.numerator * (den // c.denominator))
-                          for factors, c in self.terms.items())
-
     @staticmethod
     def _factor_strs(factors):
         out = []
@@ -329,10 +322,9 @@ def expand_to_tensor(expr, arity):
     A term whose slot count differs from `arity` is a contract violation:
     the expression does not reduce to the requested depth.
 
-    Coefficients stay integers throughout: every expansion is held as int
-    numerators over one denominator, numerators are summed per key and
-    denominator, and a Fraction is made only for a key whose total is not
-    integral.
+    Coefficients stay integers throughout: the terms are summed as int
+    numerators over one running denominator (_sum_products), and a
+    Fraction is made only for a key whose total is not integral.
     """
     if isinstance(expr, AomotoGen):
         expr = AomotoExpr.of_gen(expr)
@@ -340,14 +332,18 @@ def expand_to_tensor(expr, arity):
         raise ContractViolation("expand_to_tensor expects an expression")
     arity = int(arity)
 
-    den0, top = expr._over_denominator()
-    for factors, _ in top:
+    for factors in expr.terms:
         slots = sum(f[1].weight if f[0] == GEN else 1 for f in factors)
         if slots != arity:
             raise ContractViolation(
                 f"term reduces to {slots} slots, expected {arity}")
-    by_den = _sum_products(den0, top)
-    return MultTensor(arity, _over_common_denominator(by_den))
+    den, totals = _sum_products(expr.terms.items())
+    out = {}
+    for key, num in totals.items():
+        if num:
+            q, r = divmod(num, den)
+            out[key] = q if not r else Fraction(num, den)
+    return MultTensor(arity, out)
 
 
 def _standard_form(gen):
@@ -409,17 +405,26 @@ def _expand_factors(factors, relabels):
     return den, items
 
 
-def _sum_products(den0, terms):
-    """{den: {key: numerator}}: the sum over (factors, num) terms of
-    num / den0 times the product of the factors' expansions."""
-    by_den, relabels = {}, {}
-    for factors, num in terms:
-        den, items = _expand_factors(factors, relabels)
-        acc = by_den.setdefault(den * den0, {})
-        get = acc.get
+def _sum_products(terms):
+    """(den, {key: numerator}): the sum over (factors, coeff) terms of
+    coeff times the product of the factors' expansions, as int numerators
+    over one running denominator.  A term's denominator is its factors'
+    expansion denominator times coeff's; only when that does not divide
+    the running one are the numerators summed so far rescaled to the lcm."""
+    den, totals, relabels = 1, {}, {}
+    get = totals.get
+    for factors, coeff in terms:
+        d, items = _expand_factors(factors, relabels)
+        d *= coeff.denominator
+        if den % d:
+            scale = lcm(den, d) // den
+            for key in totals:
+                totals[key] *= scale
+            den *= scale
+        num = coeff.numerator * (den // d)
         for key, c in items:
-            acc[key] = get(key, 0) + c * num
-    return by_den
+            totals[key] = get(key, 0) + c * num
+    return den, totals
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -430,44 +435,16 @@ def _standard_expansion(std):
 
     Weight 1 is the cross-ratio monomial.  At weight w >= 2 each term of
     coproduct(std) is the product of its factors' expansions, and each
-    generator factor recurses through its own standard form.
+    generator factor recurses through its own standard form; the terms are
+    summed over one running denominator (_sum_products), then reduced.
     """
     if std.weight == 1:
         return 1, tuple(_expand_slots((cross_ratio_monomial(std),)))
-    den, totals = _sum_over_lcm(_sum_products(
-        *coproduct(std)._over_denominator()))
+    den, totals = _sum_products(coproduct(std).terms.items())
     nums = [num for num in totals.values() if num]
     g = gcd(den, *nums)
     return den // g, tuple((key, num // g)
                            for key, num in totals.items() if num)
-
-
-def _sum_over_lcm(by_den):
-    """(den, {key: numerator}) from {den: {key: numerator}}: numerators
-    summed over the lcm of the denominators."""
-    if len(by_den) == 1:
-        (den, totals), = by_den.items()
-        return den, totals
-    den = lcm(*by_den)
-    totals = {}
-    for d, acc in by_den.items():
-        scale = den // d
-        for key, num in acc.items():
-            totals[key] = totals.get(key, 0) + num * scale
-    return den, totals
-
-
-def _over_common_denominator(by_den):
-    """Canonical terms from {den: {key: numerator}}: numerators summed over
-    the lcm of the denominators, zeros dropped, a Fraction only where the
-    total is not integral."""
-    den, totals = _sum_over_lcm(by_den)
-    out = {}
-    for key, num in totals.items():
-        if num:
-            q, r = divmod(num, den)
-            out[key] = q if not r else Fraction(num, den)
-    return out
 
 
 def additivity_residue(weight, dual=False, side="left"):

@@ -122,10 +122,13 @@ def _cmd_verify(args):
 def _parse_coeff(c):
     if isinstance(c, (int, float)):
         return c
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, list) and len(c) == 2:
-        return complex(float(c[0]), float(c[1]))
+    try:
+        if isinstance(c, str):
+            return Fraction(c)
+        if isinstance(c, list) and len(c) == 2:
+            return complex(float(c[0]), float(c[1]))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
     raise ContractViolation(f"bad letter coefficient {c!r}")
 
 
@@ -191,7 +194,12 @@ def _parse_range(spec):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ContractViolation("a grid range is start:stop:count")
-    a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ContractViolation(
+            f"a grid range is start:stop:count with a whole count, "
+            f"got {spec!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ContractViolation("grid bounds must be finite")
     if count < 1:
@@ -241,7 +249,11 @@ def _cmd_table(args):
         def cells(x, y):
             return bloch_wigner(complex(x, y)), 0.0, 0.0
     elif fn == "l2g":
-        base = [Fraction(b) for b in args.base.split(",")]
+        try:
+            base = [Fraction(b) for b in args.base.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise ContractViolation(
+                f"l2g --base is three rationals, got {args.base!r}") from None
         if len(base) != 3:
             raise ContractViolation("l2g needs --base with three points")
         header = ["x1", "x2", "x3", "x4"]

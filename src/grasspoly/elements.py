@@ -305,7 +305,8 @@ def check_omission_relations(n, element_builder=build_element):
 
 
 def _scale_failures(base):
-    """The labels whose rescaling changes `base`.
+    """(failing, held): the labels whose rescaling changes `base`, and
+    the labels its brackets hold.
 
     Rescaling label l by the scalar a turns each slot whose bracket holds
     l into a + bracket.  So scale_label(base, l, a) - base is the sum,
@@ -321,7 +322,7 @@ def _scale_failures(base):
     exactly when, in some group, the coefficients of the brackets holding
     l have a nonzero sum.
     """
-    failing = set()
+    failing, held = set(), set()
     for j in range(base.arity):
         groups = {}
         for slots, coeff in base.terms.items():
@@ -340,8 +341,9 @@ def _scale_failures(base):
             for payload, coeff in group:
                 for label in payload:
                     sums[label] = get(label, 0) + coeff
+            held.update(sums)
             failing.update(label for label, c in sums.items() if c)
-    return failing
+    return failing, held
 
 
 def check_scale_invariance(n, which=None, tensor=None):
@@ -356,8 +358,10 @@ def check_scale_invariance(n, which=None, tensor=None):
     a.  failing_labels lists the failing labels in order, and
     residue_terms samples the expanded residue of the first failing label
     in the order of which; on the contraction path that is the only
-    residue built.  An empty which is refused, and so is an n that
-    DEGREES["scale"] does not list.
+    residue built.  An empty which is refused, and so is a which none of
+    whose labels occurs in a bracket of the tensor (the check would pass
+    without testing anything), and an n that DEGREES["scale"] does not
+    list.
     """
     t0 = time.perf_counter()
     n = require_degree("scale", n)
@@ -375,11 +379,13 @@ def check_scale_invariance(n, which=None, tensor=None):
         return scale_label(base, label, "a") - base
 
     labels = list(dict.fromkeys(which))
+    failing, held = _scale_failures(base)
+    if held.isdisjoint(int(lab) for lab in labels):
+        raise ContractViolation(
+            f"no label of which={list(which)} occurs in the tensor")
     a = scalar_symbol("a")
     if any(a in slots for slots in base.terms):
         failing = {int(lab) for lab in labels if not residue(lab).is_zero()}
-    else:
-        failing = _scale_failures(base)
     bad = [lab for lab in labels if int(lab) in failing]
     return Report(
         check="scale",

@@ -81,10 +81,15 @@ def symbol_to_str(sym):
 
 
 def parse_symbol(s):
+    if not isinstance(s, str):
+        raise ContractViolation(f"a symbol is a string, got {s!r}")
     s = s.strip()
     if s.startswith("D[") and s.endswith("]"):
-        body = s[2:-1]
-        ix = tuple(int(p) for p in body.split(",") if p.strip())
+        try:
+            ix = tuple(int(p) for p in s[2:-1].split(",") if p.strip())
+        except ValueError:
+            raise ContractViolation(
+                f"bracket labels must be integers: {s!r}") from None
         return bracket_symbol(ix)[0]
     if not s:
         raise ContractViolation("empty symbol string")
@@ -174,7 +179,10 @@ def _coeff_from_json(c):
     if isinstance(c, int):
         return c
     if isinstance(c, str):
-        return _norm_coeff(Fraction(c))
+        try:
+            return _norm_coeff(Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ContractViolation(f"bad coefficient {c!r}")
 
 
@@ -316,15 +324,20 @@ class MultTensor(_LinearCombination):
     def from_json_dict(cls, data):
         try:
             arity = int(data["arity"])
-            raw = data["terms"]
-        except (KeyError, TypeError) as exc:
+            raw = list(data["terms"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"bad tensor payload: {exc}") from exc
         pairs = []
         for t in raw:
-            coeff = _coeff_from_json(t["coeff"])
+            try:
+                coeff, raw_slots = t["coeff"], list(t["slots"])
+            except (KeyError, TypeError) as exc:
+                raise ContractViolation(
+                    f"bad tensor term {t!r}: {exc!r}") from exc
+            coeff = _coeff_from_json(coeff)
             slots = []
-            for slot in t["slots"]:
-                if len(slot) != 1:
+            for slot in raw_slots:
+                if not isinstance(slot, (list, tuple)) or len(slot) != 1:
                     raise ContractViolation(
                         "canonical tensors have single-symbol slots")
                 slots.append(parse_symbol(slot[0]))

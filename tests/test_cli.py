@@ -738,6 +738,48 @@ def test_table_rejects_bad_grid():
     assert "start:stop:count" in proc.stderr
 
 
+BAD_ELEMENT_TERMS = {
+    "coeff": {"coeff": "x", "slots": [["D[1]"]]},
+    "slot": {"coeff": 1, "slots": [["D[1,x]"]]},
+    "no-slots": {"coeff": 1},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--function", "li2", "--grid", "a:1:3"],
+    ["table", "--function", "bloch_wigner", "--grid", "0:1:2,0:1:x"],
+    ["table", "--function", "rogers", "--grid", "0:1:2.5"],
+    ["table", "--function", "l2g", "--grid", "0:1:3", "--base", "x,1,3"],
+    ["table", "--function", "l2g", "--grid", "0:1:3", "--base", "1/0,1,3"],
+    ["integrate", "--word", '[[["1/0", "D[1]"]]]'],
+    ["integrate", "--word", '[[["x", "D[1]"]]]'],
+    ["integrate", "--word", '[[[["a", 1], "D[1]"]]]'],
+    ["integrate", "--word", '[[[1, "D[1,x]"]]]'],
+    ["integrate", "--word", "[[[1, 5]]]"],
+    ["integrate", "--element", "coeff"],
+    ["integrate", "--element", "slot"],
+    ["integrate", "--element", "no-slots"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_malformed_input_is_one_error_line(tmp_path, argv):
+    # each of these printed a traceback (ValueError, ZeroDivisionError,
+    # AttributeError or KeyError) instead of a malformed-spec error
+    if argv[0] == "integrate":
+        if argv[1] == "--element":
+            element = tmp_path / "element.json"
+            element.write_text(json.dumps(
+                {"arity": 1, "terms": [BAD_ELEMENT_TERMS[argv[2]]]}),
+                encoding="utf-8")
+            argv = argv[:2] + [str(element)]
+        argv = argv + ["--path",
+                       write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # pinned output bytes
 # ---------------------------------------------------------------------------

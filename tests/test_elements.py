@@ -363,10 +363,12 @@ def test_scale_contractions_match_the_residue_on_random_tensors():
     """Seeded random sub-tensors of the element, with random integer
     coefficients, random label orders and, in some, the scalar b in a
     slot.  A term lacks the labels outside its windows, so some labels
-    pass and some fail."""
+    pass and some fail, and a which that the tensor does not touch at all
+    is refused (trials 6 and 11 draw which=[2] for tensors holding only
+    1, 3 and 4)."""
     rng = random.Random(1717)
     b = scalar_symbol("b")
-    outcomes = set()
+    outcomes, refused = set(), []
     for trial in range(20):
         n = rng.choice((2, 3))
         keys = rng.sample(sorted(build_element(n).tensor.terms),
@@ -379,11 +381,19 @@ def test_scale_contractions_match_the_residue_on_random_tensors():
             pairs.append((key, rng.randint(-3, 3)))
         which = rng.sample(range(1, 2 * n + 1), rng.randint(1, 2 * n))
         t = MultTensor.from_terms(n, pairs)
+        held = {label for slots in t.terms for kind, labels in slots
+                if kind == "D" for label in labels}
+        if held.isdisjoint(which):
+            with pytest.raises(ContractViolation, match="no label of which"):
+                check_scale_invariance(n, which=which, tensor=t)
+            refused.append(trial)
+            continue
         assert_scale_matches_oracle(n, t, which)
         outcomes.update(lab in check_scale_invariance(
             n, which=which, tensor=t).details["failing_labels"]
             for lab in which)
     assert outcomes == {False, True}
+    assert refused == [6, 11]
 
 
 def test_scale_check_falls_back_when_the_tensor_holds_a():
@@ -392,11 +402,27 @@ def test_scale_check_falls_back_when_the_tensor_holds_a():
     # is a, not zero.  Holding a, the tensor goes the residue way.
     a = scalar_symbol("a")
     t = MultTensor.from_terms(2, [((D1, a), 1), ((a, D1), -1)])
-    assert _scale_failures(t) == {1}
+    assert _scale_failures(t) == ({1}, {1})
     assert check_scale_invariance(1, which=[1], tensor=t).passed
     assert_scale_matches_oracle(1, t, [1, 2])
     assert_scale_matches_oracle(1, t + MultTensor.from_terms(
         2, [((D1, D2), 2)]), [2, 1])
+
+
+def test_scale_check_refuses_labels_the_tensor_does_not_hold():
+    # the default which of 1..4 misses a mutated element on labels 5..8,
+    # which the same check fails when asked about its own labels
+    moved = flip_first_term(build_element(2, labels=(5, 6, 7, 8)).tensor)
+    with pytest.raises(ContractViolation, match="no label of which"):
+        check_scale_invariance(2, tensor=moved)
+    assert not check_scale_invariance(2, which=[5, 6, 7, 8],
+                                      tensor=moved).passed
+    mutated = flip_first_term(build_element(2).tensor)
+    with pytest.raises(ContractViolation, match="no label of which"):
+        check_scale_invariance(2, tensor=mutated, which=[9])
+    # one held label is enough: 9 is checked and passes, 1 fails
+    rep = check_scale_invariance(2, tensor=mutated, which=[9, 1])
+    assert rep.details["failing_labels"] == [1]
 
 
 def test_scale_contractions_match_the_residue_at_degree_4():

@@ -9,9 +9,9 @@ import pytest
 
 from grasspoly.aomoto import GEN, MONO, AomotoExpr, make_gen
 from grasspoly.errors import ContractViolation
-from grasspoly.tensors import (MultTensor, WedgeTensor, _sort_with_sign, alt,
-                               bracket_symbol, equal, parse_symbol,
-                               perms_with_signs, scalar_symbol,
+from grasspoly.tensors import (MultTensor, WedgeTensor, _coeff_from_json,
+                               _sort_with_sign, alt, bracket_symbol, equal,
+                               parse_symbol, perms_with_signs, scalar_symbol,
                                symbol_sort_key, symbol_to_str,
                                tensor_of_slots, wedge_project)
 
@@ -74,6 +74,12 @@ def test_scalar_symbol_and_parse_round_trip():
         scalar_symbol("")
     with pytest.raises(ContractViolation):
         parse_symbol("")
+
+
+@pytest.mark.parametrize("bad", ["D[1,x]", "D[1.5]", 5, None, ["D[1]"]])
+def test_parse_symbol_refuses_non_strings_and_non_integer_labels(bad):
+    with pytest.raises(ContractViolation):
+        parse_symbol(bad)
 
 
 def test_symbol_sort_key_orders_brackets_before_scalars():
@@ -194,6 +200,38 @@ def test_json_round_trip():
     assert MultTensor.from_json_dict(frac.to_json_dict()) == frac
     with pytest.raises(ContractViolation):
         MultTensor.from_json_dict({"terms": []})
+    with pytest.raises(ContractViolation):
+        MultTensor.from_json_dict({"arity": "x", "terms": []})
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", ""])
+def test_coeff_from_json_refuses_what_is_not_a_rational(bad):
+    with pytest.raises(ContractViolation, match="bad coefficient"):
+        _coeff_from_json(bad)
+    assert _coeff_from_json("-6/4") == Fraction(-3, 2)
+    assert type(_coeff_from_json("4/2")) is int
+
+
+GOOD_TERM = {"coeff": 2, "slots": [["D[1]"]]}
+
+
+@pytest.mark.parametrize("terms", [
+    [GOOD_TERM, {"coeff": 1}],
+    [GOOD_TERM, {"slots": [["D[1]"]]}],
+    [GOOD_TERM, {"coeff": "x", "slots": [["D[1]"]]}],
+    [GOOD_TERM, {"coeff": 1, "slots": [["D[1,x]"]]}],
+    [GOOD_TERM, {"coeff": 1, "slots": [[5]]}],
+    [GOOD_TERM, {"coeff": 1, "slots": 5}],
+    [GOOD_TERM, "D[1]"],
+    [GOOD_TERM, None],
+    5,
+], ids=["no-slots", "no-coeff", "bad-coeff", "bad-label", "int-symbol",
+        "int-slots", "string-term", "null-term", "int-terms"])
+def test_tensor_from_json_refuses_malformed_terms(terms):
+    with pytest.raises(ContractViolation):
+        MultTensor.from_json_dict({"arity": 1, "terms": terms})
+    assert MultTensor.from_json_dict({"arity": 1, "terms": [GOOD_TERM]}) == \
+        MultTensor.from_terms(1, [((bracket_symbol((1,))[0],), 2)])
 
 
 # ---------------------------------------------------------------------------
