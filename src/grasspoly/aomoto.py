@@ -59,9 +59,9 @@ from typing import NamedTuple
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
-                      symbol_to_str, _coeff_from_json, _coeff_to_json,
-                      _combine, _expand_slots, _LinearCombination,
-                      _sort_with_sign)
+                      symbol_to_str, _coeff_to_json, _combine,
+                      _expand_slots, _LinearCombination, _sort_with_sign,
+                      _terms_from_json, _vector_labels)
 
 GEN = "g"
 MONO = "m"
@@ -120,23 +120,22 @@ _GEN_HEAD = "A_"
 
 
 def parse_gen(s):
+    """The canonical generator printed as `s`, A_w[prefix|left;right]
+    with comma-separated integer labels; other text is refused."""
+    if not isinstance(s, str):
+        raise ContractViolation(f"a generator is a string, got {s!r}")
     s = s.strip()
-    if not s.startswith(_GEN_HEAD):
+    if not s.startswith(_GEN_HEAD) or not s.endswith("]"):
         raise ContractViolation(f"not a generator string: {s!r}")
-    lb = s.index("[")
-    if not s.endswith("]"):
-        raise ContractViolation(f"not a generator string: {s!r}")
-    body = s[lb + 1:-1]
-    pre_part, rest = body.split("|", 1)
-    l_part, r_part = rest.split(";", 1)
-
-    def ints(part):
-        part = part.strip()
-        if not part:
-            return ()
-        return tuple(int(p) for p in part.split(","))
-
-    gen, sign = make_gen(ints(pre_part), ints(l_part), ints(r_part))
+    try:
+        pre_part, rest = s[s.index("[") + 1:-1].split("|", 1)
+        parts = (pre_part, *rest.split(";", 1))
+        pre, left, right = (tuple(int(p) for p in part.split(","))
+                            if part.strip() else () for part in parts)
+    except ValueError:
+        raise ContractViolation(
+            f"malformed generator string: {s!r}") from None
+    gen, sign = make_gen(pre, left, right)
     if gen is None:
         raise ContractViolation(f"degenerate generator string: {s!r}")
     if sign != 1:
@@ -188,7 +187,7 @@ class AomotoExpr(_LinearCombination):
     def _key_str(self, factors):
         return " (x) ".join(self._factor_strs(factors))
 
-    # -- serialization (mirrors the tensor wire format) ---------------------
+    # -- serialization (the tensor wire format, read by the same loop) ------
 
     def to_json_dict(self):
         terms = []
@@ -201,24 +200,26 @@ class AomotoExpr(_LinearCombination):
 
     @classmethod
     def from_json_dict(cls, data):
-        pairs = []
-        for t in data["terms"]:
-            coeff = _coeff_from_json(t["coeff"])
-            factors = []
-            for slot in t["slots"]:
-                if len(slot) == 1 and slot[0].startswith(_GEN_HEAD):
-                    factors.append((GEN, parse_gen(slot[0])))
-                else:
-                    mono = []
-                    for atom in slot:
-                        if "^" in atom:
-                            sym_s, e_s = atom.rsplit("^", 1)
-                            mono.append((parse_symbol(sym_s), int(e_s)))
-                        else:
-                            mono.append((parse_symbol(atom), 1))
-                    factors.append((MONO, tuple(mono)))
-            pairs.append((tuple(factors), coeff))
-        return cls.from_terms(pairs)
+        return cls.from_terms(_terms_from_json(data, _factor_from_json))
+
+
+def _factor_from_json(slot):
+    """One factor of the wire format: a generator string alone, or the
+    atoms "symbol" and "symbol^exponent" of a monomial."""
+    if not isinstance(slot, (list, tuple)) or not all(
+            isinstance(atom, str) for atom in slot):
+        raise ContractViolation(f"a slot is a list of strings, got {slot!r}")
+    if len(slot) == 1 and slot[0].startswith(_GEN_HEAD):
+        return (GEN, parse_gen(slot[0]))
+    mono = []
+    for atom in slot:
+        sym_s, hat, e_s = atom.rpartition("^")
+        sym = parse_symbol(sym_s if hat else atom)
+        try:
+            mono.append((sym, int(e_s) if hat else 1))
+        except ValueError:
+            raise ContractViolation(f"bad exponent in {atom!r}") from None
+    return (MONO, tuple(mono))
 
 
 def _mono(*signed_brackets):
@@ -498,13 +499,7 @@ def pairing_element_labels(n, labels=None, prefix=()):
     n = int(n)
     if n < 2:
         raise ContractViolation("pairing element needs n >= 2")
-    if labels is None:
-        labels = tuple(range(1, 2 * n + 1))
-    labels = tuple(int(i) for i in labels)
-    if len(labels) != 2 * n:
-        raise ContractViolation(f"need 2n = {2*n} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ContractViolation("labels must be distinct")
+    labels = _vector_labels(n, labels)
     prefix = tuple(int(i) for i in prefix)
     multiplicity = factorial(n) ** 2
 

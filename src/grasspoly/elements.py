@@ -52,7 +52,8 @@ from typing import NamedTuple
 from .errors import ContractViolation
 from .tensors import (BRACKET, MultTensor, WedgeTensor, bracket_symbol,
                       perms_with_signs, scalar_symbol, symbol_to_str,
-                      wedge_project, _combine, _expand_slots, _parities)
+                      wedge_project, _combine, _expand_slots, _parities,
+                      _vector_labels)
 
 
 # The degrees each command, verify suite and period supports.  A degree-n
@@ -94,13 +95,7 @@ def build_element(n, labels=None, prefix=(), signed=False):
     n = int(n)
     if n < 1:
         raise ContractViolation("degree must be >= 1")
-    if labels is None:
-        labels = tuple(range(1, 2 * n + 1))
-    labels = tuple(int(i) for i in labels)
-    if len(labels) != 2 * n:
-        raise ContractViolation(f"need 2n = {2*n} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ContractViolation("labels must be distinct")
+    labels = _vector_labels(n, labels)
     prefix = tuple(int(i) for i in prefix)
     if set(prefix) & set(labels):
         raise ContractViolation("prefix labels must not occur among labels")
@@ -139,7 +134,7 @@ def scale_label(tensor, label, name):
         for slots, coeff in tensor.terms.items():
             monos = []
             for sym in slots:
-                if sym[0] == "D" and label in sym[1]:
+                if sym[0] == BRACKET and label in sym[1]:
                     monos.append(((a, 1), (sym, 1)))
                 else:
                     monos.append(((sym, 1),))

@@ -976,10 +976,8 @@ def iterate_words(words, path, tol=1e-12, budget=DEFAULT_BUDGET):
     Returns a list of IterIntResult in the order given; all results carry
     the shared panel count, the number of panel sweeps evaluated.
     """
-    if not isinstance(path, PathSpec):
-        raise PathError("iterate_words needs a PathSpec")
-    return _iterate_prepared(_WordBatch(words, path.dim, path.count), path,
-                             tol, budget)
+    layout = _layout(path, words, element=False, name="iterate_words")
+    return _iterate_prepared(layout, path, tol, budget)
 
 
 def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
@@ -988,10 +986,8 @@ def iterate_word(word, path, tol=1e-12, budget=DEFAULT_BUDGET,
     nesting convention (first letter innermost).  `initial`, when given,
     holds the start values of the word's prefixes of length 0, 1, ...,
     len(word) (default 1, 0, ..., 0)."""
-    if not isinstance(path, PathSpec):
-        raise PathError("iterate_word needs a PathSpec")
-    return _iterate_prepared(_WordBatch([word], path.dim, path.count), path,
-                             tol, budget, start=initial)[0]
+    layout = _layout(path, [word], element=False, name="iterate_word")
+    return _iterate_prepared(layout, path, tol, budget, start=initial)[0]
 
 
 def _iterate_prepared(states, path, tol, budget, start=None):
@@ -1007,17 +1003,29 @@ def iterate_element(t, path, tol=1e-12, budget=DEFAULT_BUDGET):
     """Iterated integral of a tensor element: the coefficient-weighted sum
     of its term words, swept as one minimal weighted automaton.  The
     error is the accumulated |whole - halves| of the element's value, not
-    a sum of per-word errors."""
+    a sum of per-word errors.  Any element but grassmannian_tate's own is
+    integrated here."""
+    layout = _layout(path, t, element=True, name="iterate_element")
+    return _iterate_prepared(layout, path, tol, budget)[0]
+
+
+def _layout(path, obj, element=None, name=None, loop=False):
+    """The sweep layout of `obj` on `path`: an element's `_Automaton` or a
+    word list's `_WordBatch`.  The path must be a PathSpec (and closed, for
+    a `loop`), or a PathError names the entry point `name`.  With `element`
+    None, obj is an element or one word, told apart by whether it is a
+    MultTensor, and `name` is the iterate_* function of that kind."""
+    if element is None:
+        element = isinstance(obj, MultTensor)
+        obj = obj if element else [obj]
+        name = name or ("iterate_element" if element else "iterate_word")
     if not isinstance(path, PathSpec):
-        raise PathError("iterate_element needs a PathSpec")
-    return _iterate_prepared(_Automaton(t, path.dim, path.count), path,
-                             tol, budget)[0]
-
-
-def _integrate_any(obj, path, tol, budget):
-    if isinstance(obj, MultTensor):
-        return iterate_element(obj, path, tol=tol, budget=budget)
-    return iterate_word(obj, path, tol=tol, budget=budget)
+        raise PathError(f"{name} needs a PathSpec")
+    if loop and not path.is_closed():
+        raise PathError(f"{name} needs a closed loop")
+    if element:
+        return _Automaton(obj, path.dim, path.count)
+    return _WordBatch(obj, path.dim, path.count)
 
 
 def homotopy_test(obj, path, deformations=5, amplitude=0.1, seed=0,
@@ -1027,11 +1035,12 @@ def homotopy_test(obj, path, deformations=5, amplitude=0.1, seed=0,
 
     Deforms the path `deformations` times with endpoint-fixing bumps,
     resampling a deformation (fresh seed) when it collides with a pole,
-    and reports the maximal deviation from the undeformed value.  Integrable
-    elements must show spread below tol; a generic non-integrable word will
-    not.  Fewer than one deformation, or a zero amplitude (every
-    deformation is the path itself), is refused: such a test compares
-    nothing and would pass anything.
+    and reports the maximal deviation from the undeformed value; one sweep
+    layout serves the path and every deformation.  Integrable elements
+    must show spread below tol; a generic non-integrable word will not.
+    Fewer than one deformation, or a zero amplitude (every deformation is
+    the path itself), is refused: such a test compares nothing and would
+    pass anything.
     """
     if int(deformations) < 1:
         raise ContractViolation(
@@ -1039,15 +1048,16 @@ def homotopy_test(obj, path, deformations=5, amplitude=0.1, seed=0,
             f"{deformations}")
     if amplitude == 0:
         raise ContractViolation("homotopy_test needs a nonzero amplitude")
-    base = _integrate_any(obj, path, tol=quad_tol, budget=budget)
+    layout = _layout(path, obj)
+    base = _iterate_prepared(layout, path, quad_tol, budget)[0]
 
     def trial(i):
         for attempt in range(int(resample)):
             deformed = path.deform(seed=repr(("homotopy", seed, i, attempt)),
                                    amplitude=amplitude, mask=mask)
             try:
-                return _integrate_any(obj, deformed, tol=quad_tol,
-                                      budget=budget)
+                return _iterate_prepared(layout, deformed, quad_tol,
+                                         budget)[0]
             except PoleError:
                 continue
         raise PathError(
@@ -1099,8 +1109,5 @@ def shuffle_test(word_a, word_b, path, tol=1e-8, quad_tol=1e-12,
 def monodromy_probe(obj, loop, tol=1e-12, budget=DEFAULT_BUDGET):
     """Value of an element or word around a closed loop; nonzero values
     witness monodromy of the underlying multivalued function."""
-    if not isinstance(loop, PathSpec):
-        raise PathError("monodromy probe needs a PathSpec")
-    if not loop.is_closed():
-        raise PathError("monodromy probe needs a closed loop")
-    return _integrate_any(obj, loop, tol=tol, budget=budget).value
+    layout = _layout(loop, obj, name="monodromy probe", loop=True)
+    return _iterate_prepared(layout, loop, tol, budget)[0].value

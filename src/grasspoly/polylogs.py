@@ -35,7 +35,6 @@ from .errors import ContractViolation, DegeneracyError, PathError
 from .iterint import (DEFAULT_BUDGET, IterIntResult, PathSpec, _Automaton,
                       _controls, _iterate_prepared, _WordBatch, dlog_letter,
                       iterate_word)
-from .tensors import MultTensor
 
 LI_START_OFFSET = 1e-6
 # The most terms li_series sums before it gives up short of its tolerance.
@@ -403,16 +402,15 @@ def _window_terms(n):
     return _Automaton(build_element(n).tensor, n, 2 * n)
 
 
-def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
-                      element=None):
+def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET):
     """Iterated integral of the degree-n window element along a path of
     2n-vector configurations: the general-n period as a function of the
     path.  Homotopy invariance (within the pole-free region) follows from
     the integrability of the element.  The supported degrees, 2 to 4, are
     `elements.DEGREES["grassmannian_tate"]`.  The element is swept as the
-    minimal weighted automaton of its words; the default element's
-    automaton is built on the first call of each degree and kept, and an
-    `element` override is used as given and prepared on every call.  The
+    minimal weighted automaton of its words, built on the first call of
+    each degree and kept (`_window_terms`); any other element, a scaled or
+    mutated one included, is integrated by `iterint.iterate_element`.  The
     error is the element's own accumulated difference of whole and halved
     panels.
     """
@@ -425,11 +423,5 @@ def grassmannian_tate(n, path, tol=1e-12, budget=DEFAULT_BUDGET,
         raise PathError(
             f"need a path of {2*n} vectors in dimension {n}, got "
             f"count={path.count}, dim={path.dim}")
-    if element is None:
-        automaton = _window_terms(n)
-    elif isinstance(element, MultTensor):
-        automaton = _Automaton(element, n, 2 * n)
-    else:
-        raise ContractViolation("element override must be a MultTensor")
-    res, = _iterate_prepared(automaton, path, tol, budget)
+    res, = _iterate_prepared(_window_terms(n), path, tol, budget)
     return res

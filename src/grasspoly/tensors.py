@@ -59,10 +59,15 @@ def bracket_symbol(indices, signed=False):
 
 
 def scalar_symbol(label):
-    """Named multiplicative scalar, e.g. a deformation parameter."""
+    """Named multiplicative scalar, e.g. a deformation parameter.  A label
+    holding "[" or "]", or with surrounding whitespace, is refused, so
+    that parse_symbol reads every printed symbol back as itself."""
     label = str(label)
     if not label:
         raise ContractViolation("empty scalar label")
+    if "[" in label or "]" in label or label != label.strip():
+        raise ContractViolation(
+            f"scalar label {label!r} holds a bracket or surrounding space")
     return (SCALAR, label)
 
 
@@ -81,16 +86,22 @@ def symbol_to_str(sym):
 
 
 def parse_symbol(s):
+    """The symbol that symbol_to_str prints as `s`: a bracket D[i,j,...]
+    of integer labels, or a scalar label.  Other text holding "[" or "]"
+    is refused rather than read as a scalar, whose d log is zero."""
     if not isinstance(s, str):
         raise ContractViolation(f"a symbol is a string, got {s!r}")
     s = s.strip()
-    if s.startswith("D[") and s.endswith("]"):
+    if s.startswith(BRACKET + "[") and s.endswith("]"):
         try:
             ix = tuple(int(p) for p in s[2:-1].split(",") if p.strip())
         except ValueError:
             raise ContractViolation(
                 f"bracket labels must be integers: {s!r}") from None
         return bracket_symbol(ix)[0]
+    if "[" in s or "]" in s:
+        raise ContractViolation(
+            f"malformed bracket {s!r}: a bracket is D[i,j,...]")
     if not s:
         raise ContractViolation("empty symbol string")
     return scalar_symbol(s)
@@ -324,25 +335,48 @@ class MultTensor(_LinearCombination):
     def from_json_dict(cls, data):
         try:
             arity = int(data["arity"])
-            raw = list(data["terms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"bad tensor payload: {exc}") from exc
-        pairs = []
-        for t in raw:
-            try:
-                coeff, raw_slots = t["coeff"], list(t["slots"])
-            except (KeyError, TypeError) as exc:
-                raise ContractViolation(
-                    f"bad tensor term {t!r}: {exc!r}") from exc
-            coeff = _coeff_from_json(coeff)
-            slots = []
-            for slot in raw_slots:
-                if not isinstance(slot, (list, tuple)) or len(slot) != 1:
-                    raise ContractViolation(
-                        "canonical tensors have single-symbol slots")
-                slots.append(parse_symbol(slot[0]))
-            pairs.append((tuple(slots), coeff))
-        return cls.from_terms(arity, pairs)
+        return cls.from_terms(arity, _terms_from_json(data, _single_symbol))
+
+
+def _single_symbol(slot):
+    if not isinstance(slot, (list, tuple)) or len(slot) != 1:
+        raise ContractViolation("canonical tensors have single-symbol slots")
+    return parse_symbol(slot[0])
+
+
+def _terms_from_json(data, read_slot):
+    """The (slots, coeff) pairs of the wire format's term list,
+    data["terms"] = [{"coeff": c, "slots": [slot, ...]}, ...], each slot
+    read by read_slot; a payload or term of another shape is refused."""
+    try:
+        raw = list(data["terms"])
+    except (KeyError, TypeError) as exc:
+        raise ContractViolation(f"bad tensor payload: {exc}") from exc
+    pairs = []
+    for t in raw:
+        try:
+            coeff, raw_slots = t["coeff"], list(t["slots"])
+        except (KeyError, TypeError) as exc:
+            raise ContractViolation(
+                f"bad tensor term {t!r}: {exc!r}") from exc
+        coeff = _coeff_from_json(coeff)
+        pairs.append((tuple(map(read_slot, raw_slots)), coeff))
+    return pairs
+
+
+def _vector_labels(n, labels=None):
+    """The 2n distinct integer labels of the vectors of a degree-n
+    element, 1..2n by default."""
+    if labels is None:
+        return tuple(range(1, 2 * n + 1))
+    labels = tuple(int(i) for i in labels)
+    if len(labels) != 2 * n:
+        raise ContractViolation(f"need 2n = {2*n} labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ContractViolation("labels must be distinct")
+    return labels
 
 
 def equal(t1, t2):

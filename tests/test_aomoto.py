@@ -87,6 +87,29 @@ def test_gen_str_and_parse_round_trip():
         parse_gen("A_1[|2,1;3,4]")
 
 
+@pytest.mark.parametrize("bad", ["A_2[1,2]", "A_2[|1,x;2,3]", "A_2[|1,2]",
+                                 5])
+def test_parse_gen_refuses_malformed_text(bad):
+    # these raised ValueError ("not enough values to unpack", "invalid
+    # literal for int()") or, for a non-string, AttributeError
+    with pytest.raises(ContractViolation):
+        parse_gen(bad)
+
+
+@pytest.mark.parametrize("data", [
+    {"terms": [{"coeff": 1}]},
+    {"terms": [{"slots": [["A_1[|1,2;3,4]"]]}]},
+    {},
+    {"terms": [{"coeff": 1, "slots": [["D[1,2]^x"]]}]},
+    {"terms": [{"coeff": 1, "slots": [[3]]}]},
+    {"terms": [{"coeff": 1, "slots": [["A_1[1,2]"]]}]},
+])
+def test_expr_from_json_refuses_malformed_terms(data):
+    # a term without coeff or slots raised KeyError
+    with pytest.raises(ContractViolation):
+        AomotoExpr.from_json_dict(data)
+
+
 def test_gen_repr_and_hash_are_those_of_its_fields():
     # the repr is the sort key of AomotoExpr terms, so it fixes term order
     gen, _ = make_gen((5,), (1, 2), (3, 4))

@@ -780,6 +780,35 @@ def test_malformed_input_is_one_error_line(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("option, symbol", [
+    ("--word", "D[1,2"), ("--word", "D [1,2]"), ("--word", "[1,4]"),
+    ("--element", "D[1,4"), ("--word", "a"),
+])
+def test_malformed_bracket_text_is_refused(tmp_path, option, symbol):
+    # each malformed bracket was read as a scalar letter, whose d log is 0,
+    # so the command printed the value [0.0, 0.0] and exited 0; a scalar
+    # label still integrates to that 0
+    letter = json.dumps([[[1, symbol]]])
+    if option == "--element":
+        spec = tmp_path / "element.json"
+        spec.write_text(json.dumps({"arity": 1, "terms": [
+            {"coeff": 1, "slots": [[symbol]]}]}), encoding="utf-8")
+        letter = str(spec)
+    path = PathSpec.line([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+                         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 1.0]])
+    proc = run_cli("integrate", option, letter,
+                   "--path", write_path(tmp_path, path))
+    if symbol == "a":
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == [0.0, 0.0]
+        return
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "malformed bracket" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # pinned output bytes
 # ---------------------------------------------------------------------------

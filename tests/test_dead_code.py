@@ -65,13 +65,15 @@ def test_no_unreferenced_private_helpers():
 # Parameters kept only so that existing callers still work.  The
 # benchmark workers still pass num_points and seed to the Steinberg check,
 # which evaluates no point (see the FOUND: on perfbench/ in CHANGES.md);
-# both keywords go when those callers drop them.
+# both keywords go when those callers drop them.  An entry that names a
+# function that no longer exists, or a parameter that its function reads
+# or no longer has, fails the test, so the list cannot outlive its callers.
 _KEPT_UNREAD = {"check_steinberg_wedge": {"num_points", "seed"}}
 
 
 def test_no_unread_parameters():
     # a method's receiver is Python's to pass, and __setattr__ only refuses
-    unread = []
+    unread, kept_unread = [], set()
     for name, tree in sorted(_package_trees().items()):
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -85,12 +87,20 @@ def test_no_unread_parameters():
                     if isinstance(n, ast.Name)
                     and isinstance(n.ctx, ast.Load)}
             function = getattr(node, "name", "<lambda>")
+            kept_unread |= {(function, param) for param in params
+                            if param in _KEPT_UNREAD.get(function, ())
+                            and param not in read}
             kept = {"self", "cls"} | _KEPT_UNREAD.get(function, set())
             if function == "__setattr__":
                 kept |= {"name", "value"}
             unread.extend(f"{name}:{function}:{param}" for param in params
                           if param not in read and param not in kept)
     assert unread == []
+    stale = sorted((function, param)
+                   for function, params in _KEPT_UNREAD.items()
+                   for param in params
+                   if (function, param) not in kept_unread)
+    assert stale == []
 
 
 def test_every_cli_option_is_read():

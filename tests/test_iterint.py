@@ -1275,6 +1275,57 @@ def test_monodromy_requires_a_closed_loop():
         monodromy_probe([W1], "loop")
 
 
+@pytest.mark.parametrize("probe", ["homotopy element", "homotopy word",
+                                   "monodromy"])
+def test_identity_probes_build_one_layout(monkeypatch, probe):
+    # homotopy_test built a new layout for every deformation, 1 +
+    # deformations in all, each through a public iterate_* function that
+    # checked the path again; monodromy_probe also went through one
+    from grasspoly.elements import build_element
+
+    built = []
+
+    def counted(init):
+        def init_and_count(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return init_and_count
+
+    def reentered(*args, **kwargs):
+        raise AssertionError("a probe went through a public entry point")
+
+    for cls in (_Automaton, _WordBatch):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    for name in ("iterate_element", "iterate_word", "iterate_words"):
+        monkeypatch.setattr(iterint, name, reentered)
+    if probe == "homotopy element":
+        report = homotopy_test(build_element(2).tensor, safe_element_path(),
+                               deformations=3, amplitude=0.02,
+                               quad_tol=1e-10)
+        assert report["status"] == "pass"
+        assert built == ["_Automaton"]
+    elif probe == "homotopy word":
+        # the first deformation crosses the zero of D[1] and is resampled
+        deform, deformed = PathSpec.deform, []
+
+        def first_through_a_pole(path, *args, **kwargs):
+            deformed.append(args)
+            if len(deformed) == 1:
+                return PathSpec.line([[-1.0], [2.0]], [[1.0], [5.0]])
+            return deform(path, *args, **kwargs)
+
+        monkeypatch.setattr(PathSpec, "deform", first_through_a_pole)
+        path = PathSpec.line([[1.0], [2.0]], [[3.0], [5.0]])
+        report = homotopy_test([W1], path, deformations=3)
+        assert report["status"] == "pass"
+        assert len(deformed) == 4
+        assert built == ["_WordBatch"]
+    else:
+        loop = PathSpec.polygon([[[1.0]], [[1j]], [[-1.0]], [[-1j]]])
+        assert abs(monodromy_probe([W1], loop) - 2j * math.pi) < 1e-10
+        assert built == ["_WordBatch"]
+
+
 # ---------------------------------------------------------------------------
 # determinism across worker counts
 

@@ -532,8 +532,6 @@ def test_grassmannian_tate_runs_and_validates():
         grassmannian_tate(3, path)
     with pytest.raises(PathError):
         grassmannian_tate(2, "path")
-    with pytest.raises(ContractViolation):
-        grassmannian_tate(2, path, element="tensor")
 
 
 def detour(start, end, lift):
@@ -573,10 +571,10 @@ def test_grassmannian_tate_matches_recorded_values(n, points, recorded,
     again = grassmannian_tate(n, path)
     assert (again.value, again.error, again.panels) == (
         first.value, first.error, first.panels)
-    # an explicit element override is integrated as given
+    # any other element is integrated by iterate_element, as given
     from grasspoly.elements import build_element
 
-    override = grassmannian_tate(n, path, element=2 * build_element(n).tensor)
+    override = iterint.iterate_element(2 * build_element(n).tensor, path)
     assert override.value == 2 * first.value
     assert override.error == 2 * first.error
     assert override.panels == first.panels
@@ -630,11 +628,11 @@ def test_grassmannian_tate_prepares_the_default_batch_once(monkeypatch):
     again = grassmannian_tate(3, path)
     assert (again.value, again.error, again.panels) == (
         first.value, first.error, first.panels)
-    # an element override prepares its own automaton
+    # iterate_element prepares its own automaton
     with pytest.raises(AssertionError, match="rebuilt"):
-        grassmannian_tate(3, path, element=build_element(3).tensor)
+        iterint.iterate_element(build_element(3).tensor, path)
     monkeypatch.undo()
-    override = grassmannian_tate(3, path, element=build_element(3).tensor)
+    override = iterint.iterate_element(build_element(3).tensor, path)
     assert (override.value, override.error, override.panels) == (
         first.value, first.error, first.panels)
 
@@ -744,14 +742,16 @@ def real_paths_by_chamber(per_chamber, seed):
 def degree_two_defect(points, tensor, factor, element=None):
     """Relative defect of grassmannian_tate(2) + base = factor * dR, with
     the base term sum c_ab log|a(x0)| (log|b(x1)| - log|b(x0)|) taken from
-    the element's own coefficients."""
+    the element's own coefficients; another `element` replaces the
+    window element's integral by its iterate_element."""
     x0, x1 = points[0], points[-1]
     base = sum(float(c) * math.log(abs(_bracket_value(x0, a)))
                * (math.log(abs(_bracket_value(x1, b)))
                   - math.log(abs(_bracket_value(x0, b))))
                for (a, b), c in tensor.terms.items())
-    value = grassmannian_tate(2, PathSpec.from_points(points),
-                              element=element).value
+    path = PathSpec.from_points(points)
+    value = (grassmannian_tate(2, path) if element is None
+             else iterint.iterate_element(element, path)).value
     expected = float(factor * (mp_rogers_r(_r_value(x1))
                                - mp_rogers_r(_r_value(x0))))
     return abs(value + base - expected) / abs(expected)
@@ -769,8 +769,8 @@ def test_degree_two_tate_is_twice_the_rogers_dilogarithm():
         worst = max(degree_two_defect(p, tensor, factor)
                     for p in chamber_paths)
         assert worst <= 1e-11, chamber
-        # the identity pins the element: a scaled or sign-flipped
-        # override breaks it
+        # the identity pins the element: a scaled or sign-flipped one,
+        # integrated by iterate_element, breaks it
         first = chamber_paths[0]
         for wrong in (Fraction(3, 2) * tensor, flip_first_term(tensor)):
             assert degree_two_defect(first, tensor, factor,

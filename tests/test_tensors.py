@@ -76,10 +76,33 @@ def test_scalar_symbol_and_parse_round_trip():
         parse_symbol("")
 
 
-@pytest.mark.parametrize("bad", ["D[1,x]", "D[1.5]", 5, None, ["D[1]"]])
+@pytest.mark.parametrize("bad", ["D[1,x]", "D[1.5]", 5, None, ["D[1]"],
+                                 "D[1,2", "D [1,2]", "[1,4]", "D[1]x", "a]"])
 def test_parse_symbol_refuses_non_strings_and_non_integer_labels(bad):
+    # the last five, bracket text that is not a well-formed D[i,j,...],
+    # were read as scalar symbols, whose d log is zero
     with pytest.raises(ContractViolation):
         parse_symbol(bad)
+
+
+def test_every_element_symbol_prints_and_parses_back():
+    from grasspoly.elements import build_element, scale_label
+
+    tensors = [build_element(n).tensor for n in (1, 2, 3)]
+    tensors.append(scale_label(tensors[1], 1, "a"))
+    symbols = {sym for t in tensors for slots in t.terms for sym in slots}
+    # the a-terms of the rescaled element cancel, so scalars are added by
+    # hand; a label that would not print back is refused (before,
+    # scalar_symbol("D[1]") printed as D[1] and parsed back as a bracket)
+    refused = []
+    for label in ("a", "D[1]", "x[2]", "]", " a", "a "):
+        try:
+            symbols.add(scalar_symbol(label))
+        except ContractViolation:
+            refused.append(label)
+    assert refused == ["D[1]", "x[2]", "]", " a", "a "]
+    for sym in symbols:
+        assert parse_symbol(symbol_to_str(sym)) == sym
 
 
 def test_symbol_sort_key_orders_brackets_before_scalars():
