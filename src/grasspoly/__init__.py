@@ -3,7 +3,8 @@ Tate iterated integrals for Grassmannian polylogarithms.
 
 The package splits into an exact layer and a numeric layer.
 
-Exact layer (rational / Gaussian-rational arithmetic throughout):
+Exact layer (rational / Gaussian-rational arithmetic throughout; float
+and complex input is refused, not rounded):
 
 - configurations: vector and point configurations with determinant
   brackets, cross-ratios, projections, and seeded generic sampling.
@@ -14,8 +15,8 @@ Exact layer (rational / Gaussian-rational arithmetic throughout):
 - elements: the sliding-window bracket element, the identity checks
   (comparison, omission relations, scale invariance, integrability,
   Steinberg wedge), and mutation helpers for the test harness.
-- forms: evaluation of bracket symbols and graded wedge pairs on
-  tangent assignments.
+- forms: exact evaluation of d log bracket symbols and graded wedge
+  pairs on tangent assignments with exact entries.
 
 Numeric layer (float/complex with error estimates):
 
@@ -47,14 +48,14 @@ _EXPORTS = {
                "coproduct_higher", "coproduct_weight2", "expand_to_tensor",
                "make_gen", "pairing_element", "pairing_element_labels"),
     "configurations": ("Configuration", "GaussianRational", "as_scalar",
-                       "cross_ratio", "exact_det", "exact_rank",
-                       "random_generic", "scalar_to_complex"),
+                       "cross_ratio", "exact_det", "random_generic",
+                       "scalar_to_complex"),
     "elements": ("GrassElement", "Report", "build_element",
                  "check_comparison", "check_integrability",
                  "check_omission_relations", "check_scale_invariance",
                  "check_steinberg_wedge", "flip_first_term",
-                 "integrability_residues", "omission_residues",
-                 "scale_label", "steinberg_wedge_sides"),
+                 "omission_residues", "scale_label",
+                 "steinberg_wedge_sides"),
     "errors": ("BudgetError", "ContractViolation", "DegeneracyError",
                "PathError", "PoleError"),
     "forms": ("TangentAssignment", "dlog_eval", "random_tangent",

@@ -58,10 +58,9 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import ContractViolation, DegeneracyError
-from .tensors import (BRACKET, MultTensor, bracket_symbol, parse_symbol,
-                      symbol_to_str, _coeff_to_json, _combine,
-                      _expand_slots, _LinearCombination, _sort_with_sign,
-                      _terms_from_json, _vector_labels)
+from .tensors import (BRACKET, MultTensor, bracket_symbol, symbol_to_str,
+                      _combine, _expand_slots, _LinearCombination,
+                      _sort_with_sign, _vector_labels)
 
 GEN = "g"
 MONO = "m"
@@ -116,33 +115,6 @@ def make_gen(prefix, left, right):
     return AomotoGen(tuple(sorted(prefix)), ls, rs), s1 * s2
 
 
-_GEN_HEAD = "A_"
-
-
-def parse_gen(s):
-    """The canonical generator printed as `s`, A_w[prefix|left;right]
-    with comma-separated integer labels; other text is refused."""
-    if not isinstance(s, str):
-        raise ContractViolation(f"a generator is a string, got {s!r}")
-    s = s.strip()
-    if not s.startswith(_GEN_HEAD) or not s.endswith("]"):
-        raise ContractViolation(f"not a generator string: {s!r}")
-    try:
-        pre_part, rest = s[s.index("[") + 1:-1].split("|", 1)
-        parts = (pre_part, *rest.split(";", 1))
-        pre, left, right = (tuple(int(p) for p in part.split(","))
-                            if part.strip() else () for part in parts)
-    except ValueError:
-        raise ContractViolation(
-            f"malformed generator string: {s!r}") from None
-    gen, sign = make_gen(pre, left, right)
-    if gen is None:
-        raise ContractViolation(f"degenerate generator string: {s!r}")
-    if sign != 1:
-        raise ContractViolation(f"non-canonical generator string: {s!r}")
-    return gen
-
-
 class AomotoExpr(_LinearCombination):
     """Linear combination of factor tuples (generators and monomials)."""
 
@@ -186,40 +158,6 @@ class AomotoExpr(_LinearCombination):
 
     def _key_str(self, factors):
         return " (x) ".join(self._factor_strs(factors))
-
-    # -- serialization (the tensor wire format, read by the same loop) ------
-
-    def to_json_dict(self):
-        terms = []
-        for factors, coeff in self.items_sorted():
-            terms.append({"coeff": _coeff_to_json(coeff),
-                          "slots": [self._factor_strs((f,))
-                                    for f in factors]})
-        return {"arity": None if not self.terms else
-                len(next(iter(self.terms))), "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls.from_terms(_terms_from_json(data, _factor_from_json))
-
-
-def _factor_from_json(slot):
-    """One factor of the wire format: a generator string alone, or the
-    atoms "symbol" and "symbol^exponent" of a monomial."""
-    if not isinstance(slot, (list, tuple)) or not all(
-            isinstance(atom, str) for atom in slot):
-        raise ContractViolation(f"a slot is a list of strings, got {slot!r}")
-    if len(slot) == 1 and slot[0].startswith(_GEN_HEAD):
-        return (GEN, parse_gen(slot[0]))
-    mono = []
-    for atom in slot:
-        sym_s, hat, e_s = atom.rpartition("^")
-        sym = parse_symbol(sym_s if hat else atom)
-        try:
-            mono.append((sym, int(e_s) if hat else 1))
-        except ValueError:
-            raise ContractViolation(f"bad exponent in {atom!r}") from None
-    return (MONO, tuple(mono))
 
 
 def _mono(*signed_brackets):

@@ -120,12 +120,15 @@ def _cmd_verify(args):
 
 
 def _parse_coeff(c):
-    if isinstance(c, (int, float)):
+    """A JSON number, a rational string "p/q", or a [re, im] pair; JSON
+    true and false (the Python ints 1 and 0) are refused, in a pair too."""
+    if isinstance(c, (int, float)) and not isinstance(c, bool):
         return c
     try:
         if isinstance(c, str):
             return Fraction(c)
-        if isinstance(c, list) and len(c) == 2:
+        if (isinstance(c, list) and len(c) == 2
+                and not any(isinstance(x, bool) for x in c)):
             return complex(float(c[0]), float(c[1]))
     except (TypeError, ValueError, ZeroDivisionError):
         pass

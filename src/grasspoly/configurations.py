@@ -18,10 +18,11 @@ Conventions used throughout the package:
   the corresponding center-prepended bracket of the original, exactly and
   including sign.
 
-All arithmetic is exact.  Determinants and ranks scale each row to
-integers (Gaussian integers for complex entries) and run fraction-free
-Bareiss elimination, so no Fraction arithmetic happens inside the
-elimination; float entries are taken at their exact binary values.
+All arithmetic is exact.  Determinants and the genericity test scale
+each row to integers (Gaussian integers for GaussianRational entries)
+and run fraction-free Bareiss elimination, so no Fraction arithmetic
+happens inside the elimination.  A matrix entry is an int, a Fraction or
+a GaussianRational; a float or complex entry is refused.
 """
 
 import random
@@ -204,9 +205,10 @@ def scalar_to_complex(x):
 
 class _GaussInt:
     """Gaussian integer re + im*i: the entry type of the fraction-free
-    kernel when a matrix has complex entries.  + and * also take a plain
-    int on either side and // takes one on the right (the kernel's zero
-    sums and its first Bareiss divisor are ints); // is exact division."""
+    kernel when a matrix has GaussianRational entries.  + and * also take
+    a plain int on either side and // takes one on the right (the
+    kernel's zero sums and its first Bareiss divisor are ints); // is
+    exact division."""
 
     __slots__ = ("re", "im")
 
@@ -266,10 +268,6 @@ def _parts(x):
         return x, 0
     if isinstance(x, GaussianRational):
         return x.re, x.im
-    if isinstance(x, float):
-        return Fraction(x), 0
-    if isinstance(x, complex):
-        return Fraction(x.real), Fraction(x.imag)
     raise ContractViolation(f"not a matrix entry: {x!r}")
 
 
@@ -277,8 +275,7 @@ def _integer_rows(rows):
     """Each row times the lcm of its entries' denominators.
 
     Returns (int_rows, scales).  The entries are ints, or _GaussInt for
-    every entry when any entry has a nonzero imaginary part.  Float and
-    complex entries are taken at their exact binary values.
+    every entry when any entry has a nonzero imaginary part.
     """
     parts = [[_parts(x) for x in row] for row in rows]
     gaussian = any(im for row in parts for _, im in row)
@@ -335,11 +332,11 @@ def _bareiss(m):
 def exact_det(rows):
     """Determinant of a square matrix of exact scalars.
 
-    Each row is scaled to integers (Gaussian integers for complex
-    entries), the integer determinant comes from fraction-free Bareiss
-    elimination, and the result is divided by the product of the row
-    scales: a Fraction, or a GaussianRational when it has an imaginary
-    part.  Float entries are taken at their exact binary values.
+    Each row is scaled to integers (Gaussian integers for
+    GaussianRational entries), the integer determinant comes from
+    fraction-free Bareiss elimination, and the result is divided by the
+    product of the row scales: a Fraction, or a GaussianRational when it
+    has an imaginary part.  A float or complex entry is refused.
     """
     n = len(rows)
     for r in rows:
@@ -347,13 +344,6 @@ def exact_det(rows):
             raise ContractViolation("determinant of a non-square matrix")
     int_rows, scales = _integer_rows(rows)
     return _quotient(_bareiss(int_rows)[1], prod(scales))
-
-
-def exact_rank(rows):
-    """Rank of a rectangular matrix of exact scalars."""
-    if not rows:
-        return 0
-    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def validate_subset(subset, count=None):

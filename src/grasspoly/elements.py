@@ -397,52 +397,6 @@ def check_scale_invariance(n, which=None, tensor=None):
 # integrability
 
 
-def _integrability_points(n, ks, tensor, num_points, seed, bound, gaussian):
-    """Yield (point_index, config, graded values per k) for each seeded
-    point: the point is drawn once, its d log table is built once and
-    shared by every wedge position, and each projection's groups are
-    prepared once for all points.  An empty sample (no position or no
-    point) is refused, since it would certify anything."""
-    from .configurations import random_generic
-    from .forms import _DlogTable, _WedgeGroups, random_tangent
-
-    if not ks:
-        raise ContractViolation("integrability needs a wedge position")
-    if int(num_points) < 1:
-        raise ContractViolation(
-            f"integrability needs at least one point, not {num_points}")
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise ContractViolation(
-                f"wedge position {k} out of range for n={n}")
-    if tensor is None:
-        tensor = build_element(n).tensor
-    projections = [_WedgeGroups(wedge_project(tensor, k)) for k in ks]
-    symbols = list(dict.fromkeys(s for g in projections for s in g.symbols))
-    for p in range(int(num_points)):
-        cfg = random_generic(n, 2 * n, seed=repr(("integrability", seed, p)),
-                             bound=bound, gaussian=gaussian)
-        rng = random.Random(repr(("integrability-tangent", seed, p)))
-        u, v = (random_tangent(len(cfg), cfg.dim, rng, bound),
-                random_tangent(len(cfg), cfg.dim, rng, bound))
-        table = _DlogTable(cfg.vectors, (u, v), symbols)
-        yield p, cfg, [g.graded(table) for g in projections]
-
-
-def integrability_residues(n, k, tensor=None, num_points=20, seed=0,
-                           bound=13, gaussian=False):
-    """Exact wedge values of the degree-k projection at random points.
-
-    For each of num_points seeded generic rational configurations of 2n
-    vectors in dimension n (Gaussian-rational entries if requested), with
-    one random integer tangent pair, evaluates every outer-graded piece of
-    the wedge projection at slots (k, k+1).  Returns a list of
-    (point_index, config, graded_values).  num_points below 1 is refused.
-    """
-    return [(p, cfg, graded[0]) for p, cfg, graded in _integrability_points(
-        int(n), [int(k)], tensor, num_points, seed, bound, gaussian)]
-
-
 def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
                         bound=13, gaussian=False):
     """Certify that the wedge projections of the element vanish.
@@ -457,8 +411,13 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
     positions in the order of ks and points in index order, and
     residue_terms samples that point's nonzero pieces.  An empty ks or a
     num_points below 1 is refused: an empty sample would pass anything.
-    So is an n that DEGREES["integrability"] does not list.
+    So is an n that DEGREES["integrability"] does not list.  Each point's
+    d log table serves every position, and each projection's groups
+    every point.
     """
+    from .configurations import random_generic
+    from .forms import _DlogTable, _WedgeGroups, random_tangent
+
     t0 = time.perf_counter()
     n = require_degree("integrability", n)
     if ks is None:
@@ -466,10 +425,29 @@ def check_integrability(n, ks=None, tensor=None, num_points=20, seed=0,
     elif isinstance(ks, int):
         ks = [ks]
     ks = [int(k) for k in ks]
+    if not ks:
+        raise ContractViolation("integrability needs a wedge position")
+    if int(num_points) < 1:
+        raise ContractViolation(
+            f"integrability needs at least one point, not {num_points}")
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise ContractViolation(
+                f"wedge position {k} out of range for n={n}")
+    if tensor is None:
+        tensor = build_element(n).tensor
+    projections = [_WedgeGroups(wedge_project(tensor, k)) for k in ks]
+    symbols = list(dict.fromkeys(s for g in projections for s in g.symbols))
     first_bad = [None] * len(ks)
-    for p, cfg, per_k in _integrability_points(
-            n, ks, tensor, num_points, seed, bound, gaussian):
-        for i, graded in enumerate(per_k):
+    for p in range(int(num_points)):
+        cfg = random_generic(n, 2 * n, seed=repr(("integrability", seed, p)),
+                             bound=bound, gaussian=gaussian)
+        rng = random.Random(repr(("integrability-tangent", seed, p)))
+        u, v = (random_tangent(len(cfg), cfg.dim, rng, bound),
+                random_tangent(len(cfg), cfg.dim, rng, bound))
+        table = _DlogTable(cfg.vectors, (u, v), symbols)
+        for i, g in enumerate(projections):
+            graded = g.graded(table)
             if first_bad[i] is None and any(val != 0 for _, val in graded):
                 first_bad[i] = (p, cfg, graded)
     witness = None

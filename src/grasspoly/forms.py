@@ -20,7 +20,7 @@ time:
 
 1. Base row i and every tangent row i are scaled by the lcm of their
    denominators.  This leaves every d log unchanged and makes every entry
-   an integer (a Gaussian integer when some entry is complex).
+   an integer (a Gaussian integer when some entry is a GaussianRational).
 2. Each bracket determinant and each row-replacement numerator comes
    from integer Bareiss elimination (configurations._bareiss).
 3. With 1/d = conj(d)/N(d) for a Gaussian d (sign(d)/|d| for an integer),
@@ -30,10 +30,9 @@ time:
    scale * L**2, where scale clears the coefficients' denominators; it
    becomes a Fraction or GaussianRational once, at the end.
 
-The values are exactly those of plain Fraction arithmetic.  Float or
-complex points go through the same kernel, their entries taken at their
-exact binary values, and each value is rounded once; that is how the
-finite-difference checks use it.
+The values are exactly those of plain Fraction arithmetic.  Entries are
+ints, Fractions or GaussianRationals; a float or complex entry is refused
+(ContractViolation), since the kernel would only round its exact value.
 """
 
 from math import lcm
@@ -87,21 +86,11 @@ def dlog_eval(symbol, at):
 
     Bracket symbols use the determinant derivative formula; named scalars
     are constants and give 0.  A vanishing bracket at the base is a pole.
-    The value is exact (a Fraction or GaussianRational); on float or
-    complex assignments the entries are taken at their exact binary
-    values and the value is rounded once at the end.
+    The value is exact: a Fraction, or a GaussianRational.  A float or
+    complex entry is refused with ContractViolation.
     """
-    table = _DlogTable(at.base, (at.tangent,), (symbol,), _cast(at))
-    return table.value(table.numerators[symbol][0], table.denominator)
-
-
-def _cast(at):
-    """How to round exact values for an inexact assignment: None (keep
-    them exact), float or complex, judged from its first base entry."""
-    probe = at.base[0][0] if at.base and at.base[0] else 0
-    if isinstance(probe, complex):
-        return complex
-    return float if isinstance(probe, float) else None
+    table = _DlogTable(at.base, (at.tangent,), (symbol,))
+    return _quotient(table.numerators[symbol][0], table.denominator)
 
 
 class _DlogTable:
@@ -110,7 +99,7 @@ class _DlogTable:
 
     Scaling base row i and every tangent row i by one nonzero scalar
     leaves every d log unchanged, so each row group is scaled to integers
-    (Gaussian integers for complex entries).  For a bracket S with
+    (Gaussian integers for Gaussian entries).  For a bracket S with
     integer determinant d = det(B[S]) and row-replacement numerator n_j
     along tangent j, 1/d = u/N with N a positive int (u = sign(d) and
     N = |d|, or u = conj(d) and N = |d|^2), and with L the lcm of all the
@@ -119,8 +108,7 @@ class _DlogTable:
     are checked, and raise, in the order given.
     """
 
-    def __init__(self, base, tangents, symbols, cast=None):
-        self.cast = cast
+    def __init__(self, base, tangents, symbols):
         self.wedges = {}
         rows, _ = _integer_rows([tuple(b) + tuple(x for t in tangents
                                                   for x in t[i])
@@ -149,11 +137,6 @@ class _DlogTable:
             bu, bv = self.numerators[b][:2]
             val = self.wedges[key] = au * bv - av * bu
         return val
-
-    def value(self, total, den):
-        """The scalar total / den, rounded when the point was inexact."""
-        val = _quotient(total, den)
-        return val if self.cast is None else self.cast(val)
 
 
 def _bracket_numerators(symbol, rows, widths, ntan):
@@ -227,7 +210,7 @@ class _WedgeGroups:
     def graded(self, table):
         """(outer, value) per group, in sorted outer order."""
         den = self.scale * table.denominator ** 2
-        return [(outer, table.value(total, den))
+        return [(outer, _quotient(total, den))
                 for (outer, *_), total in zip(self.groups, self.totals(table))]
 
 
@@ -258,7 +241,7 @@ def _pair_table(w, at_u, at_v, name):
         raise ContractViolation("tangent pair must share one base point")
     groups = _WedgeGroups(w)
     return groups, _DlogTable(at_u.base, (at_u.tangent, at_v.tangent),
-                              groups.symbols, _cast(at_u))
+                              groups.symbols)
 
 
 def wedge_eval(w, at_u, at_v):
@@ -269,8 +252,8 @@ def wedge_eval(w, at_u, at_v):
     wedge pair are multiplicative spectators and count as 1.
     """
     groups, table = _pair_table(w, at_u, at_v, "wedge_eval")
-    return table.value(sum(groups.totals(table)),
-                       groups.scale * table.denominator ** 2)
+    return _quotient(sum(groups.totals(table)),
+                     groups.scale * table.denominator ** 2)
 
 
 def wedge_eval_graded(w, at_u, at_v):

@@ -225,7 +225,9 @@ def rogers_l2_closed_form(x):
 
 
 def rogers_l2_slope(x):
-    """Right side of the defining differential equation, as dL/dx."""
+    """Right side of the defining differential equation, as dL/dx.  Its
+    research use: acceptance criterion 9 checks rogers_l2's normalization
+    by central differences against it."""
     x = float(x)
     if x in (0.0, 1.0):
         raise ContractViolation("slope undefined at 0, 1")
@@ -352,7 +354,8 @@ def l2g_five_term(points):
 def l2g_family_values(base, velocities, samples=11):
     """The five-term sum along the linear family base + t * velocities,
     t on a uniform grid of [0, 1]; constancy of the list is the n = 2
-    functional equation in its numeric form."""
+    functional equation in its numeric form.  Its research use:
+    acceptance criterion 11 rests on that constancy along a family."""
     base = [as_scalar(b) for b in base]
     vel = [as_scalar(v) for v in velocities]
     if len(base) != 5 or len(vel) != 5:

@@ -87,14 +87,19 @@ def symbol_to_str(sym):
 
 def parse_symbol(s):
     """The symbol that symbol_to_str prints as `s`: a bracket D[i,j,...]
-    of integer labels, or a scalar label.  Other text holding "[" or "]"
-    is refused rather than read as a scalar, whose d log is zero."""
+    of integer labels, or a scalar label.  Other text holding "[" or "]",
+    and a bracket with an empty label, is refused rather than read as a
+    scalar, whose d log is zero, or as a bracket without that label."""
     if not isinstance(s, str):
         raise ContractViolation(f"a symbol is a string, got {s!r}")
     s = s.strip()
     if s.startswith(BRACKET + "[") and s.endswith("]"):
+        parts = s[2:-1].split(",")
+        if not all(p.strip() for p in parts):
+            raise ContractViolation(
+                f"malformed bracket {s!r}: a label is empty")
         try:
-            ix = tuple(int(p) for p in s[2:-1].split(",") if p.strip())
+            ix = tuple(int(p) for p in parts)
         except ValueError:
             raise ContractViolation(
                 f"bracket labels must be integers: {s!r}") from None
@@ -187,7 +192,9 @@ def _coeff_to_json(c):
 
 
 def _coeff_from_json(c):
-    if isinstance(c, int):
+    """An integer, or a rational string "p/q"; JSON true and false, which
+    Python reads as the ints 1 and 0, are refused."""
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, str):
         try:
@@ -337,7 +344,7 @@ class MultTensor(_LinearCombination):
             arity = int(data["arity"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"bad tensor payload: {exc}") from exc
-        return cls.from_terms(arity, _terms_from_json(data, _single_symbol))
+        return cls.from_terms(arity, _terms_from_json(data))
 
 
 def _single_symbol(slot):
@@ -346,10 +353,10 @@ def _single_symbol(slot):
     return parse_symbol(slot[0])
 
 
-def _terms_from_json(data, read_slot):
+def _terms_from_json(data):
     """The (slots, coeff) pairs of the wire format's term list,
-    data["terms"] = [{"coeff": c, "slots": [slot, ...]}, ...], each slot
-    read by read_slot; a payload or term of another shape is refused."""
+    data["terms"] = [{"coeff": c, "slots": [[symbol], ...]}, ...]; a
+    payload or term of another shape is refused."""
     try:
         raw = list(data["terms"])
     except (KeyError, TypeError) as exc:
@@ -362,7 +369,7 @@ def _terms_from_json(data, read_slot):
             raise ContractViolation(
                 f"bad tensor term {t!r}: {exc!r}") from exc
         coeff = _coeff_from_json(coeff)
-        pairs.append((tuple(map(read_slot, raw_slots)), coeff))
+        pairs.append((tuple(map(_single_symbol, raw_slots)), coeff))
     return pairs
 
 

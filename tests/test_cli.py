@@ -20,6 +20,7 @@ import pytest
 import grasspoly
 from grasspoly import cli, elements, iterint
 from grasspoly.elements import build_element
+from grasspoly.errors import ContractViolation
 from grasspoly.iterint import PathSpec, iterate_element
 
 
@@ -742,6 +743,7 @@ BAD_ELEMENT_TERMS = {
     "coeff": {"coeff": "x", "slots": [["D[1]"]]},
     "slot": {"coeff": 1, "slots": [["D[1,x]"]]},
     "no-slots": {"coeff": 1},
+    "true-coeff": {"coeff": True, "slots": [["D[1]"]]},
 }
 
 
@@ -756,13 +758,17 @@ BAD_ELEMENT_TERMS = {
     ["integrate", "--word", '[[[["a", 1], "D[1]"]]]'],
     ["integrate", "--word", '[[[1, "D[1,x]"]]]'],
     ["integrate", "--word", "[[[1, 5]]]"],
+    ["integrate", "--word", '[[[true, "D[1]"]]]'],
+    ["integrate", "--word", '[[[[true, 0], "D[1]"]]]'],
     ["integrate", "--element", "coeff"],
     ["integrate", "--element", "slot"],
     ["integrate", "--element", "no-slots"],
+    ["integrate", "--element", "true-coeff"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_malformed_input_is_one_error_line(tmp_path, argv):
     # each of these printed a traceback (ValueError, ZeroDivisionError,
-    # AttributeError or KeyError) instead of a malformed-spec error
+    # AttributeError or KeyError) instead of a malformed-spec error; a
+    # JSON true coefficient was read as 1, and the value printed
     if argv[0] == "integrate":
         if argv[1] == "--element":
             element = tmp_path / "element.json"
@@ -783,11 +789,14 @@ def test_malformed_input_is_one_error_line(tmp_path, argv):
 @pytest.mark.parametrize("option, symbol", [
     ("--word", "D[1,2"), ("--word", "D [1,2]"), ("--word", "[1,4]"),
     ("--element", "D[1,4"), ("--word", "a"),
+    ("--word", "D[1,,2]"), ("--word", "D[1,2,]"), ("--word", "D[,1]"),
+    ("--element", "D[1,,2]"),
 ])
 def test_malformed_bracket_text_is_refused(tmp_path, option, symbol):
     # each malformed bracket was read as a scalar letter, whose d log is 0,
     # so the command printed the value [0.0, 0.0] and exited 0; a scalar
-    # label still integrates to that 0
+    # label still integrates to that 0.  A bracket with an empty label was
+    # read without it, so D[1,,2] printed the value of D[1,2] and exited 0
     letter = json.dumps([[[1, symbol]]])
     if option == "--element":
         spec = tmp_path / "element.json"
@@ -807,6 +816,13 @@ def test_malformed_bracket_text_is_refused(tmp_path, option, symbol):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "malformed bracket" in proc.stderr
+
+
+@pytest.mark.parametrize("coeff", [True, False, [True, 0], [0, False]])
+def test_word_spec_refuses_boolean_coefficients(coeff):
+    # JSON true and false are the Python ints 1 and 0, and were read so
+    with pytest.raises(ContractViolation, match="bad letter coefficient"):
+        cli._parse_word_spec([[[coeff, "D[1]"]]])
 
 
 # ---------------------------------------------------------------------------

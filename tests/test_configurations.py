@@ -16,7 +16,7 @@ import pytest
 
 from grasspoly.configurations import (Configuration, GaussianRational,
                                       as_scalar, cross_ratio, exact_det,
-                                      exact_rank, parse_scalar,
+                                      parse_scalar,
                                       random_generic, scalar_to_complex,
                                       scalar_to_str, validate_subset)
 from grasspoly.errors import (BudgetError, ContractViolation,
@@ -110,7 +110,7 @@ def test_scalar_to_complex():
 
 
 # ---------------------------------------------------------------------------
-# determinants and rank
+# determinants
 
 
 def test_exact_det_matches_leibniz_oracle():
@@ -135,6 +135,11 @@ def test_exact_det_contracts_and_edge_cases():
     assert exact_det([[Fraction(x) for x in r] for r in sing]) == 0
     with pytest.raises(ContractViolation):
         exact_det([[1, 2], [3]])
+    # inexact entries are refused; they were taken at their binary values
+    # and the determinant came back as a Fraction
+    for bad in ([[1.5, 2], [3, 4]], [[1, 2], [3, 4 + 1j]]):
+        with pytest.raises(ContractViolation, match="not a matrix entry"):
+            exact_det(bad)
 
 
 def test_exact_det_singular_matrices():
@@ -160,19 +165,6 @@ def test_exact_det_row_swap_sign():
         rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
         swapped = [rows[1], rows[0], rows[2]]
         assert exact_det(swapped) == -exact_det(rows)
-
-
-def test_exact_rank():
-    rng = random.Random(106)
-    assert exact_rank([]) == 0
-    for _ in range(20):
-        v1 = [rand_scalar(rng) for _ in range(4)]
-        v2 = [rand_scalar(rng) for _ in range(4)]
-        lam = rand_scalar(rng)
-        rows = [v1, v2, [a + lam * b for a, b in zip(v1, v2)]]
-        r = exact_rank(rows)
-        expected = exact_rank([v1, v2])
-        assert r == expected
 
 
 def test_validate_subset():
@@ -234,6 +226,20 @@ def test_genericity_certificate_names_smallest_failure():
     good = random_generic(3, 6, seed=2)
     assert good.is_generic()
     assert good.is_generic().failing_subset is None
+
+
+def test_exact_rank():
+    """Exact rank of rank-deficient rational triples, as the genericity
+    test computes it: no two of v1, v2, v1 + lam v2 are proportional, so
+    the failing subset is the dependent triple, found at rank 2 of 3."""
+    rng = random.Random(106)
+    for _ in range(20):
+        v1 = [rand_scalar(rng) for _ in range(4)]
+        v2 = [rand_scalar(rng) for _ in range(4)]
+        lam = rand_scalar(rng) or Fraction(1, 2)
+        cfg = Configuration(4, [v1, v2, [a + lam * b
+                                         for a, b in zip(v1, v2)]])
+        assert cfg.is_generic().failing_subset == (1, 2, 3)
 
 
 def test_projection_bracket_identity():

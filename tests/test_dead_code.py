@@ -1,8 +1,8 @@
 """Every public top-level function or class of the package is either used
 somewhere in the package or exported in grasspoly.__all__, every private
-one is used somewhere in the package, every parameter of a package
-function is read in its body, and every command line option is read by
-the command line module."""
+one, and every private module-level constant, is read somewhere in the
+package, every parameter of a package function is read in its body, and
+every command line option is read by the command line module."""
 
 import argparse
 import ast
@@ -18,10 +18,12 @@ def _package_trees():
 
 
 def _names_used(trees):
+    # a name that is only assigned to is not used
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -34,6 +36,23 @@ def _top_level_definitions(trees):
     return [(name, node.name)
             for name, tree in sorted(trees.items()) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _top_level_assignments(trees):
+    """(module, name) of each name that a module-level assignment binds,
+    such as a compiled pattern or a table of constants."""
+    out = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            out.extend((name, n.id) for target in targets
+                       for n in ast.walk(target) if isinstance(n, ast.Name))
+    return out
 
 
 def test_no_unreferenced_public_helpers():
@@ -50,12 +69,14 @@ def test_no_unreferenced_public_helpers():
 
 
 def test_no_unreferenced_private_helpers():
-    # every underscored top-level function or class is referenced somewhere
-    # in the package; module hooks such as __getattr__ are Python's to call
+    # every underscored top-level function, class or assigned name is
+    # read somewhere in the package; module hooks such as __getattr__ and
+    # names such as __all__ are Python's to use
     trees = _package_trees()
     used = _names_used(trees.values())
     dead = [f"{name}:{definition}"
-            for name, definition in _top_level_definitions(trees)
+            for name, definition in (_top_level_definitions(trees)
+                                     + _top_level_assignments(trees))
             if definition.startswith("_")
             and not definition.endswith("__")
             and definition not in used]

@@ -21,8 +21,8 @@ from grasspoly.elements import (GrassElement, Report, build_element,
                                 check_omission_relations,
                                 check_scale_invariance,
                                 check_steinberg_wedge, flip_first_term,
-                                integrability_residues, omission_residues,
-                                scale_label, steinberg_wedge_sides,
+                                omission_residues, scale_label,
+                                steinberg_wedge_sides,
                                 _residue_sample, _scale_failures)
 from grasspoly.aomoto import pairing_element_labels
 from grasspoly.errors import ContractViolation
@@ -440,9 +440,10 @@ def test_integrability_exact_zeros():
     assert rep.passed
     assert rep.witness is None
     assert rep.details["positions"] == [1]
-    for _, _, graded in integrability_residues(3, 2, num_points=2):
-        for _, val in graded:
-            assert val == 0
+    rep = check_integrability(3, ks=2, num_points=2)
+    assert rep.passed
+    assert rep.details["positions"] == [2]
+    assert rep.residue_terms == []
 
 
 def test_integrability_gaussian_points():
@@ -478,9 +479,9 @@ def test_integrability_contracts():
     with pytest.raises(ContractViolation):
         check_integrability(1)
     with pytest.raises(ContractViolation):
-        list(integrability_residues(2, 2))
+        check_integrability(2, ks=2)
     with pytest.raises(ContractViolation):
-        list(integrability_residues(2, 0))
+        check_integrability(2, ks=0)
 
 
 @pytest.mark.parametrize("points", [0, -1])
@@ -490,7 +491,7 @@ def test_integrability_refuses_an_empty_sample(points):
     with pytest.raises(ContractViolation, match="at least one point"):
         check_integrability(2, tensor=bad, num_points=points)
     with pytest.raises(ContractViolation, match="at least one point"):
-        integrability_residues(2, 1, tensor=bad, num_points=points)
+        check_integrability(2, ks=1, tensor=bad, num_points=points)
 
 
 def test_integrability_refuses_no_position():

@@ -152,20 +152,34 @@ def test_dlog_scalar_symbols_are_flat():
     assert val == 0 and not isinstance(val, float)
     floaty = TangentAssignment.make([[1.0, 0.0], [0.0, 1.0]],
                                     [[0.5, 0.5], [0.25, 0.5]])
-    fval = dlog_eval(scalar_symbol("a"), floaty)
-    assert fval == 0.0 and isinstance(fval, float)
+    # a float point was accepted and gave the float 0.0
+    with pytest.raises(ContractViolation, match="not a matrix entry"):
+        dlog_eval(scalar_symbol("a"), floaty)
 
 
-def test_dlog_on_floats_approximates_exact_value():
+def test_dlog_and_wedge_refuse_inexact_rows():
+    # float and complex rows were taken at their binary values and the
+    # exact value rounded back to a float or complex
     cfg = random_generic(2, 4, seed=4)
-    tan = random_tangent(4, 2, random.Random(2))
-    at = TangentAssignment.make(cfg, tan)
+    rng = random.Random(2)
+    u, v = random_tangent(4, 2, rng), random_tangent(4, 2, rng)
     sym = bracket_symbol((2, 4))[0]
-    exact = dlog_eval(sym, at)
-    at_f = TangentAssignment.make(
-        [[float(x) for x in row] for row in cfg.vectors],
-        [[float(x) for x in row] for row in tan])
-    assert abs(dlog_eval(sym, at_f) - float(exact)) < 1e-12
+    w = wedge_project(build_element(2).tensor, 1)
+    for cast in (float, complex):
+        base = [[cast(x) for x in row] for row in cfg.vectors]
+        at_u = TangentAssignment.make(base, u)
+        at_v = TangentAssignment.make(base, v)
+        with pytest.raises(ContractViolation, match="not a matrix entry"):
+            dlog_eval(sym, at_u)
+        for evaluate in (wedge_eval, wedge_eval_graded):
+            with pytest.raises(ContractViolation,
+                               match="not a matrix entry"):
+                evaluate(w, at_u, at_v)
+    # an inexact tangent row alone is refused as well
+    at_f = TangentAssignment.make(cfg, [[float(x) for x in row]
+                                        for row in u])
+    with pytest.raises(ContractViolation, match="not a matrix entry"):
+        dlog_eval(sym, at_f)
 
 
 def test_dlog_contracts_and_poles():

@@ -77,10 +77,12 @@ def test_scalar_symbol_and_parse_round_trip():
 
 
 @pytest.mark.parametrize("bad", ["D[1,x]", "D[1.5]", 5, None, ["D[1]"],
-                                 "D[1,2", "D [1,2]", "[1,4]", "D[1]x", "a]"])
+                                 "D[1,2", "D [1,2]", "[1,4]", "D[1]x", "a]",
+                                 "D[1,,2]", "D[1,2,]", "D[,1]", "D[1, ,2]"])
 def test_parse_symbol_refuses_non_strings_and_non_integer_labels(bad):
-    # the last five, bracket text that is not a well-formed D[i,j,...],
-    # were read as scalar symbols, whose d log is zero
+    # "D[1,2" to "a]", bracket text that is not a well-formed D[i,j,...],
+    # were read as scalar symbols, whose d log is zero; the last four,
+    # with an empty label, were read as D[1,2], D[1,2], D[1] and D[1,2]
     with pytest.raises(ContractViolation):
         parse_symbol(bad)
 
@@ -225,10 +227,13 @@ def test_json_round_trip():
         MultTensor.from_json_dict({"terms": []})
     with pytest.raises(ContractViolation):
         MultTensor.from_json_dict({"arity": "x", "terms": []})
+    with pytest.raises(ContractViolation):
+        MultTensor.from_json_dict({"arity": 1})
 
 
-@pytest.mark.parametrize("bad", ["x", "1/0", ""])
+@pytest.mark.parametrize("bad", ["x", "1/0", "", True, False])
 def test_coeff_from_json_refuses_what_is_not_a_rational(bad):
+    # JSON true and false were read as the coefficients 1 and 0
     with pytest.raises(ContractViolation, match="bad coefficient"):
         _coeff_from_json(bad)
     assert _coeff_from_json("-6/4") == Fraction(-3, 2)
@@ -242,14 +247,15 @@ GOOD_TERM = {"coeff": 2, "slots": [["D[1]"]]}
     [GOOD_TERM, {"coeff": 1}],
     [GOOD_TERM, {"slots": [["D[1]"]]}],
     [GOOD_TERM, {"coeff": "x", "slots": [["D[1]"]]}],
+    [GOOD_TERM, {"coeff": True, "slots": [["D[1]"]]}],
     [GOOD_TERM, {"coeff": 1, "slots": [["D[1,x]"]]}],
     [GOOD_TERM, {"coeff": 1, "slots": [[5]]}],
     [GOOD_TERM, {"coeff": 1, "slots": 5}],
     [GOOD_TERM, "D[1]"],
     [GOOD_TERM, None],
     5,
-], ids=["no-slots", "no-coeff", "bad-coeff", "bad-label", "int-symbol",
-        "int-slots", "string-term", "null-term", "int-terms"])
+], ids=["no-slots", "no-coeff", "bad-coeff", "bool-coeff", "bad-label",
+        "int-symbol", "int-slots", "string-term", "null-term", "int-terms"])
 def test_tensor_from_json_refuses_malformed_terms(terms):
     with pytest.raises(ContractViolation):
         MultTensor.from_json_dict({"arity": 1, "terms": terms})
