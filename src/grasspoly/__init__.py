@@ -65,7 +65,8 @@ _EXPORTS = {
                 "monodromy_probe", "normalize_word", "shuffle_test",
                 "shuffles"),
     "polylogs": ("BranchedValue", "aomoto_a1", "bloch_wigner",
-                 "bloch_wigner_five_term", "grassmannian_tate", "l2g",
+                 "bloch_wigner_five_term", "epsilon_sign",
+                 "grassmannian_tate", "l2g",
                  "l2g_family_values", "l2g_five_term", "li2", "li_n",
                  "li_series", "omit_cross_ratios", "rogers_five_term",
                  "rogers_l2", "rogers_l2_closed_form", "rogers_l2_slope"),

@@ -151,10 +151,12 @@ class GaussianRational:
 
 def as_scalar(x):
     """Coerce x to an exact scalar: Fraction, or GaussianRational when the
-    imaginary part is nonzero.  Strings are parsed; floats are rejected."""
+    imaginary part is nonzero.  Strings are parsed; floats and bools (the
+    ints 1 and 0 to Python, but never meant as numbers here) are
+    rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, GaussianRational):
         if x.im == 0:
@@ -264,7 +266,7 @@ def _quotient(x, den):
 
 
 def _parts(x):
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x, 0
     if isinstance(x, GaussianRational):
         return x.re, x.im
@@ -373,6 +375,8 @@ class Configuration:
     __slots__ = ("dim", "vectors")
 
     def __init__(self, dim, vectors):
+        if isinstance(dim, bool):
+            raise ContractViolation(f"dimension {dim!r} is not an integer")
         dim = int(dim)
         if dim < 1:
             raise ContractViolation("dimension must be >= 1")

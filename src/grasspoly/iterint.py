@@ -29,8 +29,10 @@ and 1260 for degree 4).  A sweep starts from its layout's default states
 shape, as `iterate_word(initial=)` and `li_n` pass.  On a path segment
 every bracket is a polynomial P in the segment parameter; it is fitted
 once per segment as a Chebyshev series from one batched determinant (the
-Chebyshev points and matrices of a fit are built once per degree), and
-the letters of every panel are P'/P of that fit at the nodes.
+Chebyshev points and matrices of a fit are built once per degree), the
+segments of one degree on a path in one stack, and the letters of every
+panel are P'/P of that fit at the nodes, combined through the letter
+table's coefficients unless the letters are the brackets themselves.
 
 Panels split adaptively by comparing a whole-panel sweep against two
 half-panel sweeps.  Acceptance is proportional to the interval, so the
@@ -52,7 +54,8 @@ with scale 1, or an element's value, with the element's scale.
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
 malformed or discontinuous paths raise PathError.  A bracket whose phase
-jumps between adjacent nodes makes the panel split; the first such jump on
+jumps between adjacent nodes (by more than pi/2: Re(w conj(v)) < 0 for
+adjacent values v, w) makes the panel split; the first such jump on
 a segment also runs a root check of every bracket on the segment (on the
 same fitted polynomials), which raises PoleError at once when the path
 crosses a zero.  A zero that the path only grazes is left to the
@@ -99,6 +102,9 @@ np = _lazy_module("numpy")
 # fewer panels against the cost of a degree-4 sweep.
 GAUSS_ORDER = 24
 POLE_THRESHOLD = 1e-8
+# A turn between adjacent node values larger than this splits a panel;
+# `_letter_values` tests it as Re(w conj(v)) < 0, which holds for this
+# value only.
 PHASE_JUMP_LIMIT = pi / 2
 DEFAULT_BUDGET = 16384
 MAX_DEPTH = 26
@@ -127,9 +133,13 @@ class _PhaseJump(Exception):
 def _quadrature():
     """The panel quadrature, built on first use: the Gauss nodes and
     weights on [-1, 1], the node-to-node prefix integration matrix Q, and
-    Q.T stored contiguously, which takes the integrand values of a
-    panel's states (one row each) to their prefix values at the nodes.
-    The arrays are shared, so they are read-only.
+    Q.T, which takes the integrand values of a panel's states (one row
+    each) to their prefix values at the nodes.  The sweep multiplies
+    complex values by the weights and by Q.T, so those two are stored as
+    C-contiguous complex arrays: numpy would otherwise cast a real table
+    to a complex copy on every product (a C-ordered copy, which rounds the
+    product as this one does; a Fortran-ordered one would not).  The
+    arrays are shared, so they are read-only.
 
     With f expanded in Legendre polynomials from its values at the nodes,
     the antiderivative vanishing at -1 is exact for the expansion, giving
@@ -145,7 +155,8 @@ def _quadrature():
     for mm in range(1, GAUSS_ORDER):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
     qmat = anti @ coef
-    tables = (x, w, qmat, np.ascontiguousarray(qmat.T))
+    tables = (x, w.astype(complex), qmat,
+              np.ascontiguousarray(qmat.T, dtype=complex))
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -168,6 +179,14 @@ def _freeze(arr):
     arr = np.ascontiguousarray(arr, dtype=complex)
     arr.flags.writeable = False
     return arr
+
+
+def _meets(a, b, tol):
+    """Whether every entry of b lies within tol * max(1, max |a|) of a's,
+    the bound included (np.allclose with that atol and rtol=0, without
+    its broadcasting and infinity handling: path matrices are finite)."""
+    scale = max(1.0, float(np.abs(a).max()))
+    return bool(np.abs(a - b).max() <= tol * scale)
 
 
 class PathSpec:
@@ -194,10 +213,7 @@ class PathSpec:
             if arr.shape[1:] != shape:
                 raise PathError("all segments must share (count, dim)")
         for a, b in zip(segs, segs[1:]):
-            end = a.sum(axis=0)
-            start = b[0]
-            scale = max(1.0, float(np.abs(end).max()))
-            if not np.allclose(end, start, rtol=0.0, atol=_JOINT_TOL * scale):
+            if not _meets(a.sum(axis=0), b[0], _JOINT_TOL):
                 raise PathError("discontinuous path: segment joint mismatch")
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -244,9 +260,7 @@ class PathSpec:
         return self.segments[-1].sum(axis=0)
 
     def is_closed(self, tol=_JOINT_TOL):
-        a, b = self.start(), self.end()
-        scale = max(1.0, float(np.abs(a).max()))
-        return bool(np.allclose(a, b, rtol=0.0, atol=tol * scale))
+        return _meets(self.segments[0][0], self.end(), tol)
 
     def point(self, t):
         """Evaluate at global time t in [0,1], segments taken uniformly."""
@@ -448,8 +462,11 @@ class _LetterTable:
     `symbols` are the distinct bracket symbols in the order the letters
     first name them, and `coef` is the (symbols, letters) matrix with
     letter g = sum_j coef[j, g] d log symbols[j]; a scalar symbol has zero
-    d log along a path, so it has no row.  `brackets` holds the 0-based
-    vector indices of the symbols, (symbols, dim).
+    d log along a path, so it has no row.  When the letters are their
+    symbols in order (letter g is d log symbols[g], as in every
+    `_Automaton` and in words of single brackets), `coef` would be the
+    identity and is None, so no product is made with it.  `brackets`
+    holds the 0-based vector indices of the symbols, (symbols, dim).
     """
 
     def __init__(self, letters, dim, count):
@@ -465,10 +482,12 @@ class _LetterTable:
         self.symbols = list(sym_rows)
         for sym in self.symbols:
             _check_bracket(sym, dim, count)
-        self.coef = np.zeros((len(self.symbols), len(letters)),
-                             dtype=complex)
-        for j, g, c in parts:
-            self.coef[j, g] += c
+        self.coef = None
+        if parts != [(g, g, 1) for g in range(len(letters))]:
+            self.coef = np.zeros((len(self.symbols), len(letters)),
+                                 dtype=complex)
+            for j, g, c in parts:
+                self.coef[j, g] += c
         self.brackets = np.array(
             [[i - 1 for i in sym[1]] for sym in self.symbols],
             dtype=int).reshape(len(self.symbols), dim)
@@ -717,21 +736,23 @@ def _chebvander(x, deg):
 
 
 def _chebder(c):
-    """The derivative in s = (x + 1) / 2 of the Chebyshev series c along
-    its first axis: numpy's `chebder(c, scl=2.0)` recurrence, so the
-    coefficients are bit-identical, without its argument handling and
-    `np.moveaxis` calls."""
-    n = len(c) - 1
+    """The derivative in s = (x + 1) / 2 of a stack of Chebyshev series
+    along their second axis, (stack, terms, brackets): numpy's
+    `chebder(c, scl=2.0, axis=1)` recurrence, so the coefficients are
+    bit-identical, without its argument handling and `np.moveaxis`
+    calls.  Each step acts entry by entry, so a series differentiated in
+    a stack is the one differentiated alone."""
+    n = c.shape[1] - 1
     if n < 1:
-        return c[:1] * 0
+        return c[:, :1] * 0
     c = c * 2.0
-    der = np.empty((n,) + c.shape[1:], dtype=c.dtype)
+    der = np.empty((len(c), n, c.shape[2]), dtype=c.dtype)
     for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
+        der[:, j - 1] = (2 * j) * c[:, j]
+        c[:, j - 2] += (j * c[:, j]) / (j - 2)
     if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
+        der[:, 1] = 4 * c[:, 2]
+    der[:, 0] = c[:, 1]
     return der
 
 
@@ -740,32 +761,49 @@ def _fit_tables(top, deg):
     """The fixed arrays of a fit of degree `top` to a segment of degree
     `deg`: the powers s^0..s^deg at the top + 1 Chebyshev points (as
     s = (x + 1) / 2), (deg + 1, top + 1), and the Chebyshev-Vandermonde
-    matrix at the points, (top + 1, top + 1).  The arrays are shared, so
-    they are read-only."""
+    matrix at the points, (top + 1, top + 1).  Both are real, and stored
+    as complex arrays: the einsum and the solve of a fit would cast them
+    to complex on every call (exactly, so the fit is the same).  The
+    arrays are shared, so they are read-only."""
     x = np.cos(np.pi * (np.arange(top + 1) + 0.5) / (top + 1))
-    tables = ((0.5 * (x + 1.0)) ** np.arange(deg + 1)[:, None],
-              _chebvander(x, top))
+    tables = (((0.5 * (x + 1.0)) ** np.arange(deg + 1)[:, None]).astype(
+        complex), _chebvander(x, top).astype(complex))
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
-def _fit_brackets(seg, letters):
-    """Every bracket of the letter table on one segment as a Chebyshev
-    series in x = 2s - 1, and its derivative in s: two (terms, brackets)
-    arrays.
+def _fit_brackets(segs, letters):
+    """Every bracket of the letter table on a stack of path segments of
+    one degree, (segments, deg + 1, count, dim), as a Chebyshev series in
+    x = 2s - 1 per segment, and its derivative in s: two (segments,
+    terms, brackets) arrays, whose entry k is segment k's fit.
 
     A bracket is a polynomial in s of degree at most dim * deg, so its
     values at that many plus one Chebyshev points, taken by one batched
     det, fix the series.  (A monomial fit is ill-conditioned at degree 9
     near a zero; the Chebyshev-Vandermonde matrix at Chebyshev points is
-    a scaled orthogonal one.)
+    a scaled orthogonal one.)  The einsum, det and solve treat the
+    segments of the stack one by one with the same operations, so each
+    fit is bit for bit the fit of its segment alone.
     """
-    deg = seg.shape[0] - 1
-    powers, vander = _fit_tables(seg.shape[2] * deg, deg)
-    m = np.einsum("dcx,du->ucx", seg, powers)
-    series = np.linalg.solve(vander, np.linalg.det(m[:, letters.brackets, :]))
+    deg = segs.shape[1] - 1
+    powers, vander = _fit_tables(segs.shape[3] * deg, deg)
+    m = np.einsum("sdcx,du->sucx", segs, powers)
+    series = np.linalg.solve(
+        vander, np.linalg.det(m.take(letters.brackets, axis=2)))
     return series, _chebder(series)
+
+
+def _path_fits(segments, letters):
+    """`_fit_brackets` of each segment in turn, (series, slopes), with
+    the segments of one degree fitted in one stack."""
+    stacks = {}
+    for seg in segments:
+        stacks.setdefault(seg.shape[0], []).append(seg)
+    fits = {terms: zip(*_fit_brackets(np.array(stack), letters))
+            for terms, stack in stacks.items()}
+    return [next(fits[seg.shape[0]]) for seg in segments]
 
 
 def _letter_values(fit, svals, letters):
@@ -775,19 +813,23 @@ def _letter_values(fit, svals, letters):
     the segment's `_fit_brackets`; the d log of a bracket P is P'/P, both
     read off the series at the nodes.  A panel fails when a bracket's
     modulus drops below POLE_THRESHOLD at one of its nodes (PoleError) or
-    its value turns by more than PHASE_JUMP_LIMIT between adjacent nodes
-    (_PhaseJump); of several offending brackets the first in
-    `letters.symbols` is reported, and its modulus is checked before its
-    phase.  Returns the letter values of the panels before the first
-    failing one, (passed, nodes, letters), and that panel's index and
-    exception, unraised, or None when every panel passes.
+    its value turns by more than PHASE_JUMP_LIMIT = pi/2 between adjacent
+    nodes (_PhaseJump).  The turn from v to w exceeds pi/2 exactly when
+    Re(w conj(v)) < 0, which is the test made, so no angle is taken
+    unless a panel fails; a quarter turn is no jump.  Of several offending
+    brackets the first in `letters.symbols` is reported, its modulus
+    checked before its phase, and a jump reports the largest
+    |angle(w / v)| of that bracket on that panel.  Returns the letter
+    values of the panels before the first failing one, (passed, nodes,
+    letters), and that panel's index and exception, unraised, or None
+    when every panel passes.
     """
     series, slopes = fit
     vander = _chebvander(2.0 * svals - 1.0, len(series) - 1)
     vals = vander @ series
     small = np.abs(vals).min(axis=1)
-    turns = np.abs(np.angle(vals[:, 1:] / vals[:, :-1])).max(axis=1)
-    bad = (small < POLE_THRESHOLD) | (turns > PHASE_JUMP_LIMIT)
+    turned = ((vals[:, 1:] * vals[:, :-1].conj()).real < 0).any(axis=1)
+    bad = (small < POLE_THRESHOLD) | turned
     passed, failure = len(svals), None
     if bad.any():
         passed, b = divmod(int(bad.argmax()), bad.shape[1])
@@ -797,9 +839,13 @@ def _letter_values(fit, svals, letters):
                 f"bracket {symbol_to_str(sym)} modulus "
                 f"{small[passed, b]:.3e} below {POLE_THRESHOLD:g} on the path")
         else:
-            failure = passed, _PhaseJump(sym, float(turns[passed, b]))
+            v = vals[passed, :, b]
+            failure = passed, _PhaseJump(
+                sym, float(np.abs(np.angle(v[1:] / v[:-1])).max()))
     values = vander[:passed, :, :len(slopes)] @ slopes / vals[:passed]
-    return values @ letters.coef, failure
+    if letters.coef is not None:
+        values = values @ letters.coef
+    return values, failure
 
 
 def _monomials(top):
@@ -956,17 +1002,18 @@ class _Engine:
     def run(self, start=None):
         """Sweep the whole path from the start states `start` (default:
         the states' own `f0`, whose shape it must have); returns the end
-        values of the results.  Each segment's brackets are fitted once
-        and the fit serves all its panels."""
+        values of the results.  Each segment's brackets are fitted once,
+        before the first panel, in one stack with the other segments of
+        its degree (`_path_fits`), and the fit serves all its panels."""
         f = self.states.f0 if start is None else np.array(start, complex)
         if f.shape != self.states.f0.shape:
             raise ContractViolation(
                 f"start states of shape {f.shape} do not match the sweep's "
                 f"{self.states.f0.shape}")
-        letters = self.states.letters
-        for index, seg in enumerate(self.path.segments):
+        fits = _path_fits(self.path.segments, self.states.letters)
+        for index, fit in enumerate(fits):
             self.segment, self.roots_checked = index, False
-            f = self._advance(_fit_brackets(seg, letters), 0.0, 1.0, f, 0)
+            f = self._advance(fit, 0.0, 1.0, f, 0)
         return self.states.ends(f)
 
 

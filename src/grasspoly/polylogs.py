@@ -21,16 +21,22 @@ The five-term drivers take five points (exact scalars or 2-vectors) and
 form the cross-ratios of the five omit-one quadruples in order; the
 alternating sum of the real variant equals -epsilon pi^2/6 with
 epsilon = (1/2) prod_{i<j} sgn Delta(p_i, p_j), and the alternating sum of
-bloch_wigner values vanishes identically.
+bloch_wigner values vanishes identically.  The exact drivers
+(omit_cross_ratios, epsilon_sign, rogers_five_term, l2g_five_term) share
+one table of the ten pair determinants Delta(p_i, p_j), in integers, per
+5-tuple: each point is scaled by the positive lcm of its denominators,
+which keeps every sign and cancels from every cross-ratio, so each
+cross-ratio is one exact quotient of table entries.
 """
 
 import cmath
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations
 
-from .configurations import (GaussianRational, _as_point, as_scalar,
-                             cross_ratio)
+from .configurations import (GaussianRational, _as_point, _integer_rows,
+                             _quotient, _reciprocal, as_scalar, cross_ratio)
 from .errors import ContractViolation, DegeneracyError, PathError
 from .iterint import (DEFAULT_BUDGET, IterIntResult, PathSpec, _Automaton,
                       _controls, _iterate_prepared, _WordBatch, dlog_letter,
@@ -251,14 +257,32 @@ def bloch_wigner(z):
 # five-term machinery
 
 
-def _omit_one(points, convert, fn):
-    """[fn(*quadruple omitting point k) for k in 0..4] of exactly five
-    points, each converted first; the quadruples keep the surviving points
-    in their original order."""
-    pts = [convert(p) for p in points]
+def _pair_table(points):
+    """{(i, j): Delta(p_i, p_j)} for i < j of exactly five points (exact
+    scalars or 2-vectors), each point first scaled to integers (Gaussian
+    integers when any point is complex) by `_integer_rows`.  The scale of
+    a point is the positive lcm of its denominators, so every determinant
+    keeps its sign, and it cancels from each cross-ratio, in which every
+    point appears once above and once below the bar."""
+    pts = [_as_point(p) for p in points]
     if len(pts) != 5:
         raise ContractViolation("need exactly 5 points")
-    return [fn(*pts[:k], *pts[k + 1:]) for k in range(5)]
+    rows = _integer_rows(pts)[0]
+    return {(i, j): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
+            for i, j in combinations(range(5), 2)}
+
+
+def _cross_ratios(det):
+    """The cross-ratios r(omit k), k = 0..4, from the pair table, one at a
+    time: D13 D24 / (D23 D14) of the surviving points 1-4 in order, as one
+    exact quotient each."""
+    for k in range(5):
+        a, b, c, d = (i for i in range(5) if i != k)
+        den = det[b, c] * det[a, d]
+        if not den:
+            raise DegeneracyError("cross-ratio denominator vanishes")
+        unit, norm = _reciprocal(den)
+        yield _quotient(det[a, c] * det[b, d] * unit, norm)
 
 
 def _alternating_sum(values):
@@ -274,25 +298,28 @@ def omit_cross_ratios(points):
 
     Each quadruple keeps the surviving points in their original order.
     """
-    return _omit_one(points, _as_point, cross_ratio)
+    return list(_cross_ratios(_pair_table(points)))
+
+
+def _orientation(det):
+    """(1/2) prod_{i<j} sgn Delta(p_i, p_j) from the pair table, refusing
+    the first pair whose determinant is complex or zero."""
+    eps = Fraction(1, 2)
+    for (i, j), d in det.items():
+        if type(d) is not int:
+            if d.im:
+                raise ContractViolation("orientation needs real points")
+            d = d.re
+        if d == 0:
+            raise DegeneracyError(f"points {i} and {j} coincide")
+        eps = eps if d > 0 else -eps
+    return eps
 
 
 def epsilon_sign(points):
     """The orientation sign (1/2) prod_{i<j} sgn Delta(p_i, p_j) of a real
     5-tuple, as an exact rational +-1/2."""
-    pts = [_as_point(p) for p in points]
-    if len(pts) != 5:
-        raise ContractViolation("need exactly 5 points")
-    eps = Fraction(1, 2)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            det = pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1]
-            if isinstance(det, GaussianRational):
-                raise ContractViolation("orientation needs real points")
-            if det == 0:
-                raise DegeneracyError(f"points {i} and {j} coincide")
-            eps = eps if det > 0 else -eps
-    return eps
+    return _orientation(_pair_table(points))
 
 
 def rogers_five_term(points):
@@ -302,15 +329,17 @@ def rogers_five_term(points):
     predicted value -epsilon pi^2/6, and their difference.  The sum over
     sgn-generic real 5-tuples matches the prediction; this is the
     functional equation of the real dilogarithm in its orientation-exact
-    form.
+    form.  The cross-ratios and epsilon come from one pair table.
     """
     def real_rogers(r):
         if isinstance(r, GaussianRational):
             raise ContractViolation("rogers five-term needs real points")
-        return rogers_l2(Fraction(r))
+        return rogers_l2(r)
 
-    total = _alternating_sum(map(real_rogers, omit_cross_ratios(points)))
-    eps = epsilon_sign(points)
+    det = _pair_table(points)
+    # every denominator is checked before any cross-ratio is evaluated
+    total = _alternating_sum(map(real_rogers, list(_cross_ratios(det))))
+    eps = _orientation(det)
     predicted = -float(eps) * math.pi ** 2 / 6
     return {
         "sum": total,
@@ -322,7 +351,8 @@ def rogers_five_term(points):
 
 def bloch_wigner_five_term(points):
     """Alternating five-term sum of bloch_wigner over complex points;
-    identically zero."""
+    identically zero.  The quadruples keep the surviving points in their
+    original order."""
     def quadruple(x1, x2, x3, x4):
         num = (x3 - x1) * (x4 - x2)
         den = (x3 - x2) * (x4 - x1)
@@ -330,25 +360,35 @@ def bloch_wigner_five_term(points):
             raise DegeneracyError("degenerate quadruple in five-term sum")
         return bloch_wigner(num / den)
 
-    return _alternating_sum(_omit_one(points, complex, quadruple))
+    pts = [complex(p) for p in points]
+    if len(pts) != 5:
+        raise ContractViolation("need exactly 5 points")
+    return _alternating_sum([quadruple(*pts[:k], *pts[k + 1:])
+                             for k in range(5)])
 
 
 def l2g(x1, x2, x3, x4):
     """Dilogarithm of a 4-point configuration of the projective line: the
     rogers_l2 value of its exact cross-ratio."""
-    r = cross_ratio(_as_point(x1), _as_point(x2), _as_point(x3),
-                    _as_point(x4))
+    return _l2g_of(cross_ratio(_as_point(x1), _as_point(x2), _as_point(x3),
+                               _as_point(x4)))
+
+
+def _l2g_of(r):
+    """rogers_l2 of an exact cross-ratio, refusing a complex or degenerate
+    one."""
     if isinstance(r, GaussianRational):
         raise ContractViolation("l2g needs a real configuration")
-    r = Fraction(r)
     if r in (0, 1):
         raise DegeneracyError("degenerate cross-ratio")
     return rogers_l2(r)
 
 
 def l2g_five_term(points):
-    """Alternating sum of l2g over the five omit-one quadruples."""
-    return _alternating_sum(_omit_one(points, _as_point, l2g))
+    """Alternating sum of l2g over the five omit-one quadruples, from one
+    pair table; each quadruple's cross-ratio is formed and checked before
+    the next one's."""
+    return _alternating_sum(map(_l2g_of, _cross_ratios(_pair_table(points))))
 
 
 def l2g_family_values(base, velocities, samples=11):

@@ -340,10 +340,15 @@ class MultTensor(_LinearCombination):
 
     @classmethod
     def from_json_dict(cls, data):
+        """The tensor of `to_json_dict`'s payload.  The arity must be a
+        JSON integer: int() would read true and 1.7 as arity 1."""
         try:
-            arity = int(data["arity"])
-        except (KeyError, TypeError, ValueError) as exc:
+            arity = data["arity"]
+        except (KeyError, TypeError) as exc:
             raise ContractViolation(f"bad tensor payload: {exc}") from exc
+        if type(arity) is not int:
+            raise ContractViolation(
+                f"bad tensor payload: arity {arity!r} is not an integer")
         return cls.from_terms(arity, _terms_from_json(data))
 
 

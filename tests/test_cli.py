@@ -745,6 +745,7 @@ BAD_ELEMENT_TERMS = {
     "no-slots": {"coeff": 1},
     "true-coeff": {"coeff": True, "slots": [["D[1]"]]},
 }
+BAD_ELEMENT_ARITIES = {"true-arity": True, "float-arity": 1.7}
 
 
 @pytest.mark.parametrize("argv", [
@@ -764,17 +765,23 @@ BAD_ELEMENT_TERMS = {
     ["integrate", "--element", "slot"],
     ["integrate", "--element", "no-slots"],
     ["integrate", "--element", "true-coeff"],
+    ["integrate", "--element", "true-arity"],
+    ["integrate", "--element", "float-arity"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_malformed_input_is_one_error_line(tmp_path, argv):
     # each of these printed a traceback (ValueError, ZeroDivisionError,
     # AttributeError or KeyError) instead of a malformed-spec error; a
-    # JSON true coefficient was read as 1, and the value printed
+    # JSON true coefficient was read as 1, and the value printed, and an
+    # arity true or 1.7 was read as 1
     if argv[0] == "integrate":
         if argv[1] == "--element":
+            bad = argv[2]
+            payload = ({"arity": BAD_ELEMENT_ARITIES[bad],
+                        "terms": [{"coeff": 1, "slots": [["D[1]"]]}]}
+                       if bad in BAD_ELEMENT_ARITIES else
+                       {"arity": 1, "terms": [BAD_ELEMENT_TERMS[bad]]})
             element = tmp_path / "element.json"
-            element.write_text(json.dumps(
-                {"arity": 1, "terms": [BAD_ELEMENT_TERMS[argv[2]]]}),
-                encoding="utf-8")
+            element.write_text(json.dumps(payload), encoding="utf-8")
             argv = argv[:2] + [str(element)]
         argv = argv + ["--path",
                        write_path(tmp_path, PathSpec.line([[1.0]], [[3.0]]))]

@@ -104,6 +104,24 @@ def test_scalar_parse_and_str_round_trip():
         as_scalar(0.5)
 
 
+def test_booleans_are_neither_scalars_nor_dimensions():
+    # True and False are the ints 1 and 0 to Python, and were read so
+    for bad in (True, False):
+        with pytest.raises(ContractViolation, match="not an exact scalar"):
+            as_scalar(bad)
+        with pytest.raises(ContractViolation, match="not a matrix entry"):
+            exact_det([[bad]])
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        Configuration.from_json_dict({"dim": True, "vectors": [[True]]})
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        Configuration(True, [[1]])
+    with pytest.raises(ContractViolation, match="not an exact scalar"):
+        Configuration(1, [[True]])
+    with pytest.raises(ContractViolation, match="not an exact scalar"):
+        cross_ratio(True, 2, 3, 4)
+    assert Configuration(1, [[1]]).vectors == ((Fraction(1),),)
+
+
 def test_scalar_to_complex():
     assert scalar_to_complex(Fraction(1, 4)) == 0.25 + 0j
     assert scalar_to_complex(GaussianRational(1, -2)) == 1 - 2j

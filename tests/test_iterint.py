@@ -25,8 +25,8 @@ from grasspoly.iterint import (DEFAULT_BUDGET, GAUSS_ORDER,
                                PHASE_JUMP_LIMIT, POLE_THRESHOLD,
                                IterIntResult, PathSpec,
                                _Automaton, _chebder, _chebvander, _Engine,
-                               _fit_brackets, _fit_tables, _LetterTable,
-                               _letter_values, _PhaseJump, _quadrature,
+                               _fit_tables, _LetterTable, _letter_values,
+                               _path_fits, _PhaseJump, _quadrature,
                                _WordBatch, dlog_letter, homotopy_test,
                                iterate_element, iterate_word, iterate_words,
                                monodromy_probe, normalize_letter,
@@ -418,7 +418,8 @@ def test_start_states_enter_every_layout_through_run():
 #
 # _configurations and _det_solve_letter_values are the engine's former
 # letter evaluation (a det, a solve and a trace on every panel), kept
-# verbatim as the oracle.
+# verbatim as the oracle, but for `_combined` in place of the product with
+# `letters.coef`, which a table of bare brackets no longer holds.
 
 
 def _configurations(seg, svals):
@@ -462,7 +463,18 @@ def _det_solve_letter_values(seg, svals, letters):
             raise _PhaseJump(sym, float(turns[b]))
         values = np.trace(
             np.linalg.solve(a, mp[:, letters.brackets, :]), axis1=2, axis2=3)
-    return values @ letters.coef
+    return _combined(values, letters)
+
+
+def _combined(values, letters):
+    """Bracket d logs combined into the table's letters: `letters.coef`
+    is None when the letters are the brackets themselves."""
+    return values if letters.coef is None else values @ letters.coef
+
+
+def _segment_fit(seg, letters):
+    """The engine's fit of one segment, (series, slopes)."""
+    return _path_fits([seg], letters)[0]
 
 
 def _panel_nodes(sa, sb):
@@ -510,7 +522,7 @@ def _assert_letters_match(seg, svals, letters):
     """The series letters agree with the det/solve letters to 1e-12 of
     each letter's size, or both refuse the panel for the same bracket."""
     old = _outcome(_det_solve_letter_values, seg, svals, letters)
-    new = _outcome(_panel_letters, _fit_brackets(seg, letters), svals, letters)
+    new = _outcome(_panel_letters, _segment_fit(seg, letters), svals, letters)
     if isinstance(old, tuple):
         assert new == old
         return None
@@ -571,7 +583,7 @@ def test_series_letters_report_the_same_offender():
     pole, jump = (bracket_symbol(b)[0] for b in ((1, 3), (2, 4)))
     for first, second in ((pole, jump), (jump, pole)):
         letters = _LetterTable([((1, first),), ((1, second),)], 2, 4)
-        fit = _fit_brackets(seg, letters)
+        fit = _segment_fit(seg, letters)
         if first == pole:
             with pytest.raises(PoleError) as old:
                 _det_solve_letter_values(seg, svals, letters)
@@ -605,15 +617,18 @@ def test_chebvander_is_numpys_bit_for_bit(deg):
 
 @pytest.mark.parametrize("deg", range(13))
 def test_chebder_is_numpys_bit_for_bit(deg):
+    # stacks of (terms, brackets) series, differentiated along the terms
     rng = np.random.default_rng(100 + deg)
-    real = rng.uniform(-1.0, 1.0, deg + 1)
+    real = rng.uniform(-1.0, 1.0, (1, deg + 1, 1))
     series = {"real": real,
-              "complex": real + 1j * rng.uniform(-1.0, 1.0, deg + 1),
-              "matrix": rng.uniform(-1.0, 1.0, (deg + 1, 5))
-              + 1j * rng.uniform(-1.0, 1.0, (deg + 1, 5))}
+              "complex": real + 1j * rng.uniform(-1.0, 1.0, real.shape),
+              "matrix": rng.uniform(-1.0, 1.0, (1, deg + 1, 5))
+              + 1j * rng.uniform(-1.0, 1.0, (1, deg + 1, 5)),
+              "stack": rng.uniform(-1.0, 1.0, (3, deg + 1, 5))
+              + 1j * rng.uniform(-1.0, 1.0, (3, deg + 1, 5))}
     for c in series.values():
         kept = c.copy()
-        want = np.polynomial.chebyshev.chebder(c, scl=2.0)
+        want = np.polynomial.chebyshev.chebder(c, scl=2.0, axis=1)
         got = _chebder(c)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -647,10 +662,14 @@ def test_lazy_tables_and_constants_equal_their_eager_definitions():
     for mm in range(1, order):
         anti[:, mm] = (vander[:, mm + 1] - vander[:, mm - 1]) / (2 * mm + 1)
     qmat = anti @ coef
-    eager = (x, w, qmat, np.ascontiguousarray(qmat.T))
+    # the weights and Q.T, which the sweep multiplies by complex values,
+    # are kept as C-contiguous complex copies
+    eager = (x, w.astype(complex), qmat,
+             np.ascontiguousarray(qmat.T).astype(complex))
     assert _quadrature() is _quadrature()  # built once
     for table, value in zip(_quadrature(), eager, strict=True):
         assert not table.flags.writeable
+        assert table.flags.c_contiguous
         assert table.dtype == value.dtype and np.array_equal(table, value)
     assert PHASE_JUMP_LIMIT == np.pi / 2
     assert iterint._ROUNDING_FLOOR == 16 * np.finfo(float).eps
@@ -681,7 +700,9 @@ def test_quadrature_is_exact_on_polynomials_of_its_degree():
 # _serial_fit_brackets, _serial_letter_values and _SerialEngine are the
 # engine's former segment fit, letter evaluation and adaptive step (one
 # letter evaluation per panel), kept verbatim as the oracle, but for the
-# names of the kept helpers.
+# names of the kept helpers and `_combined` in place of the product with
+# `letters.coef`.  _serial_letter_values is also the former phase test, the
+# angle of each ratio of adjacent bracket values against PHASE_JUMP_LIMIT.
 
 
 def _serial_fit_brackets(seg, letters):
@@ -728,7 +749,7 @@ def _serial_letter_values(fit, svals, letters):
                 f"bracket {symbol_to_str(sym)} modulus {small[b]:.3e} "
                 f"below {POLE_THRESHOLD:g} on the path")
         raise _PhaseJump(sym, float(turns[b]))
-    return (vander[:, :len(slopes)] @ slopes / vals) @ letters.coef
+    return _combined(vander[:, :len(slopes)] @ slopes / vals, letters)
 
 
 def test_fit_is_the_serial_fit_bit_for_bit():
@@ -739,7 +760,7 @@ def test_fit_is_the_serial_fit_bit_for_bit():
         for deg in (0, 1, 2, 3):
             seg = (rng.standard_normal((deg + 1, count, dim))
                    + 1j * rng.standard_normal((deg + 1, count, dim)))
-            for got, want in zip(_fit_brackets(seg, letters),
+            for got, want in zip(_segment_fit(seg, letters),
                                  _serial_fit_brackets(seg, letters),
                                  strict=True):
                 assert got.shape == want.shape
@@ -782,7 +803,7 @@ def test_batched_letters_match_panel_by_panel():
                         + im * 1j * rng.uniform(-2.0, 2.0, (3, count, dim)))
     failed = []
     for seg in segments:
-        fit = _fit_brackets(seg, letters)
+        fit = _segment_fit(seg, letters)
         for _ in range(30):
             ends = np.sort(rng.uniform(0.0, 1.0, (rng.integers(1, 5), 2)))
             svals = np.array([_panel_nodes(a, b) for a, b in ends])
@@ -796,11 +817,93 @@ def test_batched_letters_match_panel_by_panel():
     s0 = svals[1, 5]
     seg = np.array([[[1, 0], [0, 1], [1, -s0], [1, 1]],
                     [[0, 0], [0, 0], [0, 1], [0, 0]]], dtype=complex)
-    fit = _fit_brackets(seg, letters)
+    fit = _segment_fit(seg, letters)
     assert _assert_batch_matches_serial(fit, svals, letters) == 1
     _, (_, exc) = _letter_values(fit, svals, letters)
     assert isinstance(exc, PoleError)
     assert str(exc).startswith("bracket D[1,3] modulus")
+
+
+def test_path_fit_is_the_per_segment_fit_bit_for_bit():
+    # a line, a deformed cubic and two more lines: the segments of each
+    # degree are fitted in one stack, and each fit is the serial fit of
+    # its segment alone, for a table of multi-part letters and one of bare
+    # brackets
+    a, b, c, d, e = (np.array(m, dtype=complex) for m in (
+        SAFE_BASE, SAFE_TARGET, [[1, 1], [0, 2], [-1, 1], [2, -1]],
+        [[2, 1j], [1, 1], [0, 1], [1, 3]], [[1, 0], [1j, 1], [2, 1], [1, 2]]))
+    path = (PathSpec.line(a, b)
+            .then(PathSpec.line(b, c).deform(seed=27, amplitude=0.3))
+            .then(PathSpec.from_points([c, d, e])))
+    assert [len(seg) for seg in path.segments] == [2, 4, 2, 2]
+    brackets = [((1, bracket_symbol(pair)[0]),)
+                for pair in combinations(range(1, 5), 2)]
+    for letters in (_letter_table(2, 4), _LetterTable(brackets, 2, 4)):
+        fits = _path_fits(path.segments, letters)
+        assert len(fits) == len(path.segments)
+        for fit, seg in zip(fits, path.segments, strict=True):
+            for got, want in zip(fit, _serial_fit_brackets(seg, letters),
+                                 strict=True):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_bare_bracket_tables_hold_no_coefficients():
+    d12, d13 = bracket_symbol((1, 2))[0], bracket_symbol((1, 3))[0]
+    t = scalar_symbol("t")
+    for letters in ([d12, d13], [((1, d12),), ((1.0, d13),)],
+                    [((1, d12),), ((1, d13), (5, t))]):
+        table = _LetterTable([normalize_letter(l) for l in letters], 2, 3)
+        assert table.coef is None
+    for letters, coef in (([d13, d12, d13], [[1, 0, 1], [0, 1, 0]]),
+                          ([((2, d12),), d13], [[2, 0], [0, 1]]),
+                          ([((1, t),), d12], [[0, 1]]),
+                          ([((1, d12), (1, d12)), d13], [[2, 0], [0, 1]])):
+        table = _LetterTable([normalize_letter(l) for l in letters], 2, 3)
+        assert np.array_equal(table.coef, coef)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+def test_phase_test_is_the_angle_test():
+    # D[2,4] = -(2s - 1 + eps i) crosses its zero at s = 1/2 (eps = 0) or
+    # grazes it; on runs of panels around the zero the sign test finds the
+    # angle test's failing panel, symbol and jump, and the letters before
+    # it are the angle test's bit for bit, for a table of bare brackets
+    # and one of multi-part letters
+    rng = np.random.default_rng(27)
+    brackets = [((1, bracket_symbol(pair)[0]),)
+                for pair in combinations(range(1, 5), 2)]
+    kinds = set()
+    for eps in (1e-1, 1e-3, 1e-6, 0.0, -1e-9):
+        seg = np.array([[[1, 0], [0, 1], [1, 0.5], [-1 + eps * 1j, 1]],
+                        [[0, 0], [0, 0], [0, 0], [2, 0]]], dtype=complex)
+        for letters in (_LetterTable(brackets, 2, 4), _letter_table(2, 4)):
+            fit = _segment_fit(seg, letters)
+            for _ in range(20):
+                ends = np.sort(rng.uniform(0.3, 0.7, (rng.integers(1, 4), 2)))
+                svals = np.array([_panel_nodes(lo, hi) for lo, hi in ends])
+                failed = _assert_batch_matches_serial(fit, svals, letters)
+                if failed is not None:
+                    kinds.add(type(_letter_values(fit, svals, letters)[1][1]))
+                else:
+                    kinds.add(None)
+    assert kinds == {None, _PhaseJump}, kinds
+    # P(x) = 1 + c x at x = 0 and 1 (s = 1/2 and 1) is 1, then 1 + c
+    # exactly: a quarter turn either way is no jump under either test, and
+    # a turn a little past it is one under both
+    letters = _LetterTable([((1, bracket_symbol((1, 2))[0]),)], 2, 2)
+    svals = np.array([[0.5, 1.0]])
+    for c, jumps in ((-1 + 1j, False), (-1 - 1j, False),
+                     (-1.000001 + 1j, True), (-1.000001 - 1j, True)):
+        series = np.array([[1.0], [c]], dtype=complex)
+        fit = series, _chebder(series[None])[0]
+        assert _assert_batch_matches_serial(fit, svals, letters) == (
+            0 if jumps else None)
+        if jumps:
+            exc = _letter_values(fit, svals, letters)[1][1]
+            assert isinstance(exc, _PhaseJump)
+            assert exc.jump > PHASE_JUMP_LIMIT
 
 
 class _SerialEngine(_Engine):

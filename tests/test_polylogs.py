@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from grasspoly import iterint, polylogs
-from grasspoly.configurations import GaussianRational, cross_ratio
+from grasspoly.configurations import (GaussianRational, _as_point,
+                                     cross_ratio)
 from grasspoly.errors import (ContractViolation, DegeneracyError, PathError,
                               PoleError)
 from grasspoly.iterint import DEFAULT_BUDGET, IterIntResult, PathSpec
@@ -370,6 +371,16 @@ def test_rogers_five_term_random_rational_tuples():
         done += 1
 
 
+def test_five_term_drivers_refuse_booleans():
+    # True was read as the point 1
+    for driver in (rogers_five_term, l2g_five_term, epsilon_sign,
+                   omit_cross_ratios):
+        with pytest.raises(ContractViolation, match="not an exact scalar"):
+            driver([True, 2, 3, 4, 5])
+        with pytest.raises(ContractViolation, match="not an exact scalar"):
+            driver([(1, False), 2, 3, 4, 5])
+
+
 def test_epsilon_sign_counts_inversions():
     pts = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2),
            Fraction(9))
@@ -488,6 +499,160 @@ def test_l2g_family_constant_when_crossing_free():
         l2g_family_values((0, 1, 2), (1, 1, 1), samples=5)
     with pytest.raises(ContractViolation):
         l2g_family_values((0, 1, 2, 3, 4), (0,) * 5, samples=1)
+
+
+# _old_omit_one, _old_alternating_sum and the _old_* drivers are the
+# five-term drivers before the shared pair table, kept verbatim as the
+# oracle (but for the names of the kept helpers): one cross_ratio in
+# Fraction or GaussianRational arithmetic per quadruple, and epsilon from
+# exact scalar products.
+
+
+def _old_omit_one(points, convert, fn):
+    """[fn(*quadruple omitting point k) for k in 0..4] of exactly five
+    points, each converted first; the quadruples keep the surviving points
+    in their original order."""
+    pts = [convert(p) for p in points]
+    if len(pts) != 5:
+        raise ContractViolation("need exactly 5 points")
+    return [fn(*pts[:k], *pts[k + 1:]) for k in range(5)]
+
+
+def _old_alternating_sum(values):
+    """values[0] - values[1] + values[2] - ..., summed in order."""
+    total = 0.0
+    for k, val in enumerate(values):
+        total += val if k % 2 == 0 else -val
+    return total
+
+
+def _old_omit_cross_ratios(points):
+    return _old_omit_one(points, _as_point, cross_ratio)
+
+
+def _old_epsilon_sign(points):
+    pts = [_as_point(p) for p in points]
+    if len(pts) != 5:
+        raise ContractViolation("need exactly 5 points")
+    eps = Fraction(1, 2)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            det = pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1]
+            if isinstance(det, GaussianRational):
+                raise ContractViolation("orientation needs real points")
+            if det == 0:
+                raise DegeneracyError(f"points {i} and {j} coincide")
+            eps = eps if det > 0 else -eps
+    return eps
+
+
+def _old_rogers_five_term(points):
+    def real_rogers(r):
+        if isinstance(r, GaussianRational):
+            raise ContractViolation("rogers five-term needs real points")
+        return rogers_l2(Fraction(r))
+
+    total = _old_alternating_sum(map(real_rogers,
+                                     _old_omit_cross_ratios(points)))
+    eps = _old_epsilon_sign(points)
+    predicted = -float(eps) * math.pi ** 2 / 6
+    return {
+        "sum": total,
+        "epsilon": str(eps),
+        "predicted": predicted,
+        "difference": abs(total - predicted),
+    }
+
+
+def _old_l2g(x1, x2, x3, x4):
+    r = cross_ratio(_as_point(x1), _as_point(x2), _as_point(x3),
+                    _as_point(x4))
+    if isinstance(r, GaussianRational):
+        raise ContractViolation("l2g needs a real configuration")
+    r = Fraction(r)
+    if r in (0, 1):
+        raise DegeneracyError("degenerate cross-ratio")
+    return rogers_l2(r)
+
+
+def _old_l2g_five_term(points):
+    return _old_alternating_sum(_old_omit_one(points, _as_point, _old_l2g))
+
+
+FIVE_TERM_DRIVERS = [
+    (omit_cross_ratios, _old_omit_cross_ratios),
+    (epsilon_sign, _old_epsilon_sign),
+    (rogers_five_term, _old_rogers_five_term),
+    (l2g_five_term, _old_l2g_five_term),
+]
+
+
+def _five_term_outcome(driver, points):
+    """The driver's value with the type of each entry, or the type and
+    text of its refusal."""
+    try:
+        value = driver(points)
+    except (ContractViolation, DegeneracyError) as exc:
+        return type(exc), str(exc)
+    entries = value if isinstance(value, list) else [value]
+    return value, [type(v) for v in entries]
+
+
+def _seeded_five_tuples():
+    """Seeded 5-tuples: integers and rationals from small ranges (so that
+    points coincide and cross-ratios degenerate), projective pairs (with
+    points at infinity and zero vectors), Gaussian rationals (some of them
+    real) and mixtures of all four."""
+    rng = random.Random(2709)
+
+    def integer():
+        return rng.randint(-4, 4)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def pair():
+        return (rng.randint(-2, 2), rng.randint(-2, 2))
+
+    def gaussian():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                rng.randint(-1, 1))
+
+    kinds = (integer, rational, pair, gaussian)
+    tuples = [[kind() for _ in range(5)] for kind in kinds for _ in range(60)]
+    tuples += [[rng.choice(kinds)() for _ in range(5)] for _ in range(120)]
+    return tuples + [
+        [0, 1, 3, 4, 6],
+        [1, 1, 2, 3, 4],  # coincident points
+        [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1)],  # a point at infinity
+        [(0, 0), 1, 2, 3, 4],  # a zero vector
+        [0, 0, 1, 2, GaussianRational(0, 1)],  # coincident before complex
+        [GaussianRational(1, 1), 2, 3, 4, 5],
+        [0, 1, GaussianRational(1, 1), 3, 3],  # complex before coincident
+        [True, 2, 3, 4, 5],
+    ]
+
+
+def test_five_term_drivers_match_the_per_quadruple_formulas():
+    # every value, with the type of each cross-ratio, and every refusal,
+    # with its type and text, is the former drivers'; the refusals raised
+    # first are the same when a tuple has several faults
+    outcomes = set()
+    for points in _seeded_five_tuples():
+        for driver, oracle in FIVE_TERM_DRIVERS:
+            want = _five_term_outcome(oracle, points)
+            got = _five_term_outcome(driver, points)
+            assert got == want, (driver.__name__, points)
+            outcomes.add(want if isinstance(want[0], type) else "value")
+    assert "value" in outcomes
+    assert {(DegeneracyError, "cross-ratio denominator vanishes"),
+            (DegeneracyError, "points 0 and 1 coincide"),
+            (DegeneracyError, "degenerate cross-ratio"),
+            (ContractViolation, "orientation needs real points"),
+            (ContractViolation, "rogers five-term needs real points"),
+            (ContractViolation, "l2g needs a real configuration"),
+            (ContractViolation, "rogers_l2 is singular at 0, 1, infinity"),
+            } <= outcomes, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,16 @@ def test_json_round_trip():
         MultTensor.from_json_dict({"arity": 1})
 
 
+@pytest.mark.parametrize("arity", [True, False, 1.7, 2.0, "1", None])
+def test_tensor_from_json_refuses_an_arity_that_is_not_an_integer(arity):
+    # JSON true and 1.7 were both read as arity 1
+    good = {"coeff": 1, "slots": [["D[1]"]]}
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        MultTensor.from_json_dict({"arity": arity, "terms": [good]})
+    assert MultTensor.from_json_dict({"arity": 1, "terms": [good]}) == \
+        MultTensor.from_terms(1, [((bracket_symbol((1,))[0],), 1)])
+
+
 @pytest.mark.parametrize("bad", ["x", "1/0", "", True, False])
 def test_coeff_from_json_refuses_what_is_not_a_rational(bad):
     # JSON true and false were read as the coefficients 1 and 0
