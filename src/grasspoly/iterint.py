@@ -38,18 +38,33 @@ Panels split adaptively by comparing a whole-panel sweep against two
 half-panel sweeps.  Acceptance is proportional to the interval, so the
 accumulated estimate stays near the requested tolerance, but it never
 asks for a relative difference below _ROUNDING_FLOOR (16 ulp), which deep
-panels could not meet in double precision.  A split reuses what is
-already known: the left half becomes the left child's whole panel, and the
-right half's letter values serve the right child's whole panel.  Each
-step evaluates the letters of all the panels it sweeps (the whole panel
-unless it was handed down, and the two halves) in one call, then sweeps
-them in that order; a panel whose letters fail raises only in its turn,
-after the panels before it are swept and counted.  The `panels` count of
-a result is the number of sweeps evaluated, and the budget limits the
-same count.  The acceptance test reads every state of the sweep.  An
-output's reported error sums, over the accepted panels, |scale| times
-the largest |whole - halves| among its states: a word's prefix nodes,
-with scale 1, or an element's value, with the element's scale.
+panels could not meet in double precision.  Before it sweeps, a step
+tests its letters: every edge into the first level leaves the start
+state, so the first level's rows of |whole - halves| are the start value
+times the letters' Gauss integrals over the whole panel less those over
+the halves, taken through that level's edges (`_first_level`).  A step
+whose rows exceed twice the limit, on a scale of the start states and
+the first level's end values, splits unswept.  The sweeps could accept
+it only if its largest state more than doubled on it; otherwise they
+would be rejected, and the children sweep from the same start states
+with the same letters either way, so values and errors are those of
+sweeping every step.  On one pass of the benchmark's `tate_integrals`
+workload (seed 3), 305 of the 344 splits among 772 steps are refused so,
+and 1354 panels are swept instead of 1964.  A split evaluates the
+letters of its children's halves (the four quarter panels) in one call
+and hands down what is known: the left half is the left child's whole
+panel (already swept, unless the step was refused), and the right half's
+letter values serve the right child's whole panel, so no panel's letters
+are evaluated twice.  A root step evaluates its three panels in one
+call.  A panel whose letters fail raises only in its turn, after the
+panels before it are swept and counted.  The `panels` count of a result
+is the number of sweeps evaluated, and the budget limits the same count;
+a refused step sweeps nothing, but it is an inner node of a tree whose
+leaves sweep at least two panels each, so the budget still bounds the
+work.  The acceptance test reads every state of the sweep.  An output's
+reported error sums, over the accepted panels, |scale| times the largest
+|whole - halves| among its states: a word's prefix nodes, with scale 1,
+or an element's value, with the element's scale.
 
 Failure modes are explicit: a bracket modulus below POLE_THRESHOLD at any
 node raises PoleError, exceeding the panel budget raises BudgetError, and
@@ -67,10 +82,10 @@ A panel carries GAUSS_ORDER = 24 Gauss-Legendre nodes.  The error of
 Gauss quadrature falls geometrically with the node count on analytic
 integrands, while a sweep over the 112 states of a degree-3 element,
 bound by the number of numpy calls rather than their size, costs little
-more at 24 nodes than at 16 (64 against 56 us).  Against 16 nodes, one
-pass of the benchmark's `tate_integrals` workload (seed 3) sweeps 1964
-panels instead of 2857, and its split steps fall from 526 of 1136 to
-344 of 772.  Timed in one process, order 20 was slower than 24 on every
+more at 24 nodes than at 16 (64 against 56 us).  Against 16 nodes, with
+every step swept, one pass of the benchmark's `tate_integrals` workload
+(seed 3) sweeps 1964 panels instead of 2857, and its split steps fall
+from 526 of 1136 to 344 of 772.  Timed in one process, order 20 was slower than 24 on every
 kind of integral, and order 28 was faster only on `li_n` (by 9%).  At
 28 and 32 nodes degree-4 integrals took 1.6 and 1.7 times as long as at
 24: their sweep over 2450 states is bound by arithmetic, which grows
@@ -197,23 +212,31 @@ class PathSpec:
     __slots__ = ("segments",)
 
     def __init__(self, segments):
-        segs = []
+        segs, ends = [], []
         for seg in segments:
-            arr = np.asarray(seg, dtype=complex)
+            arr = _freeze(seg)
             if arr.ndim != 3 or arr.shape[0] < 1:
                 raise PathError(
                     "segment coefficients must have shape (degree+1, count, dim)")
-            if not np.isfinite(arr).all():
-                raise PathError("segment coefficients must be finite")
-            segs.append(_freeze(arr))
+            # a sum is finite only when its terms are, so one test of the
+            # segment's end also tests every coefficient
+            end = arr.sum(axis=0)
+            if not np.isfinite(end).all():
+                raise PathError(
+                    "segment coefficients must be finite"
+                    if not np.isfinite(arr).all() else
+                    "segment end must be finite: its coefficients' sum "
+                    "overflows")
+            segs.append(arr)
+            ends.append(end)
         if not segs:
             raise PathError("a path needs at least one segment")
         shape = segs[0].shape[1:]
         for arr in segs[1:]:
             if arr.shape[1:] != shape:
                 raise PathError("all segments must share (count, dim)")
-        for a, b in zip(segs, segs[1:]):
-            if not _meets(a.sum(axis=0), b[0], _JOINT_TOL):
+        for end, b in zip(ends, segs[1:]):
+            if not _meets(end, b[0], _JOINT_TOL):
                 raise PathError("discontinuous path: segment joint mismatch")
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -502,7 +525,8 @@ class _Sweep:
     `levels[k-1]` takes level k - 1 to level k, as laid out by `_level`.
     Output i has the value scale * f[outputs[i, -1]], and |scale| times
     the largest |whole - halves| over the states outputs[i] is its share
-    of a panel's error.
+    of a panel's error.  `first` describes the first level as
+    `_first_level` lays it out, for the engine's test from letters.
     """
 
     def sweep(self, lv, f_a, hh):
@@ -586,6 +610,24 @@ def _level(base, edges_in):
              for slot in slots])
 
 
+def _first_level(states, letters):
+    """The `first` of a `_Sweep` with `letters` letters: (slice of its
+    first level's states, (letters, states) complex matrix M).  Every edge
+    into the first level leaves the start state, so a panel moves those
+    states by f[0] * (I @ M), where I holds the letters' integrals
+    hh * (weights @ L) over the panel.  M holds the first level's edge
+    weights, or `final` when there is no level (the first level is then
+    the state E)."""
+    if not states.levels:
+        size = len(states.f0)
+        return slice(size - 1, size), states.final.astype(complex)
+    nodes, letter, weight, slots = states.levels[0]
+    matrix = np.zeros((letters, nodes.stop - nodes.start), dtype=complex)
+    for count, _, pair in slots:
+        np.add.at(matrix, (letter[pair], np.arange(count)), weight[pair, 0])
+    return nodes, matrix
+
+
 class _WordBatch(_Sweep):
     """The words of one sweep as a prefix trie: one state per prefix, and
     one output per word.  Words share a node while they agree in their
@@ -618,6 +660,7 @@ class _WordBatch(_Sweep):
         self.f0 = np.zeros(base, dtype=complex)
         self.f0[0] = 1.0
         self.final = None
+        self.first = _first_level(self, len(letter_cols))
         self.outputs = np.array(columns, dtype=int).T
         self.scale = 1.0
 
@@ -716,6 +759,7 @@ class _Automaton(_Sweep):
                 self.final[a, order[q]] = float(w)
         self.f0 = np.zeros(base + 1, dtype=complex)
         self.f0[0] = 1.0
+        self.first = _first_level(self, len(symbols))
         self.outputs = np.array([[base]])
 
 
@@ -828,10 +872,10 @@ def _letter_values(fit, svals, letters):
     vander = _chebvander(2.0 * svals - 1.0, len(series) - 1)
     vals = vander @ series
     small = np.abs(vals).min(axis=1)
-    turned = ((vals[:, 1:] * vals[:, :-1].conj()).real < 0).any(axis=1)
-    bad = (small < POLE_THRESHOLD) | turned
+    turned = (vals[:, 1:] * vals[:, :-1].conj()).real < 0
     passed, failure = len(svals), None
-    if bad.any():
+    if small.min(initial=POLE_THRESHOLD) < POLE_THRESHOLD or turned.any():
+        bad = (small < POLE_THRESHOLD) | turned.any(axis=1)
         passed, b = divmod(int(bad.argmax()), bad.shape[1])
         sym = letters.symbols[b]
         if small[passed, b] < POLE_THRESHOLD:
@@ -932,33 +976,74 @@ class _Engine:
         self.err = 0.0
         self.segment = 0
         self.roots_checked = False
+        self.refused = 0
 
-    def _advance(self, fit, sa, sb, f_a, depth, whole=None, lv=None):
+    def _letters(self, fit, spans):
+        """The letter values of the panels `spans` in one call, up to the
+        first whose letters fail, as (values, rises, failure): one
+        (nodes, letters) array per panel; what the panel adds to the first
+        level's states per unit start state, hh * (weights @ values) @ M
+        for `first` = (nodes, M); and the failing panel's exception, or
+        None."""
+        x, weights, _, _ = _quadrature()
+        hh = np.array([0.5 * (b - a) for a, b in spans])[:, None]
+        svals = np.array([0.5 * (a + b) for a, b in spans])[:, None] + hh * x
+        values, failure = _letter_values(fit, svals, self.states.letters)
+        rises = (weights @ values) @ self.states.first[1]
+        rises *= hh[:len(values)]
+        return values, rises, None if failure is None else failure[1]
+
+    def _doomed(self, f_a, rises, width):
+        """Whether the first level's rows of |whole - halves| already fail
+        the acceptance test by a factor 2, read off the rises of the whole
+        panel and its halves: those rows are
+        |f_a[0] * (rise_whole - rise_left - rise_right)|, and the scale
+        stands in for the halves' largest state by the start states and
+        the first level's end values.  (The sweep could accept such a step
+        only if its largest state more than doubled on it.)"""
+        whole, left, right = rises
+        halves = left + right
+        gap = abs(f_a[0]) * float(np.abs(whole - halves).max())
+        limit = 2.0 * max(self.tol * width, _ROUNDING_FLOOR)
+        if gap <= limit:
+            return False
+        ends = f_a[self.states.first[0]] + f_a[0] * halves
+        return gap > limit * max(1.0, float(np.abs(f_a).max()),
+                                 float(np.abs(ends).max()))
+
+    def _advance(self, fit, sa, sb, f_a, depth, whole=None, known=None):
         """Integrate [sa, sb] from f_a, comparing the whole panel with its
-        two halves and splitting until they agree.  A split hands the left
-        half down as the left child's whole panel (same interval, same
-        start states) and the right half's letter values to the right
-        child, so no panel is evaluated twice.
+        two halves and splitting until they agree.  `whole`, when given,
+        is the whole panel already swept (same interval, same start
+        states), and `known` the (values, rises, failure) of `_letters`
+        for the step's panels (whole, left half, right half) as far as a
+        parent evaluated them; the rest are evaluated in one call.
 
-        The letters of every panel the step sweeps (the whole panel unless
-        it is handed down, and the two halves) are evaluated in one call.
-        The panels are then swept in that order, the right half from the
-        left half's end states; each counts against the budget before it
-        is swept, and a panel whose letters failed raises in its turn."""
+        A step whose letters pass, short of MAX_DEPTH, is first tested
+        from its letters (`_doomed`), and a doomed step splits unswept:
+        its sweeps would be rejected, and its children sweep from the
+        same start states with the same letters as after a swept split,
+        so values and errors are those of sweeping every step.  Otherwise
+        the panels are swept in order, the right half from the left
+        half's end states; each counts against the budget before it is
+        swept, and a panel whose letters failed raises in its turn.  A
+        split (`_split`) hands its halves' letters down, so no panel's
+        letters are evaluated twice."""
         mid = 0.5 * (sa + sb)
-        spans = [(sa, mid), (mid, sb)]
-        if whole is None:
-            spans.insert(0, (sa, sb))
-        bounds = np.array(spans if lv is None else spans[1:])
-        hh = 0.5 * (bounds[:, 1] - bounds[:, 0])
-        svals = (0.5 * (bounds[:, 0] + bounds[:, 1]))[:, None] + (
-            hh[:, None] * _quadrature()[0])
-        lvs, failure = _letter_values(fit, svals, self.states.letters)
-        if lv is not None:
-            lvs = [lv, *lvs]
-        swept = []
+        spans = ((sa, sb), (sa, mid), (mid, sb))
+        if known is None:
+            known = self._letters(fit, spans)
+        elif len(known[0]) < 3 and known[2] is None:
+            more = self._letters(fit, spans[len(known[0]):])
+            known = ([*known[0], *more[0]], [*known[1], *more[1]], more[2])
+        lvs, rises, failure = known
+        if (failure is None and depth < MAX_DEPTH
+                and self._doomed(f_a, rises, sb - sa)):
+            self.refused += 1
+            return self._split(fit, sa, sb, f_a, depth, lvs, rises)
+        swept = [] if whole is None else [whole]
         try:
-            for i, (a, b) in enumerate(spans):
+            for i in range(len(swept), 3):
                 self.panels += 1
                 if self.panels > self.budget:
                     raise BudgetError(
@@ -966,8 +1051,9 @@ class _Engine:
                         "may pass too close to a pole or the tolerance is "
                         "too tight")
                 if i == len(lvs):  # the first panel whose letters failed
-                    raise failure[1]
-                start = swept[-1] if i == len(spans) - 1 else f_a
+                    raise failure
+                a, b = spans[i]
+                start = swept[1] if i == 2 else f_a
                 swept.append(self.states.sweep(lvs[i], start, 0.5 * (b - a)))
         except _PhaseJump as exc:
             if depth >= MAX_DEPTH:
@@ -981,23 +1067,44 @@ class _Engine:
                 _check_segment_roots(fit, self.states.letters,
                                      self.segment)
             # the left half, when it was swept before the right one failed
-            left = swept[-1] if len(swept) == len(spans) - 1 else None
-            f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
+            left, known = None, None
+            if len(swept) == 2:
+                left, known = swept[1], ([lvs[1]], [rises[1]], None)
+            f_mid = self._advance(fit, sa, mid, f_a, depth + 1, left, known)
             return self._advance(fit, mid, sb, f_mid, depth + 1)
-        *_, left, halves = swept
-        if whole is None:
-            whole = swept[0]
+        whole, left, halves = swept
         diff = np.abs(whole - halves)
-        scale = max(1.0, float(np.abs(halves).max()))
-        limit = max(self.tol * (sb - sa), _ROUNDING_FLOOR) * scale
-        converged = bool(diff.max() <= limit)
+        worst = float(diff.max())
+        # the scale is at least 1, so it is read only when it matters
+        limit = max(self.tol * (sb - sa), _ROUNDING_FLOOR)
+        converged = worst <= limit or worst <= limit * max(
+            1.0, float(np.abs(halves).max()))
         if converged or depth >= MAX_DEPTH:
             if not converged:
                 self.depth_exceeded = True
             self.err += self.states.errors(diff)
             return halves
-        f_mid = self._advance(fit, sa, mid, f_a, depth + 1, whole=left)
-        return self._advance(fit, mid, sb, f_mid, depth + 1, lv=lvs[-1])
+        return self._split(fit, sa, sb, f_a, depth, lvs, rises, left)
+
+    def _split(self, fit, sa, sb, f_a, depth, lvs, rises, left=None):
+        """Advance the halves of [sa, sb] in turn, given the step's letter
+        values and rises and, when it was swept, its left half, which is
+        the left child's whole panel.  The children's own halves (the four
+        quarter panels) are evaluated in one call, and each child gets its
+        whole panel's and halves' letters; a child whose quarters come
+        after a failing one evaluates them itself."""
+        mid = 0.5 * (sa + sb)
+        q1, q3 = 0.5 * (sa + mid), 0.5 * (mid + sb)
+        qvs, qrises, failure = self._letters(
+            fit, ((sa, q1), (q1, mid), (mid, q3), (q3, sb)))
+        right = [lvs[2]], [rises[2]], None
+        if len(qvs) >= 2:
+            right = [lvs[2], *qvs[2:]], [rises[2], *qrises[2:]], failure
+            failure = None
+        f_mid = self._advance(
+            fit, sa, mid, f_a, depth + 1, left,
+            ([lvs[1], *qvs[:2]], [rises[1], *qrises[:2]], failure))
+        return self._advance(fit, mid, sb, f_mid, depth + 1, known=right)
 
     def run(self, start=None):
         """Sweep the whole path from the start states `start` (default:

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,10 +81,21 @@ def test_path_contracts():
     with pytest.raises(PathError):
         zline(0, 1).then("not a path")
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        with pytest.raises(PathError, match="must be finite"):
+        with pytest.raises(PathError, match="coefficients must be finite"):
             PathSpec([np.array([[[1.0]], [[bad]]])])
     with pytest.raises(AttributeError):
         zline(0, 1).segments = ()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_segment_whose_end_overflows_is_refused():
+    # finite coefficients whose sum, the segment's end, is infinite: the
+    # joint check against an infinite end passed any next segment
+    with pytest.raises(PathError, match="segment end must be finite"):
+        PathSpec([[[[1e308]], [[1e308]]], [[[5.0]], [[1.0]]]])
+    with pytest.raises(PathError, match="segment end must be finite"):
+        PathSpec([[[[1e308j]], [[1e308j]]]])
+    assert len(PathSpec([[[[1e308]], [[-1e308]]]]).segments) == 1
 
 
 def test_polygon_closes():
@@ -296,6 +308,22 @@ def test_near_pole_path_converges_at_rounding_level():
 def test_budget_exhaustion():
     with pytest.raises(BudgetError):
         iterate_word([W1], zline(1, 3), budget=2)
+
+
+@pytest.mark.parametrize("graze", [1e-6, 1e-7])
+def test_refused_steps_do_not_outrun_a_small_budget(graze):
+    # z passes `graze` from the zero of D[1]; at tol 0 the steps near it
+    # bisect until the budget runs out.  A step refused from its letters
+    # sweeps nothing, but it is an inner node of a tree whose leaves sweep
+    # at least two panels each, so the budget still bounds the work.
+    engine = _Engine(_WordBatch([[W1], [W1, W1]], 1, 1),
+                     zline(-1 + 1j * graze, 1 + 1j * graze), 0.0, 256)
+    began = time.process_time()
+    with pytest.raises(BudgetError, match="panel budget 256 exhausted"):
+        engine.run()
+    assert time.process_time() - began < 1.0
+    assert engine.panels == 257
+    assert 0 < 2 * engine.refused <= engine.panels
 
 
 @pytest.mark.parametrize("controls, message", [
@@ -980,14 +1008,14 @@ class _SerialEngine(_Engine):
 def _run_engine(engine_class, states, path, tol, budget, start=None):
     """The ends, errors, panel count and depth flag of a run from `start`,
     or the type, text and panel count of its failure; floats by repr, so
-    bit for bit."""
+    bit for bit.  Returns that outcome and the engine."""
     engine = engine_class(states, path, tol, budget)
     try:
         ends = engine.run(start)
     except (PoleError, BudgetError) as exc:
-        return type(exc).__name__, str(exc), engine.panels
+        return (type(exc).__name__, str(exc), engine.panels), engine
     return (repr(ends.tolist()), repr(np.asarray(engine.err).tolist()),
-            engine.panels, engine.depth_exceeded)
+            engine.panels, engine.depth_exceeded), engine
 
 
 def _random_path(rng, count, dim, segments, kind):
@@ -1076,19 +1104,49 @@ def _record_failures(monkeypatch):
     return failed_at
 
 
-def test_batched_step_matches_the_serial_engine(monkeypatch):
-    # every outcome of the batched step is the serial engine's, bit for
-    # bit; the cases reach each ending and the failing right half
-    failed_at = _record_failures(monkeypatch)
-    endings = {}
-    for label, states, path, tol, budget, start in _oracle_cases():
-        want = _run_engine(_SerialEngine, states, path, tol, budget, start)
-        got = _run_engine(_Engine, states, path, tol, budget, start)
-        assert got == want, label
+def _assert_matches_the_oracle(states, path, tol, budget, start=None,
+                               label=None):
+    """The engine's outcome is the serial engine's: the ends, errors and
+    depth flag bit for bit, in no more panels, or the same PoleError or
+    BudgetError text.  The engine skips the sweeps of steps that the
+    serial engine would sweep and reject, so where the serial engine
+    exhausted the budget the engine may finish within it; it then
+    finishes as the serial engine does with the default budget.  Returns
+    (ending, serial panels, engine panels, steps the engine refused)."""
+    want, _ = _run_engine(_SerialEngine, states, path, tol, budget, start)
+    got, engine = _run_engine(_Engine, states, path, tol, budget, start)
+    if want[0] == "BudgetError" and got[0] != "BudgetError":
+        assert len(got) == 4 and got[2] <= budget, label
+        want, _ = _run_engine(_SerialEngine, states, path, tol,
+                              DEFAULT_BUDGET, start)
+        ending = "value within the budget"
+    else:
         ending = want[0] if len(want) == 3 else (
             "depth" if want[3] else "value")
+    assert len(got) == len(want), label
+    if len(want) == 3:
+        assert got[:2] == want[:2], label
+    else:
+        assert (got[0], got[1], got[3]) == (want[0], want[1], want[3]), label
+    assert got[2] <= want[2], label
+    return ending, want[2], got[2], engine.refused
+
+
+def test_batched_step_matches_the_serial_engine(monkeypatch):
+    # every outcome of the batched step is the serial engine's, bit for
+    # bit, in no more panels; the cases reach each ending, the failing
+    # right half and steps refused from their letters
+    failed_at = _record_failures(monkeypatch)
+    endings, fewer, refused = {}, 0, 0
+    for label, states, path, tol, budget, start in _oracle_cases():
+        ending, want, got, steps = _assert_matches_the_oracle(
+            states, path, tol, budget, start, label)
         endings[ending] = endings.get(ending, 0) + 1
-    assert set(endings) >= {"value", "PoleError", "BudgetError"}, endings
+        fewer += got < want
+        refused += steps
+    assert set(endings) >= {"value", "value within the budget", "PoleError",
+                            "BudgetError"}, endings
+    assert fewer >= 30 and refused >= 100, (fewer, refused)
     right_jumps = [f for f in failed_at
                    if f[0] == f[1] - 1 and f[2] == "_PhaseJump"]
     assert right_jumps, failed_at
@@ -1100,15 +1158,30 @@ def test_a_failing_right_half_keeps_the_swept_left_half(monkeypatch):
     # and the left half stays away from it, but the right half's nodes
     # straddle it, so the first step's right half jumps.  Its left half,
     # swept before, must serve as the left child's whole panel: swept
-    # again, it would add one panel.
+    # again, it would add one panel to the serial engine's.
     failed_at = _record_failures(monkeypatch)
     s0 = 0.5 + 0.5 * _quadrature()[0][15]
     path = zline(-s0 - 1e-3j, 1.0 - s0 - 1e-3j)
     states = _WordBatch([[W1], [W1, W1]], 1, 1)
-    want = _run_engine(_SerialEngine, states, path, 1e-12, DEFAULT_BUDGET)
-    got = _run_engine(_Engine, states, path, 1e-12, DEFAULT_BUDGET)
+    ending, _, _, _ = _assert_matches_the_oracle(states, path, 1e-12,
+                                                 DEFAULT_BUDGET)
     assert failed_at[0] == (2, 3, "_PhaseJump")
-    assert got == want and len(got) == 4
+    assert ending == "value"
+
+
+@pytest.mark.parametrize("n, tol", [(n, tol) for n in (2, 3, 4)
+                                    for tol in (1e-10, 1e-12)])
+def test_tate_detours_match_the_serial_engine(n, tol):
+    # the recorded detours of the window elements: the engine refuses
+    # steps from their letters and sweeps fewer panels for the same
+    # value and error
+    from grasspoly.polylogs import _window_terms
+    from test_polylogs import TATE_DETOUR_4, TATE_DETOURS, detour
+
+    points = TATE_DETOUR_4 if n == 4 else TATE_DETOURS[n - 2][1]
+    ending, want, got, refused = _assert_matches_the_oracle(
+        _window_terms(n), detour(*points), tol, DEFAULT_BUDGET)
+    assert ending == "value" and got < want and refused
 
 
 # ---------------------------------------------------------------------------
@@ -1122,11 +1195,13 @@ class _TrieSweep:
     """The states of a `_WordBatch` in the trie's former layout:
     `levels[k-1]` is (slice of the level-k nodes, index of each one's
     parent among the level-(k-1) nodes, its letter column in `letters`),
-    and `word_nodes` is the batch's `outputs`."""
+    and `word_nodes` is the batch's `outputs`.  The first level is the
+    batch's own (`first`), which the engine's test from letters reads."""
 
     def __init__(self, batch):
         self.letters = batch.letters
         self.f0 = batch.f0
+        self.first = batch.first
         self.levels = [(nodes, src, letter[pair])
                        for nodes, letter, _, [(_, src, pair)] in batch.levels]
         self.word_nodes = batch.outputs

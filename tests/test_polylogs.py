@@ -708,19 +708,21 @@ def detour(start, end, lift):
 # Values computed by the per-word sweep that the prefix-trie sweep
 # replaced (the trie gave bit-identical values on these paths).  The panel
 # counts are those of the automaton sweep, whose panel acceptance reads
-# the automaton's states and the element's value.
+# the automaton's states and the element's value, with the steps that
+# fail from their letters split unswept (31 and 93 panels when every step
+# was swept).
 TATE_DETOURS = [
     (2, ([[2, 1], [-1, 3], [1, -2], [3, 2]],
          [[1, 3], [2, -1], [-3, 1], [1, 4]],
          [[1, -1], [2, 1], [-1, 1], [1, 2]]),
-     0.0002766022348366093 - 0.1826417774060568j, 31),
+     0.0002766022348366093 - 0.1826417774060568j, 21),
     (3, ([[2, 1, 0], [-1, 3, 1], [1, -2, 2], [3, 2, -1], [0, 1, 4],
           [1, 1, 4]],
          [[1, 3, -1], [2, -1, 1], [-3, 1, 2], [1, 4, 0], [2, 0, 1],
           [-1, 2, 3]],
          [[1, -1, 0], [0, 1, 1], [-1, 1, 0], [1, 0, -1], [0, 1, 1],
           [1, 0, 1]]),
-     78.42749650995977 + 68.43828293749301j, 93),
+     78.42749650995977 + 68.43828293749301j, 65),
 ]
 
 
@@ -774,7 +776,7 @@ PER_WORD_4 = -93.52056714073937 + 93.67591465300856j
 def test_grassmannian_tate_degree_four_matches_the_per_word_sweep():
     path = detour(*TATE_DETOUR_4)
     result = grassmannian_tate(4, path, tol=1e-10)
-    assert result.panels == 97
+    assert result.panels == 69  # 97 when every step was swept
     assert abs(result.value - PER_WORD_4) <= result.error
     assert abs(result.value - PER_WORD_4) < 1e-11
 
