@@ -47,19 +47,22 @@ and every vanishing test compares label sets; so the expansion commutes
 with relabelling, up to the sign of canonicalisation.  Each generator is
 therefore expanded once per label pattern: renumbered 1..k in order of
 first appearance (its standard form), expanded and cached, and mapped back
-through its labels.  The 70 weight-3 generators of the degree-4 pairing
-element share one standard form, and the whole expansion needs three.
+through its labels: the expansion's symbols are relabelled once per
+label order, and each term picks its slots out of them by index.  The 70
+weight-3 generators of the degree-4 pairing element share one standard
+form, and the whole expansion needs three.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ContractViolation, DegeneracyError
 from .tensors import (BRACKET, MultTensor, bracket_symbol, symbol_to_str,
-                      _combine, _expand_slots, _LinearCombination,
+                      _combine, _LinearCombination,
                       _sort_with_sign, _vector_labels)
 
 GEN = "g"
@@ -263,7 +266,9 @@ def expand_to_tensor(expr, arity):
 
     Coefficients stay integers throughout: the terms are summed as int
     numerators over one running denominator (_sum_products), and a
-    Fraction is made only for a key whose total is not integral.
+    Fraction is made only for a key whose total is not integral.  When
+    the denominator is 1 and no total is 0, as for the pairing element,
+    the totals are the store as they stand.
     """
     if isinstance(expr, AomotoGen):
         expr = AomotoExpr.of_gen(expr)
@@ -277,6 +282,8 @@ def expand_to_tensor(expr, arity):
             raise ContractViolation(
                 f"term reduces to {slots} slots, expected {arity}")
     den, totals = _sum_products(expr.terms.items())
+    if den == 1 and all(totals.values()):
+        return MultTensor(arity, totals)
     out = {}
     for key, num in totals.items():
         if num:
@@ -303,40 +310,26 @@ def _standard_form(gen):
     return std, sign, order
 
 
-class _Relabel(dict):
-    """Bracket symbols of a standard expansion, each mapped once through
-    `order` and re-sorted (brackets are mod 2, so no sign)."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, sym):
-        order = self.order
-        out = self[sym] = (sym[0], tuple(sorted(order[i - 1]
-                                                for i in sym[1])))
-        return out
-
-
 def _expand_factors(factors, relabels):
     """(den, [(key, numerator), ...]): the product of the factors'
-    expansions.  relabels memoises each order's symbol map for one
-    expansion."""
+    expansions.  relabels memoises, for one expansion, the symbols of
+    each (standard form, order) mapped through order and re-sorted
+    (brackets are mod 2, so no sign); each term of the standard
+    expansion picks its key out of them by index."""
     den, items = 1, None
     for tag, payload in factors:
         if tag == GEN:
             std, sign, order = _standard_form(payload)
             if std is None:
                 return 1, ()
-            d, part = _standard_expansion(std)
-            relabel = relabels.get(order)
+            d, symbols, part = _standard_expansion(std)
+            relabel = relabels.get((std, order))
             if relabel is None:
-                relabel = relabels[order] = _Relabel(order)
-            get = relabel.__getitem__
+                relabel = relabels[std, order] = tuple(
+                    (kind, tuple(sorted(order[i - 1] for i in labels)))
+                    for kind, labels in symbols)
             den *= d
-            part = [(tuple(map(get, key)), sign * c) for key, c in part]
+            part = [(pick(relabel), sign * c) for pick, c in part]
         else:
             part = [((sym,), e) for sym, e in payload]
         items = part if items is None else [
@@ -368,22 +361,36 @@ def _sum_products(terms):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _standard_expansion(std):
-    """(den, ((key, numerator), ...)): the depth-w expansion of a
-    standard-form generator, int numerators over one denominator in
-    lowest terms, zeros dropped.
+    """(den, symbols, ((pick, numerator), ...)): the depth-w expansion of
+    a standard-form generator, int numerators over one denominator in
+    lowest terms, zeros dropped.  symbols holds the expansion's bracket
+    symbols in order of first use, and each term's pick is an itemgetter
+    of the indices of its slots: pick(symbols) is its key.  A relabelling
+    then maps each symbol once, and each key is made by indexing.
 
     Weight 1 is the cross-ratio monomial.  At weight w >= 2 each term of
     coproduct(std) is the product of its factors' expansions, and each
     generator factor recurses through its own standard form; the terms are
     summed over one running denominator (_sum_products), then reduced.
     """
+    index = {}
+
+    def pick(key):
+        ix = [index.setdefault(sym, len(index)) for sym in key]
+        # an itemgetter of one index returns the item, of a slice a tuple
+        return itemgetter(*ix) if len(ix) > 1 else itemgetter(
+            slice(ix[0], ix[0] + 1))
+
     if std.weight == 1:
-        return 1, tuple(_expand_slots((cross_ratio_monomial(std),)))
+        items = tuple((pick((sym,)), e)
+                      for sym, e in cross_ratio_monomial(std))
+        return 1, tuple(index), items
     den, totals = _sum_products(coproduct(std).terms.items())
     nums = [num for num in totals.values() if num]
     g = gcd(den, *nums)
-    return den // g, tuple((key, num // g)
-                           for key, num in totals.items() if num)
+    items = tuple((pick(key), num // g)
+                  for key, num in totals.items() if num)
+    return den // g, tuple(index), items
 
 
 def additivity_residue(weight, dual=False, side="left"):

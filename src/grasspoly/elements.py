@@ -45,19 +45,19 @@ output is part of the command line contract.
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
 from .errors import ContractViolation
 from .tensors import (BRACKET, MultTensor, WedgeTensor, bracket_symbol,
                       perms_with_signs, scalar_symbol, symbol_to_str,
-                      wedge_project, _combine, _expand_slots, _parities,
+                      wedge_project, _combine, _expand_slots, _sort_with_sign,
                       _vector_labels)
 
 
 # The degrees each command, verify suite and period supports.  A degree-n
-# element streams (2n)! arrangements: 40320 at n = 4, 3628800 at n = 5.
+# element has (2n)! terms: 40320 at n = 4, 3628800 at n = 5.
 DEGREES = {"element": range(1, 5), "relations": range(1, 5),
            "scale": range(1, 5), "deltar": range(1, 5),
            "comparison": range(2, 5), "integrability": range(2, 5),
@@ -91,6 +91,19 @@ def build_element(n, labels=None, prefix=(), signed=False):
     configuration).  signed=True keeps bracket sorting signs instead of
     the mod-2 identification; the identities verified by the checks are
     only expected to hold in the default mod-2 semantics.
+
+    The terms are enumerated window by window rather than arrangement by
+    arrangement.  After slot k an arrangement has fixed its core
+    C = {x_k..x_n}, its tail T = {x_(n+1)..x_(n+k-1)} and the rest R of
+    unused labels; slot k's window is C + T.  Slot 1 is any n-set C with
+    R its complement, and slot k + 1 moves one c from C out and one r from
+    R into T.  The n window sets determine the arrangement (consecutive
+    windows differ by one label on each side), so every path is one term
+    and nothing needs merging.  The sign is local: the arrangement's
+    parity is that of the shuffle of C and R, times (-1)^(i + j) at each
+    step, with i and j the ranks of c in C and of r in R.  Each window's
+    bracket is made once per label set, C(2n, n) of them, and each term
+    costs one key tuple and one store insert.
     """
     n = int(n)
     if n < 1:
@@ -100,24 +113,76 @@ def build_element(n, labels=None, prefix=(), signed=False):
     if set(prefix) & set(labels):
         raise ContractViolation("prefix labels must not occur among labels")
 
-    # (symbol, sign) of every window of n positions, made once and looked
-    # up by the slices of each arrangement.  The n window sets determine
-    # the arrangement (consecutive windows differ by one label on each
-    # side), so the (2n)! keys are distinct and nothing needs merging.
-    # The arrangements stream with their cached parities; no table of
-    # (2n)! signed permutations is kept.
-    window = {w: bracket_symbol(prefix + tuple(labels[p] for p in w),
-                                signed=signed)
-              for w in permutations(range(2 * n), n)}
-    cuts = [slice(k, k + n) for k in range(n)]
+    # Work over label ranks, the positions in sorted(labels): an
+    # arrangement's parity over positions is its parity over ranks times
+    # the sorting sign of labels.  A window is a bitmask of ranks.  With
+    # signed=True a window's sorting sign is its set part, the sign of
+    # sorting prefix + its labels in ascending order (set_sign), times the
+    # parity of its labels' order.
+    ranked = sorted(labels)
+    symbol, set_sign = [None] * (1 << 2 * n), [1] * (1 << 2 * n)
+    for window in combinations(range(2 * n), n):
+        mask = sum(1 << q for q in window)
+        symbol[mask], set_sign[mask] = bracket_symbol(
+            prefix + tuple(ranked[q] for q in window), signed=signed)
+
+    def order_sign(k, i, c, r, window):
+        # The signed=True factor of step k.  Window k + 1 drops c from the
+        # front of window k and appends r, so its order parity is window
+        # k's times (-1)^(a + b), where a counts window k's labels below c
+        # and b window k + 1's labels other than r above r.  Window 1's
+        # order parity is (-1)^(sum of the steps' i).  Over the n windows
+        # the step therefore gives (-1)^(n i + (n - k)(a + b)), and window
+        # k + 1 its set part.
+        without = window ^ (1 << c)
+        a = (window & ((1 << c) - 1)).bit_count()
+        b = (without >> (r + 1)).bit_count()
+        s = set_sign[without | (1 << r)]
+        return -s if (n * i + (n - k) * (a + b)) & 1 else s
+
+    # The states after slot k: C and R as ascending tuples of ranks, the
+    # window as a mask, the slots so far and the sign so far.
+    sign = _sort_with_sign(labels)[1]
+    offset = n * (n - 1) // 2
+    level = []
+    for core in combinations(range(2 * n), n):
+        mask = sum(1 << q for q in core)
+        rest = tuple(q for q in range(2 * n) if not mask >> q & 1)
+        sgn = sign * set_sign[mask]
+        level.append((core, rest, mask, (symbol[mask],),
+                      -sgn if (sum(core) - offset) & 1 else sgn))
+    if n == 1:
+        terms = {key: sgn for *_, key, sgn in level}
+        return GrassElement(n, labels, prefix, MultTensor(n, terms))
+    for k in range(1, n - 1):
+        states, level = level, []
+        for core, rest, window, key, sgn in states:
+            for i, c in enumerate(core):
+                core_c = core[:i] + core[i + 1:]
+                without = window ^ (1 << c)
+                for j, r in enumerate(rest):
+                    nxt = without | (1 << r)
+                    s = -sgn if (i + j) & 1 else sgn
+                    if signed:
+                        s *= order_sign(k, i, c, r, window)
+                    level.append((core_c, rest[:j] + rest[j + 1:], nxt,
+                                  key + (symbol[nxt],), s))
+    # The last slot: C and R hold two ranks each, so every state ends in
+    # four terms, written straight into the store.
     terms = {}
-    for perm, sgn in zip(permutations(range(2 * n)), _parities(2 * n)):
-        slots = []
-        for cut in cuts:
-            sym, s = window[perm[cut]]
-            slots.append(sym)
-            sgn *= s
-        terms[tuple(slots)] = sgn
+    for (c0, c1), (r0, r1), window, key, sgn in level:
+        w0, w1 = window ^ (1 << c0), window ^ (1 << c1)
+        s00 = s11 = sgn
+        s01 = s10 = -sgn
+        if signed:
+            s00 *= order_sign(n - 1, 0, c0, r0, window)
+            s01 *= order_sign(n - 1, 0, c0, r1, window)
+            s10 *= order_sign(n - 1, 1, c1, r0, window)
+            s11 *= order_sign(n - 1, 1, c1, r1, window)
+        terms[key + (symbol[w0 | 1 << r0],)] = s00
+        terms[key + (symbol[w0 | 1 << r1],)] = s01
+        terms[key + (symbol[w1 | 1 << r0],)] = s10
+        terms[key + (symbol[w1 | 1 << r1],)] = s11
     return GrassElement(n, labels, prefix, MultTensor(n, terms))
 
 

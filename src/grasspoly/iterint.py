@@ -191,7 +191,9 @@ def _as_matrix(obj):
 
 
 def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=complex)
+    """A read-only C-contiguous complex copy of arr; the caller's array
+    stays writeable."""
+    arr = np.array(arr, dtype=complex, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -207,7 +209,8 @@ def _meets(a, b, tol):
 class PathSpec:
     """Piecewise-polynomial path: each segment maps s in [0,1] to a
     (count, dim) complex matrix via finite coefficient stacks (degree+1,
-    count, dim), joined continuously."""
+    count, dim), joined continuously.  Each stack is kept as a read-only
+    copy."""
 
     __slots__ = ("segments",)
 
@@ -219,8 +222,10 @@ class PathSpec:
                 raise PathError(
                     "segment coefficients must have shape (degree+1, count, dim)")
             # a sum is finite only when its terms are, so one test of the
-            # segment's end also tests every coefficient
-            end = arr.sum(axis=0)
+            # segment's end also tests every coefficient; an overflowing
+            # or inf - inf sum is reported by that test, not by a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                end = arr.sum(axis=0)
             if not np.isfinite(end).all():
                 raise PathError(
                     "segment coefficients must be finite"

@@ -6,15 +6,18 @@ The load-bearing oracles:
   (project the configuration from the prefix, take the cross-ratio);
 - the additivity relations, whose expansions must be exactly zero;
 - the former per-arrangement Fraction loops of the pairing element, the
-  weight-2 coproduct and the expansion, and the former weight >= 3
-  coproduct loop, kept here as copies;
+  weight-2 coproduct and the expansion, the former weight >= 3
+  coproduct loop, and the former symbol-keyed standard expansion, kept
+  here as copies;
 - equivariance: expanding a relabelled input relabels the output.
 """
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -23,7 +26,8 @@ from grasspoly.aomoto import (GEN, MONO, AomotoExpr, AomotoGen,
                               coproduct_higher, coproduct_weight2,
                               cross_ratio_monomial, expand_to_tensor,
                               make_gen, pairing_element,
-                              pairing_element_labels)
+                              pairing_element_labels, _standard_form,
+                              _sum_products)
 from grasspoly.configurations import cross_ratio, random_generic
 from grasspoly.errors import ContractViolation, DegeneracyError
 from grasspoly.tensors import (MultTensor, bracket_symbol, perms_with_signs,
@@ -834,3 +838,186 @@ def test_caches_stay_bounded():
     for cache in caches[:3]:
         info = cache.cache_info()
         assert info.currsize == info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# oracle: the symbol-keyed standard expansion
+#
+# _standard_expansion now picks each term's slots by index out of the
+# expansion's own symbol list, _expand_factors relabels that list once
+# per (standard form, order), and expand_to_tensor keeps the totals as
+# the store when nothing needs reducing.  The copies below are the former
+# symbol-keyed _Relabel, _expand_factors, _sum_products and
+# _standard_expansion, verbatim up to the names of the functions they
+# call, and old_symbol_keyed_expansion the tail of the former
+# expand_to_tensor.  Every expansion must return their dict with the same
+# coefficient types in the same key order.
+
+
+class OldRelabel(dict):
+    """Bracket symbols of a standard expansion, each mapped once through
+    `order` and re-sorted (brackets are mod 2, so no sign)."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, sym):
+        order = self.order
+        out = self[sym] = (sym[0], tuple(sorted(order[i - 1]
+                                                for i in sym[1])))
+        return out
+
+
+def old_expand_factors(factors, relabels):
+    """(den, [(key, numerator), ...]): the product of the factors'
+    expansions.  relabels memoises each order's symbol map for one
+    expansion."""
+    den, items = 1, None
+    for tag, payload in factors:
+        if tag == GEN:
+            std, sign, order = _standard_form(payload)
+            if std is None:
+                return 1, ()
+            d, part = old_standard_expansion(std)
+            relabel = relabels.get(order)
+            if relabel is None:
+                relabel = relabels[order] = OldRelabel(order)
+            get = relabel.__getitem__
+            den *= d
+            part = [(tuple(map(get, key)), sign * c) for key, c in part]
+        else:
+            part = [((sym,), e) for sym, e in payload]
+        items = part if items is None else [
+            (k1 + k2, c1 * c2) for k1, c1 in items for k2, c2 in part]
+    return den, items
+
+
+def old_sum_products(terms):
+    """(den, {key: numerator}): the sum over (factors, coeff) terms of
+    coeff times the product of the factors' expansions, as int numerators
+    over one running denominator.  A term's denominator is its factors'
+    expansion denominator times coeff's; only when that does not divide
+    the running one are the numerators summed so far rescaled to the lcm."""
+    den, totals, relabels = 1, {}, {}
+    get = totals.get
+    for factors, coeff in terms:
+        d, items = old_expand_factors(factors, relabels)
+        d *= coeff.denominator
+        if den % d:
+            scale = lcm(den, d) // den
+            for key in totals:
+                totals[key] *= scale
+            den *= scale
+        num = coeff.numerator * (den // d)
+        for key, c in items:
+            totals[key] = get(key, 0) + c * num
+    return den, totals
+
+
+@functools.lru_cache(maxsize=4096)
+def old_standard_expansion(std):
+    """(den, ((key, numerator), ...)): the depth-w expansion of a
+    standard-form generator, int numerators over one denominator in
+    lowest terms, zeros dropped.
+
+    Weight 1 is the cross-ratio monomial.  At weight w >= 2 each term of
+    coproduct(std) is the product of its factors' expansions, and each
+    generator factor recurses through its own standard form; the terms are
+    summed over one running denominator (old_sum_products), then reduced.
+    """
+    if std.weight == 1:
+        return 1, tuple(_expand_slots((cross_ratio_monomial(std),)))
+    den, totals = old_sum_products(coproduct(std).terms.items())
+    nums = [num for num in totals.values() if num]
+    g = gcd(den, *nums)
+    return den // g, tuple((key, num // g)
+                           for key, num in totals.items() if num)
+
+
+def old_symbol_keyed_expansion(expr, arity):
+    den, totals = old_sum_products(expr.terms.items())
+    out = {}
+    for key, num in totals.items():
+        if num:
+            q, r = divmod(num, den)
+            out[key] = q if not r else Fraction(num, den)
+    return MultTensor(arity, out)
+
+
+def assert_same_store(new, old):
+    """Equal dicts, in the same key order, with equal coefficient types."""
+    assert new.terms == old.terms
+    assert list(new.terms) == list(old.terms)
+    assert ([type(c) for c in new.terms.values()]
+            == [type(c) for c in old.terms.values()])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", ["default", "reversed", "shuffled",
+                                  "prefix"])
+def test_pairing_expansion_matches_symbol_keyed_expansion(n, case):
+    labels = tuple(range(1, 2 * n + 1))
+    kwargs = {"default": {}, "reversed": {"labels": labels[::-1]},
+              "shuffled": {"labels": tuple(random.Random(1350 + n).sample(
+                  labels, 2 * n))},
+              "prefix": {"prefix": (20, 19)}}[case]
+    expr = pairing_element_labels(n, **kwargs)
+    new = expand_to_tensor(expr, n)
+    assert_same_store(new, old_symbol_keyed_expansion(expr, n))
+    assert new.term_count == math.factorial(2 * n)
+    # the store is the totals as they stand: denominator 1, no zero total
+    den, totals = _sum_products(expr.terms.items())
+    assert den == 1 and all(totals.values())
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_additivity_expansion_matches_symbol_keyed_expansion(weight, dual,
+                                                             side):
+    expr = additivity_input(weight, dual, side)
+    assert_same_store(expand_to_tensor(expr, weight),
+                      old_symbol_keyed_expansion(expr, weight))
+    for term in expr.terms.items():
+        one = AomotoExpr.from_terms([term])
+        assert_same_store(expand_to_tensor(one, weight),
+                          old_symbol_keyed_expansion(one, weight))
+
+
+def test_fraction_and_cancelling_expansions_match_symbol_keyed_expansion():
+    """Expressions whose totals need the divmod pass: a denominator above
+    1, or totals that cancel to 0."""
+    g3, _ = make_gen((), (1, 2, 3, 4), (5, 6, 7, 8))
+    g2a, _ = make_gen((), (1, 2, 3), (4, 5, 6))
+    g2b, _ = make_gen((9,), (1, 3, 5), (2, 4, 7))
+    g1, _ = make_gen((3,), (1, 2), (4, 5))
+    mono = (MONO, ((bracket_symbol((1, 2))[0], 2),
+                   (bracket_symbol((3, 4))[0], -1)))
+    residue = additivity_input(3, False, "left")
+    cases = [
+        (AomotoExpr.from_terms([(((GEN, g3),), Fraction(2, 3)),
+                                (((GEN, g2a), (GEN, g1)), Fraction(-1, 6))]),
+         3),
+        # the relation cancels, the generator term survives
+        (residue + AomotoExpr.of_gen(g3, Fraction(5, 7)), 3),
+        (residue * 3, 3),
+        (AomotoExpr.from_terms([
+            (((GEN, g2a), (GEN, g2b)), Fraction(1, 3)),
+            (((GEN, g3), mono), Fraction(5, 7)),
+            (((GEN, g1), (GEN, g3)), -2),
+            ((mono, (GEN, g2b), (GEN, g1)), Fraction(-5, 7))]), 4),
+    ]
+    for expr, arity in cases:
+        den, totals = _sum_products(expr.terms.items())
+        assert den > 1 or not all(totals.values())
+        assert_same_store(expand_to_tensor(expr, arity),
+                          old_symbol_keyed_expansion(expr, arity))
+    rng = random.Random(1360)
+    for arity in (1, 2, 3):
+        for _ in range(20):
+            expr = random_expr(rng, arity)
+            assert_same_store(expand_to_tensor(expr, arity),
+                              old_symbol_keyed_expansion(expr, arity))

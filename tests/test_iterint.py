@@ -87,15 +87,33 @@ def test_path_contracts():
         zline(0, 1).segments = ()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_a_segment_whose_end_overflows_is_refused():
     # finite coefficients whose sum, the segment's end, is infinite: the
-    # joint check against an infinite end passed any next segment
+    # joint check against an infinite end passed any next segment.  With
+    # warnings as errors, numpy's overflow warning would replace the
+    # PathError.
     with pytest.raises(PathError, match="segment end must be finite"):
         PathSpec([[[[1e308]], [[1e308]]], [[[5.0]], [[1.0]]]])
     with pytest.raises(PathError, match="segment end must be finite"):
+        PathSpec([[[[1e308]], [[1e308]]]])
+    with pytest.raises(PathError, match="segment end must be finite"):
         PathSpec([[[[1e308j]], [[1e308j]]]])
+    with pytest.raises(PathError, match="coefficients must be finite"):
+        PathSpec([[[[np.inf]], [[-np.inf]]]])
     assert len(PathSpec([[[[1e308]], [[-1e308]]]]).segments) == 1
+
+
+def test_a_path_leaves_the_callers_arrays_writeable():
+    a = np.array([[[1.0 + 0j]], [[2.0 + 0j]]])
+    p = PathSpec([a])
+    a[1, 0, 0] = 5.0
+    assert a.flags.writeable
+    assert p.segments[0][1, 0, 0] == 2.0
+    assert not p.segments[0].flags.writeable
+    assert p.segments[0].flags.c_contiguous
+    f = np.asfortranarray(np.arange(12.0).reshape(2, 3, 2))
+    assert PathSpec([f]).segments[0].flags.c_contiguous
 
 
 def test_polygon_closes():
